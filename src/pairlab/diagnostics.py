@@ -243,6 +243,39 @@ class ScalingCellSummary:
     q_max: float
 
 
+def scaling_cell_records(
+    seq: DegreeSequence, gamma: float, nu_actual: float,
+    seed: int, cell_index: int, reps: range,
+) -> list[ScalingRecord]:
+    """Replicates ``reps`` of one (gamma, n) cell; replicate r draws from
+    ``substream(seed, cell_index, r)``."""
+    n, space = seq.n, PointSpace.from_degree_sequence(seq)
+    scale = n ** (1.0 / gamma) * math.log(n)
+    records = []
+    for rep in reps:
+        rng = substream(seed, cell_index, rep)
+        size = project_components(sample_pairing(space, rng)).largest
+        records.append(ScalingRecord(n, gamma, nu_actual, rep, size, size / scale))
+    return records
+
+
+def summarize_scaling_cell(
+    records: list[ScalingRecord], max_degree: int
+) -> ScalingCellSummary:
+    """Quantiles of the normalized largest component over one cell."""
+    first = records[0]
+    normalized = np.array([r.normalized for r in records])
+    return ScalingCellSummary(
+        n=first.n,
+        gamma=first.gamma,
+        nu_actual=first.nu_actual,
+        max_degree_ratio=max_degree / first.n ** (1.0 / first.gamma),
+        q50=float(np.quantile(normalized, 0.5)),
+        q95=float(np.quantile(normalized, 0.95)),
+        q_max=float(normalized.max()),
+    )
+
+
 def scaling_experiment(
     gammas: list[float],
     sizes: list[int],
@@ -253,43 +286,16 @@ def scaling_experiment(
 ) -> tuple[list[ScalingRecord], list[ScalingCellSummary]]:
     """Monte Carlo grid over (gamma, n): normalized largest-component sizes.
 
-    Build errors in a cell propagate as records for the other cells continue;
-    cells are processed and summarized in sorted order for determinism.
+    Cells run in sorted order, cell k drawing from ``substream(seed, k, rep)``;
+    a sequence that cannot be built raises the builder's ValueError.
     """
     records: list[ScalingRecord] = []
     summaries: list[ScalingCellSummary] = []
     cells = [(g, n) for g in sorted(gammas) for n in sorted(sizes)]
     for cell_index, (gamma, n) in enumerate(cells):
         seq = build_subpower_sequence(n, gamma, c, target_nu)
-        dist = empirical_distribution(seq)
-        nu_actual = nu(dist)
-        scale = n ** (1.0 / gamma) * math.log(n)
-        space = PointSpace.from_degree_sequence(seq)
-        cell_records = []
-        for rep in range(replicates):
-            rng = substream(seed, cell_index, rep)
-            report = project_components(sample_pairing(space, rng))
-            cell_records.append(
-                ScalingRecord(
-                    n=n,
-                    gamma=gamma,
-                    nu_actual=nu_actual,
-                    replicate=rep,
-                    largest=report.largest,
-                    normalized=report.largest / scale,
-                )
-            )
-        records.extend(cell_records)
-        normalized = np.array([r.normalized for r in cell_records])
-        summaries.append(
-            ScalingCellSummary(
-                n=n,
-                gamma=gamma,
-                nu_actual=nu_actual,
-                max_degree_ratio=seq.max_degree / n ** (1.0 / gamma),
-                q50=float(np.quantile(normalized, 0.5)),
-                q95=float(np.quantile(normalized, 0.95)),
-                q_max=float(normalized.max()),
-            )
-        )
+        cell = scaling_cell_records(seq, gamma, nu(empirical_distribution(seq)),
+                                    seed, cell_index, range(replicates))
+        records.extend(cell)
+        summaries.append(summarize_scaling_cell(cell, seq.max_degree))
     return records, summaries

@@ -199,12 +199,13 @@ class ExplorationState:
         """The completed pairing after a full decomposition."""
         if np.any(self.mate == -1):
             raise RuntimeError("pairing incomplete")
-        return Pairing(mate=self.mate.copy(), space=self.space)
+        lower = np.flatnonzero(np.arange(self.two_m) < self.mate)
+        return Pairing(
+            pairs=np.column_stack([lower, self.mate[lower]]), space=self.space
+        )
 
 
-def start_exploration(
-    seq: DegreeSequence, v: int, rng: np.random.Generator | None = None
-) -> ExplorationState:
+def start_exploration(seq: DegreeSequence, v: int) -> ExplorationState:
     """Fresh chain rooted at vertex v: A(0) = d_v, I_j(0) = n p_j - [j = d_v]."""
     state = ExplorationState(seq)
     state.begin(v)

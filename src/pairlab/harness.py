@@ -35,14 +35,19 @@ from .degree_model import (
     read_degree_file,
     validate_subpower,
 )
-from .diagnostics import poisson_limit_check, trajectory_deviation
+from .diagnostics import (
+    poisson_limit_check,
+    scaling_cell_records,
+    summarize_scaling_cell,
+    trajectory_deviation,
+)
 from .exploration import explore_component
 from .pairing import (
+    ComponentReport,
     PointSpace,
-    count_loops,
-    count_parallel_pairs,
     double_factorial_odd,
     enumerate_pairings,
+    is_simple,
     predicted_simple_probability,
     project_components,
     sample_pairing,
@@ -73,6 +78,60 @@ class ConfigError(ValueError):
     """Malformed experiment config; the message names the offending field."""
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_INT_LIST = (lambda x: isinstance(x, list) and all(map(_is_int, x)),
+             "a list of integers")
+_NUMBER_LIST = (
+    lambda x: isinstance(x, list) and len(x) > 0 and all(map(_is_number, x)),
+    "a non-empty list of numbers",
+)
+_STRING = (lambda x: isinstance(x, str), "a string")
+_DEGREE_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
+    "regular": {"n": _INT, "d": _INT},
+    "subpower": {"n": _INT, "gamma": _NUMBER, "target_nu": _NUMBER, "c": _NUMBER},
+    "explicit": {"degrees": _INT_LIST},
+    "file": {"path": _STRING},
+}
+_GRID_FIELDS = {"gammas": _NUMBER_LIST, "sizes": _NUMBER_LIST,
+                "c": _NUMBER, "target_nu": _NUMBER}
+
+
+def _check_fields(
+    where: str, spec: dict[str, Any], fields: dict, optional: set[str]
+) -> None:
+    """Raise ConfigError naming ``where.<field>`` for the first unknown,
+    missing or ill-typed field of ``spec``."""
+    unknown = sorted(set(spec) - set(fields))
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+    for name, (ok, what) in fields.items():
+        if name not in spec and name not in optional:
+            raise ConfigError(f"{where}.{name}: required")
+        if name in spec and not ok(spec[name]):
+            raise ConfigError(f"{where}.{name}: must be {what}, got {spec[name]!r}")
+
+
+def _check_degrees(spec: Any) -> None:
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError("degrees: object with 'kind' required")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _DEGREE_FIELDS:
+        raise ConfigError(
+            f"degrees.kind: expected one of {tuple(_DEGREE_FIELDS)}, got {kind!r}"
+        )
+    rest = {k: v for k, v in spec.items() if k != "kind"}
+    _check_fields("degrees", rest, _DEGREE_FIELDS[kind], optional={"c"})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -93,30 +152,37 @@ class ExperimentConfig:
         if mode not in MODES:
             raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
         replicates = data.get("replicates", 1)
-        if not isinstance(replicates, int) or replicates < 1:
+        if not _is_int(replicates) or replicates < 1:
             raise ConfigError("replicates: must be a positive integer")
         seed = data.get("seed", 0)
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
         workers = data.get("workers", 1)
-        if not isinstance(workers, int) or workers < 1:
+        if not _is_int(workers) or workers < 1:
             raise ConfigError("workers: must be a positive integer")
         output_dir = data.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError("output_dir: must be a string")
         degrees = data.get("degrees")
         grid = data.get("grid")
         if mode == "scaling":
             if not isinstance(grid, dict):
                 raise ConfigError("grid: required for scaling mode")
-            for key in ("gammas", "sizes"):
-                if not isinstance(grid.get(key), list) or not grid[key]:
-                    raise ConfigError(f"grid.{key}: non-empty list required")
+            _check_fields("grid", grid, _GRID_FIELDS, optional={"c", "target_nu"})
         else:
-            if not isinstance(degrees, dict) or "kind" not in degrees:
-                raise ConfigError("degrees: object with 'kind' required")
+            _check_degrees(degrees)
         tolerances = dict(DEFAULT_TOLERANCES)
         extra = data.get("tolerances", {})
         if not isinstance(extra, dict):
             raise ConfigError("tolerances: must be an object")
+        for key, value in extra.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise ConfigError(
+                    f"tolerances.{key}: unknown tolerance; "
+                    f"known: {', '.join(DEFAULT_TOLERANCES)}"
+                )
+            if not _is_number(value):
+                raise ConfigError(f"tolerances.{key}: must be a number")
         tolerances.update(extra)
         return cls(
             mode=mode,
@@ -225,33 +291,30 @@ class RunSummary:
 # ---------------------------------------------------------------------------
 # chunked replicate execution (deterministic at any worker count)
 
-def _chunk_ranges(replicates: int, workers: int) -> list[tuple[int, int]]:
+def _chunks(static: tuple, replicates: int, workers: int) -> list[tuple]:
+    """Tasks ``static + (reps,)``, about four per worker, whose ranges of
+    replicate indices cover 0 .. replicates-1 in order."""
     chunks = max(1, min(replicates, workers * 4))
     size = math.ceil(replicates / chunks)
-    return [(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
+    return [static + (range(lo, min(lo + size, replicates)),)
+            for lo in range(0, replicates, size)]
 
 
-def _run_chunked(
-    worker: Callable[[tuple], list[tuple]],
-    static: tuple,
-    replicates: int,
-    workers: int,
-) -> list[tuple]:
-    ranges = _chunk_ranges(replicates, workers)
-    tasks = [static + rng for rng in ranges]
-    if workers <= 1 or len(tasks) == 1:
-        results = [worker(task) for task in tasks]
+def _run_chunked(worker: Callable[..., list], tasks: list[tuple], workers: int) -> list:
+    """Rows of ``worker(*task)`` for every task, concatenated in task order."""
+    if workers <= 1 or len(tasks) <= 1:
+        results = [worker(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, tasks))
+            results = list(pool.map(worker, *zip(*tasks)))
     return [row for chunk in results for row in chunk]
 
 
-def _poisson_chunk(task: tuple) -> list[tuple]:
-    degrees, seed, cell_index, lo, hi = task
-    space = PointSpace.from_degree_sequence(DegreeSequence(degrees))
+def _poisson_chunk(seq: DegreeSequence, seed: int, cell_index: int,
+                   reps: range) -> list[tuple]:
+    space = PointSpace.from_degree_sequence(seq)
     rows = []
-    for rep in range(lo, hi):
+    for rep in reps:
         rng = substream(seed, cell_index, rep)
         report = project_components(sample_pairing(space, rng))
         rows.append(
@@ -261,29 +324,12 @@ def _poisson_chunk(task: tuple) -> list[tuple]:
     return rows
 
 
-def _scaling_chunk(task: tuple) -> list[tuple]:
-    n, gamma, c, target_nu, seed, cell_index, lo, hi = task
-    seq = build_subpower_sequence(n, gamma, c, target_nu)
-    space = PointSpace.from_degree_sequence(seq)
-    nu_actual = nu(empirical_distribution(seq))
-    scale = n ** (1.0 / gamma) * math.log(n)
-    rows = []
-    for rep in range(lo, hi):
-        rng = substream(seed, cell_index, rep)
-        report = project_components(sample_pairing(space, rng))
-        rows.append(
-            (gamma, n, nu_actual, rep, report.largest, report.largest / scale)
-        )
-    return rows
-
-
-def _trajectory_chunk(task: tuple) -> list[tuple]:
-    degrees, seed, cell_index, root, j_max, lo, hi = task
-    seq = DegreeSequence(degrees)
+def _trajectory_chunk(seq: DegreeSequence, seed: int, cell_index: int, root: int,
+                      j_max: int, reps: range) -> list[tuple]:
     dist = empirical_distribution(seq)
     track = [j for j in range(1, j_max + 1) if j in dist.counts]
     rows = []
-    for rep in range(lo, hi):
+    for rep in reps:
         rng = substream(seed, cell_index, rep)
         trace = explore_component(seq, root, rng, record_trace=True)
         for j in track:
@@ -291,34 +337,27 @@ def _trajectory_chunk(task: tuple) -> list[tuple]:
     return rows
 
 
-def _oracle_chunk(task: tuple) -> list[tuple]:
-    degrees, seed, cell_index, lo, hi = task
-    space = PointSpace.from_degree_sequence(DegreeSequence(degrees))
-    rows = []
-    for rep in range(lo, hi):
-        rng = substream(seed, cell_index, rep)
-        rows.append((rep, sample_pairing(space, rng).key()))
-    return rows
+def _oracle_chunk(seq: DegreeSequence, seed: int, cell_index: int,
+                  reps: range) -> list[tuple]:
+    space = PointSpace.from_degree_sequence(seq)
+    return [(rep, sample_pairing(space, substream(seed, cell_index, rep)).key())
+            for rep in reps]
 
 
 # ---------------------------------------------------------------------------
 # mode implementations
 
 def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
-    from .pairing import ComponentReport
-
     seq = resolve_degrees(config.degrees)
     nu_value = nu(empirical_distribution(seq))
     rows = _run_chunked(
         _poisson_chunk,
-        (seq.degrees, config.seed, 0),
-        config.replicates,
+        _chunks((seq, config.seed, 0), config.replicates, config.workers),
         config.workers,
     )
     reports = [
         ComponentReport(
-            component_sizes=(), largest=r[4], loops=r[1],
-            parallel_pairs=r[2], simple=bool(r[3]),
+            component_sizes=(), largest=r[4], loops=r[1], parallel_pairs=r[2]
         )
         for r in rows
     ]
@@ -357,42 +396,39 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
     c = float(grid.get("c", 1.0))
     target_nu = float(grid.get("target_nu", 0.9))
     tol = config.tolerances
-    cells_spec = [(g, n) for g in gammas for n in sizes]
-    all_rows: list[tuple] = []
+    built: list[tuple[float, int, DegreeSequence | ValueError]] = []
+    tasks: list[tuple] = []
+    for cell_index, (gamma, n) in enumerate((g, n) for g in gammas for n in sizes):
+        try:
+            seq = build_subpower_sequence(n, gamma, c, target_nu)
+        except ValueError as exc:  # build failure: record, keep the grid going
+            built.append((gamma, n, exc))
+            continue
+        built.append((gamma, n, seq))
+        static = (seq, gamma, nu(empirical_distribution(seq)), config.seed, cell_index)
+        tasks += _chunks(static, config.replicates, config.workers)
+    records = _run_chunked(scaling_cell_records, tasks, config.workers)
+    low, high = tol["max_degree_ratio_low"], tol["max_degree_ratio_high"]
     cells: list[dict] = []
     verdicts: list[Verdict] = []
-    cell_errors: list[str] = []
-    for cell_index, (gamma, n) in enumerate(cells_spec):
-        try:
-            rows = _run_chunked(
-                _scaling_chunk,
-                (n, gamma, c, target_nu, config.seed, cell_index),
-                config.replicates,
-                config.workers,
-            )
-        except ValueError as exc:  # build failure: record, keep the grid going
-            cell_errors.append(f"gamma={gamma} n={n}: {exc}")
-            cells.append({"gamma": gamma, "n": n, "error": str(exc)})
+    done = 0  # every built cell contributes its replicates, in cell order
+    for gamma, n, seq in built:
+        if isinstance(seq, ValueError):
+            cells.append({"gamma": gamma, "n": n, "error": str(seq)})
             continue
-        all_rows.extend(rows)
-        normalized = np.array([r[5] for r in rows])
-        seq = build_subpower_sequence(n, gamma, c, target_nu)
-        ratio = seq.max_degree / n ** (1.0 / gamma)
+        summary = summarize_scaling_cell(
+            records[done:done + config.replicates], seq.max_degree
+        )
+        done += config.replicates
+        ratio = summary.max_degree_ratio
         cells.append({
-            "gamma": gamma,
-            "n": n,
-            "nu": rows[0][2],
+            "gamma": gamma, "n": n, "nu": summary.nu_actual,
             "max_degree_ratio": ratio,
-            "q50": float(np.quantile(normalized, 0.5)),
-            "q95": float(np.quantile(normalized, 0.95)),
-            "q_max": float(normalized.max()),
+            "q50": summary.q50, "q95": summary.q95, "q_max": summary.q_max,
         })
-        mid = (tol["max_degree_ratio_low"] + tol["max_degree_ratio_high"]) / 2
-        half = (tol["max_degree_ratio_high"] - tol["max_degree_ratio_low"]) / 2
         verdicts.append(Verdict(
             f"max_degree_ratio[gamma={gamma},n={n}]",
-            tol["max_degree_ratio_low"] <= ratio <= tol["max_degree_ratio_high"],
-            ratio, mid, half,
+            low <= ratio <= high, ratio, (low + high) / 2, (high - low) / 2,
         ))
     for gamma in gammas:
         q95s = [c_["q95"] for c_ in cells
@@ -405,7 +441,9 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
                 factor, 1.0, tol["scaling_factor"],
             ))
     header = ["gamma", "n", "nu", "replicate", "largest", "normalized"]
-    return [header] + [list(r) for r in all_rows], cells, verdicts
+    rows = [[r.gamma, r.n, r.nu_actual, r.replicate, r.largest, r.normalized]
+            for r in records]
+    return [header] + rows, cells, verdicts
 
 
 def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
@@ -416,8 +454,8 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     root = int(np.argmax(seq.degrees))  # max-degree root stresses the path most
     rows = _run_chunked(
         _trajectory_chunk,
-        (seq.degrees, config.seed, 0, root, j_max),
-        config.replicates,
+        _chunks((seq, config.seed, 0, root, j_max), config.replicates,
+                config.workers),
         config.workers,
     )
     cells = []
@@ -449,15 +487,11 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
     exact = {
         "count": len(pairings),
         "double_factorial": double_factorial_odd(seq.two_m // 2),
-        "p_simple_exact": sum(
-            1 for p in pairings
-            if count_loops(p) == 0 and count_parallel_pairs(p) == 0
-        ) / len(pairings),
+        "p_simple_exact": sum(map(is_simple, pairings)) / len(pairings),
     }
     rows = _run_chunked(
         _oracle_chunk,
-        (seq.degrees, config.seed, 0),
-        config.replicates,
+        _chunks((seq, config.seed, 0), config.replicates, config.workers),
         config.workers,
     )
     counts = np.zeros(len(pairings), dtype=np.int64)
@@ -562,7 +596,7 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "molloy_reed_sum": molloy_reed_sum(dist),
         "predicted_p_simple": p_simple,
         "predicted_attempts": math.inf if p_simple == 0 else 1.0 / p_simple,
-        # mate + owner + pool + positions, 8 bytes each
+        # pairs + owner + exploration pool + positions, 8 bytes each
         "memory_estimate_bytes": seq.two_m * 8 * 4,
     }
     if seq.gamma is not None:

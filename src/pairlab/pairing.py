@@ -62,30 +62,31 @@ class PointSpace:
 
 @dataclass(frozen=True)
 class Pairing:
-    """Fixed-point-free involution on the point space (a perfect matching)."""
+    """A perfect matching of the point space, as an (m, 2) array of pairs."""
 
-    mate: np.ndarray  # point index -> matched point index
+    pairs: np.ndarray  # row k = the two points of matching-pair k
     space: PointSpace
 
-    def validate(self) -> None:
-        mate = self.mate
-        if len(mate) != self.space.total_points:
-            raise ValueError("mate array length mismatch")
-        idx = np.arange(len(mate))
-        if np.any(mate == idx):
-            raise ValueError("pairing has a fixed point")
-        if not np.array_equal(mate[mate], idx):
-            raise ValueError("mate map is not an involution")
+    @property
+    def mate(self) -> np.ndarray:
+        """Point index -> matched point index (derived from the pairs)."""
+        mate = np.empty(self.space.total_points, dtype=np.int64)
+        mate[self.pairs] = self.pairs[:, ::-1]
+        return mate
 
-    def pairs(self) -> np.ndarray:
-        """(m, 2) array of point pairs, lower index first, sorted."""
-        idx = np.arange(len(self.mate))
-        sel = idx < self.mate
-        return np.column_stack([idx[sel], self.mate[sel]])
+    def validate(self) -> None:
+        total = self.space.total_points
+        flat = self.pairs.ravel()
+        if self.pairs.shape != (total // 2, 2) or np.any((flat < 0) | (flat >= total)):
+            raise ValueError(f"expected {total // 2} pairs of points in [0, {total})")
+        times = np.bincount(flat, minlength=total)
+        if np.any(times != 1):
+            s = int(np.flatnonzero(times != 1)[0])
+            raise ValueError(f"point {s} is matched {times[s]} times, not once")
 
     def key(self) -> bytes:
         """Canonical hashable identity of this pairing."""
-        return self.mate.astype(np.int64).tobytes()
+        return self.mate.tobytes()
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,10 @@ class ComponentReport:
     largest: int
     loops: int
     parallel_pairs: int
-    simple: bool
+
+    @property
+    def simple(self) -> bool:
+        return self.loops == 0 and self.parallel_pairs == 0
 
     @property
     def n(self) -> int:
@@ -119,10 +123,7 @@ def sample_pairing(
     """
     space = _as_space(seq)
     perm = rng.permutation(space.total_points)
-    mate = np.empty(space.total_points, dtype=np.int64)
-    mate[perm[0::2]] = perm[1::2]
-    mate[perm[1::2]] = perm[0::2]
-    return Pairing(mate=mate, space=space)
+    return Pairing(pairs=perm.reshape(-1, 2), space=space)
 
 
 def double_factorial_odd(m: int) -> int:
@@ -147,76 +148,66 @@ def enumerate_pairings(
             f"m = {total // 2} exceeds enumeration cap {max_pairs}"
         )
 
-    mate = np.full(total, -1, dtype=np.int64)
+    pairs: list[tuple[int, int]] = []
 
     def rec(points: list[int]) -> Iterator[Pairing]:
         if not points:
-            yield Pairing(mate=mate.copy(), space=space)
+            yield Pairing(pairs=np.array(pairs, dtype=np.int64), space=space)
             return
         first = points[0]
         rest = points[1:]
         for i, partner in enumerate(rest):
-            mate[first] = partner
-            mate[partner] = first
+            pairs.append((first, partner))
             yield from rec(rest[:i] + rest[i + 1 :])
+            pairs.pop()
 
     yield from rec(list(range(total)))
 
 
-def _edge_endpoints(p: Pairing) -> tuple[np.ndarray, np.ndarray]:
-    """Owner vertices (u, v) of the m matching-pairs."""
-    pairs = p.pairs()
-    return p.space.owner[pairs[:, 0]], p.space.owner[pairs[:, 1]]
+def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]:
+    """Loop count, and the sum over distinct non-loop vertex pairs of
+    C(multiplicity, 2), of the multigraph with edges (u, v)."""
+    loop = u == v
+    lo = np.minimum(u[~loop], v[~loop])
+    hi = np.maximum(u[~loop], v[~loop])
+    _, counts = np.unique(lo * n + hi, return_counts=True)
+    return int(np.count_nonzero(loop)), int(np.sum(counts * (counts - 1) // 2))
+
+
+def _pair_stats(p: Pairing) -> tuple[int, int]:
+    """(loops, parallel_pairs) of the multigraph that p projects to."""
+    return _loops_and_parallel(*p.space.owner[p.pairs.T], p.space.n)
 
 
 def count_loops(p: Pairing) -> int:
     """Matching-pairs whose two points share an owner vertex."""
-    u, v = _edge_endpoints(p)
-    return int(np.count_nonzero(u == v))
-
-
-def _nonloop_multiplicities(p: Pairing) -> np.ndarray:
-    """Multiplicities of distinct non-loop vertex pairs joined by an edge."""
-    u, v = _edge_endpoints(p)
-    sel = u != v
-    lo = np.minimum(u[sel], v[sel])
-    hi = np.maximum(u[sel], v[sel])
-    if len(lo) == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, counts = np.unique(lo * p.space.n + hi, return_counts=True)
-    return counts
+    return _pair_stats(p)[0]
 
 
 def count_parallel_pairs(p: Pairing) -> int:
     """Sum over distinct vertex pairs of C(multiplicity, 2); loops excluded."""
-    counts = _nonloop_multiplicities(p)
-    return int(np.sum(counts * (counts - 1) // 2))
-
-
-def project_components(p: Pairing) -> ComponentReport:
-    """Connected components of the projected multigraph, plus loop stats."""
-    u, v = _edge_endpoints(p)
-    n = p.space.n
-    graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    sizes = np.bincount(labels)
-    loops = int(np.count_nonzero(u == v))
-    parallel = count_parallel_pairs(p)
-    return ComponentReport(
-        component_sizes=tuple(sorted((int(s) for s in sizes), reverse=True)),
-        largest=int(sizes.max()),
-        loops=loops,
-        parallel_pairs=parallel,
-        simple=(loops == 0 and parallel == 0),
-    )
+    return _pair_stats(p)[1]
 
 
 def is_simple(p: Pairing) -> bool:
     """No loops and every vertex-pair multiplicity at most 1."""
-    if count_loops(p) > 0:
-        return False
-    counts = _nonloop_multiplicities(p)
-    return bool(len(counts) == 0 or counts.max() <= 1)
+    return _pair_stats(p) == (0, 0)
+
+
+def project_components(p: Pairing) -> ComponentReport:
+    """Connected components of the projected multigraph, plus loop stats."""
+    u, v = p.space.owner[p.pairs.T]  # owner vertices of the m pairs
+    n = p.space.n
+    loops, parallel = _loops_and_parallel(u, v, n)
+    graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    sizes = np.sort(np.bincount(labels))[::-1]
+    return ComponentReport(
+        component_sizes=tuple(sizes.tolist()),
+        largest=int(sizes[0]),
+        loops=loops,
+        parallel_pairs=parallel,
+    )
 
 
 def sample_simple_graph(
@@ -244,25 +235,32 @@ def predicted_simple_probability(nu_value: float) -> float:
     return math.exp(-nu_value / 2 - nu_value**2 / 4)
 
 
+def _sorted_pairs(p: Pairing) -> np.ndarray:
+    """The pairs with the lower point first, ordered by that point."""
+    pairs = np.sort(p.pairs, axis=1)
+    return pairs[np.argsort(pairs[:, 0])]
+
+
 def write_pairing(p: Pairing, path: str | Path) -> None:
-    """One line 's s2' of point indices per matching-pair."""
-    lines = [f"{a} {b}" for a, b in p.pairs()]
+    """One line 's s2' of point indices per matching-pair, s < s2, by s."""
+    lines = [f"{a} {b}" for a, b in _sorted_pairs(p)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_pairing(path: str | Path, space: PointSpace) -> Pairing:
-    mate = np.full(space.total_points, -1, dtype=np.int64)
-    for line in Path(path).read_text().splitlines():
-        a, b = (int(tok) for tok in line.split())
-        mate[a] = b
-        mate[b] = a
-    p = Pairing(mate=mate, space=space)
+    total = space.total_points
+    pairs = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        toks = line.split()
+        if len(toks) != 2 or not all(t.isdecimal() and int(t) < total for t in toks):
+            raise ValueError(f"{path}:{lineno}: not two points < {total}: {line!r}")
+        pairs.append([int(t) for t in toks])
+    p = Pairing(pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2), space=space)
     p.validate()
     return p
 
 
 def write_edge_list(p: Pairing, path: str | Path) -> None:
     """Multigraph export: one 'u v' line per matching-pair, loops as 'u u'."""
-    u, v = _edge_endpoints(p)
-    lines = [f"{a} {b}" for a, b in zip(u, v)]
+    lines = [f"{u} {v}" for u, v in p.space.owner[_sorted_pairs(p)]]
     Path(path).write_text("\n".join(lines) + "\n")

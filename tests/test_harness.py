@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +227,96 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"mode": "nope"}')
         assert cli_main(["run", "-c", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"degrees": {"kind": "regular", "n": 10}}, "degrees.d"),
+        ({"degrees": {"kind": "regular", "n": "10", "d": 3}}, "degrees.n"),
+        ({"degrees": {"kind": "regular", "n": 10, "d": 2.5}}, "degrees.d"),
+        ({"degrees": {"kind": "subpower", "n": 100, "target_nu": 0.9}},
+         "degrees.gamma"),
+        ({"degrees": {"kind": "subpower", "gamma": 3.5, "target_nu": 0.9}},
+         "degrees.n"),
+        ({"degrees": {"kind": "subpower", "n": 100, "gamma": 3.5}},
+         "degrees.target_nu"),
+        ({"degrees": {"kind": "subpower", "n": 100, "gamma": 3.5,
+                      "target_nu": "0.9"}}, "degrees.target_nu"),
+        ({"degrees": {"kind": "subpower", "n": 100, "gamma": 3.5,
+                      "target_nu": 0.9, "c": None}}, "degrees.c"),
+        ({"degrees": {"kind": "explicit"}}, "degrees.degrees"),
+        ({"degrees": {"kind": "explicit", "degrees": [2, "2"]}},
+         "degrees.degrees"),
+        ({"degrees": {"kind": "file"}}, "degrees.path"),
+        ({"degrees": {"kind": "file", "path": 7}}, "degrees.path"),
+        ({"degrees": {"kind": "ring", "n": 10}}, "degrees.kind"),
+        ({"degrees": {"kind": "regular", "n": 10, "d": 3, "c": 1.0}},
+         "degrees.c"),
+        ({"mode": "scaling", "grid": {"gammas": [3.5], "sizes": [100],
+                                      "target": 0.9}}, "grid.target"),
+        ({"mode": "scaling", "grid": {"gammas": [3.5], "sizes": ["100"]}},
+         "grid.sizes"),
+        ({"seed": True}, "seed"),
+        ({"replicates": True}, "replicates"),
+        ({"workers": True}, "workers"),
+        ({"tolerances": {"abs_tol_loop": 0.1}}, "tolerances.abs_tol_loop"),
+        ({"tolerances": {"sigma": "3"}}, "tolerances.sigma"),
+    ])
+    def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "poisson_check",
+            "replicates": 1,
+            "output_dir": str(tmp_path / "out"),
+            "degrees": {"kind": "regular", "n": 10, "d": 3},
+            **overrides,
+        }))
+        assert cli_main(["run", "-c", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+
+
+# SHA-256 of every artifact of four small runs, one per harness mode.  A
+# change that keeps each replicate's random draws must keep these bytes; one
+# that changes RNG consumption must update them deliberately.
+DIGEST_CONFIGS = [
+    {"mode": "poisson_check", "replicates": 60, "seed": 21,
+     "degrees": {"kind": "regular", "n": 300, "d": 3}},
+    # gamma 3.5 fails to build at n = 300 and 1000 for this target, so the
+    # error cells are pinned too
+    {"mode": "scaling", "replicates": 8, "seed": 22,
+     "grid": {"gammas": [4.5, 3.5], "sizes": [1000, 100, 300],
+              "target_nu": 0.2}},
+    {"mode": "trajectory", "replicates": 6, "seed": 23,
+     "degrees": {"kind": "subpower", "n": 2000, "gamma": 3.5,
+                 "c": 1.0, "target_nu": 0.9}},
+    {"mode": "oracle_validation", "replicates": 300, "seed": 24,
+     "degrees": {"kind": "explicit", "degrees": [2, 2, 1, 1]}},
+]
+
+ARTIFACT_DIGESTS = {
+    "poisson_check_80b900bc5e3b6802_seed21.csv":
+        "c709f6a200baab3be57a410683ac639609ad1b6f0034547599d0d0343375d709",
+    "poisson_check_80b900bc5e3b6802_seed21.json":
+        "4c9fe22ff3a16d7d5d93405ca27217b1168ab8afd255277c4b6bc67344e93e73",
+    "scaling_1fb10c06408463cf_seed22.csv":
+        "24ade44417e87a69d92022924689686dd8eba8bba97ba1da28907969fc176b23",
+    "scaling_1fb10c06408463cf_seed22.json":
+        "323987404fd25bc4777d5b2f751d0e9bfd9da82e3cc004de74dc12efc98a5b00",
+    "trajectory_1367b63f872d7984_seed23.csv":
+        "53537b5efcb40a2fb2c19ae6ffbee030626d5c592f6171073b3715e953f59a34",
+    "trajectory_1367b63f872d7984_seed23.json":
+        "6cfbc755c1b1f74de7517b4ab22ad3a6429259545e04111002476ea9cd0f964e",
+    "oracle_validation_1df52701616b1a2b_seed24.csv":
+        "b545463a2dbcbacec8a667266f2089d00b9f5c0bd3dc62fc5610d69bcb24ac76",
+    "oracle_validation_1df52701616b1a2b_seed24.json":
+        "624f943b5bcebaa514d770224cf0ea45d631e82a9800de59cca26dfbf14fe522",
+}
+
+
+def test_artifact_digests(tmp_path):
+    got = {}
+    for data in DIGEST_CONFIGS:
+        summary = run(ExperimentConfig.from_dict(
+            {**data, "output_dir": str(tmp_path / data["mode"])}))
+        for artifact in summary.artifacts:
+            path = Path(artifact)
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == ARTIFACT_DIGESTS

@@ -35,7 +35,7 @@ def pairing_by_pairs(seq, pairs):
     """Pick the enumerated pairing matching the given point pairs."""
     want = frozenset(frozenset(p) for p in pairs)
     for p in enumerate_pairings(seq):
-        got = frozenset(frozenset(pair) for pair in p.pairs().tolist())
+        got = frozenset(frozenset(pair) for pair in p.pairs.tolist())
         if got == want:
             return p
     raise AssertionError(f"no pairing with pairs {pairs}")
@@ -156,12 +156,17 @@ class TestProjection:
         seq = DegreeSequence(tuple(degrees))
         p = sample_pairing(seq, substream(seed))
         edges = Counter()
-        for a, b in p.pairs():
+        loops = 0
+        for a, b in p.pairs:
             u, v = int(p.space.owner[a]), int(p.space.owner[b])
             if u != v:
                 edges[(min(u, v), max(u, v))] += 1
-        by_hand = count_loops(p) == 0 and all(k <= 1 for k in edges.values())
+            else:
+                loops += 1
+        by_hand = loops == 0 and all(k <= 1 for k in edges.values())
         assert is_simple(p) == by_hand
+        assert count_loops(p) == loops
+        assert count_parallel_pairs(p) == sum(math.comb(k, 2) for k in edges.values())
 
 
 class TestSamplingUniformity:
@@ -224,6 +229,31 @@ class TestSerialization:
         write_pairing(p, path)
         loaded = read_pairing(path, p.space)
         assert loaded.key() == p.key()
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 1\n2 9\n", r"pairing\.txt:2: .*'2 9'"),  # index beyond 2m
+        ("0 1\n2 -1\n", r"pairing\.txt:2: .*'2 -1'"),  # negative index
+        ("0 1\n2\n", r"pairing\.txt:2"),  # one token
+        ("0 1\nx 3\n", r"pairing\.txt:2"),  # not an integer
+        ("0 0\n1 1\n", "point 0 is matched 2 times"),  # self-pair
+        ("0 1\n1 2\n", "point 1 is matched 2 times"),  # repeated point
+        ("0 1\n", "expected 2 pairs"),  # points 2 and 3 missing
+    ])
+    def test_read_malformed(self, tmp_path, text, message):
+        path = tmp_path / "pairing.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_pairing(path, PointSpace.from_degree_sequence(D22))
+
+    def test_write_is_sorted(self, tmp_path):
+        seq = DegreeSequence((3,) * 6)
+        p = sample_pairing(seq, substream(13))
+        path = tmp_path / "pairing.txt"
+        write_pairing(p, path)
+        pairs = [tuple(map(int, line.split()))
+                 for line in path.read_text().splitlines()]
+        assert all(a < b for a, b in pairs)
+        assert pairs == sorted(pairs)
 
     def test_edge_list_format(self, tmp_path):
         p = pairing_by_pairs(D22, [(0, 1), (2, 3)])
