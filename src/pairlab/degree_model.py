@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
@@ -40,7 +42,9 @@ class DegreeSequence:
     """Fixed tuple of positive vertex degrees with an even sum.
 
     ``gamma``/``c`` are optional subpower metadata: when present, the maximum
-    degree must respect the corresponding cap.
+    degree must respect the corresponding cap.  The point layout
+    (``two_m``, ``offsets``, ``histogram``) is computed on first use and
+    cached, so every chain or sampler built on the sequence shares it.
     """
 
     degrees: tuple[int, ...]
@@ -71,10 +75,20 @@ class DegreeSequence:
     def n(self) -> int:
         return len(self.degrees)
 
-    @property
+    @cached_property
     def two_m(self) -> int:
         """Total number of half-edge points (= twice the edge count)."""
         return sum(self.degrees)
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Vertex v owns points offsets[v] .. offsets[v+1]-1; n+1 entries."""
+        return tuple(accumulate(self.degrees, initial=0))
+
+    @cached_property
+    def histogram(self) -> dict[int, int]:
+        """Degree -> vertex count, in order of first appearance; do not mutate."""
+        return dict(Counter(self.degrees))
 
     @property
     def max_degree(self) -> int:
@@ -122,7 +136,7 @@ class OffspringLaw:
 
 def empirical_distribution(seq: DegreeSequence) -> EmpiricalDistribution:
     """Exact integer-count histogram of the sequence."""
-    return EmpiricalDistribution(counts=dict(Counter(seq.degrees)), n=seq.n)
+    return EmpiricalDistribution(counts=dict(seq.histogram), n=seq.n)
 
 
 def _factorial_sums(dist: EmpiricalDistribution) -> tuple[int, int]:
@@ -191,7 +205,7 @@ def validate_subpower(seq: DegreeSequence, gamma: float, c: float) -> SubpowerRe
 
     The +1 slack absorbs the single vertex moved by parity repair.
     """
-    counts = Counter(seq.degrees)
+    counts = seq.histogram
     n = seq.n
     cap = degree_cap(n, gamma, c)
     per_degree = {

@@ -12,8 +12,10 @@ A(t) + I(t) = 2m - 2t is asserted at every step.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -85,35 +87,55 @@ class ExplorationTrace:
 
 class ExplorationState:
     """Mutable chain state; supports one root at a time, reusable for a full
-    decomposition that completes a single uniform pairing across roots."""
+    decomposition that completes a single uniform pairing across roots.
+
+    Set-up copies only the degree histogram; everything else grows with the
+    pairs matched.  The unmatched points form a swap-remove pool that starts
+    as the identity on [0, 2m): ``_slot`` (pool index -> point) and
+    ``_index`` (point -> pool index) record only the entries that moved.
+    """
 
     def __init__(self, seq: DegreeSequence):
-        self.space = PointSpace.from_degree_sequence(seq)
+        self.seq = seq
         self.degrees = seq.degrees
+        self.offsets = seq.offsets
         self.two_m = seq.two_m
         self.n = seq.n
-        self.mate = np.full(self.two_m, -1, dtype=np.int64)
-        self.pool: list[int] = list(range(self.two_m))  # unmatched points
-        self.pos = list(range(self.two_m))  # point -> index in pool
+        self.mate: dict[int, int] = {}
+        self._slot: dict[int, int] = {}
+        self._index: dict[int, int] = {}
+        self._size = self.two_m  # unmatched points left in the pool
         self.is_active = bytearray(self.two_m)
         self.visited = bytearray(self.n)
         self.queue: deque[int] = deque()
         self.active = 0
-        self.inactive_counts: dict[int, int] = {}
-        for d in seq.degrees:
-            self.inactive_counts[d] = self.inactive_counts.get(d, 0) + 1
+        self.inactive_counts = dict(seq.histogram)
         self.inactive_points = self.two_m
         self.t_global = 0  # pairs matched overall
         self.t = 0  # steps since the current root was activated
         self.cluster_size = 0
 
+    @cached_property
+    def space(self) -> PointSpace:
+        """Built on first use; only ``finished_pairing`` needs the owner map."""
+        return PointSpace.from_degree_sequence(self.seq)
+
+    @property
+    def pool(self) -> list[int]:
+        """The unmatched points in pool order (a fresh list; O(2m))."""
+        return [self._slot.get(i, i) for i in range(self._size)]
+
     def _pool_remove(self, point: int) -> None:
-        i = self.pos[point]
-        last = self.pool[-1]
-        self.pool[i] = last
-        self.pos[last] = i
-        self.pool.pop()
-        self.pos[point] = -1
+        """Move the last pool slot into ``point``'s slot and shrink the pool."""
+        i = self._index.pop(point, point)
+        self._size -= 1
+        last = self._slot.pop(self._size, self._size)
+        if i != self._size:
+            self._slot[i] = last
+            self._index[last] = i
+
+    def points_of(self, v: int) -> range:
+        return range(self.offsets[v], self.offsets[v + 1])
 
     def begin(self, v: int) -> None:
         """Activate root vertex v; resets the per-root step counter."""
@@ -125,7 +147,7 @@ class ExplorationState:
         if self.inactive_counts[d_v] == 0:
             del self.inactive_counts[d_v]
         self.inactive_points -= d_v
-        for s in self.space.points_of(v):
+        for s in self.points_of(v):
             self.queue.append(s)
             self.is_active[s] = 1
         self.active = d_v
@@ -152,17 +174,18 @@ class ExplorationState:
         """Match the first active point with a uniform unmatched partner."""
         if self.active == 0:
             raise CannotStepError("no active points")
+        mate = self.mate
         # lazy deletion: skip queue entries matched while waiting
         while True:
             s1 = self.queue.popleft()
-            if self.mate[s1] == -1:
+            if s1 not in mate:
                 break
         self._pool_remove(s1)
-        pool = self.pool
-        s2 = pool[int(rng.random() * len(pool))]
+        j = int(rng.random() * self._size)
+        s2 = self._slot.get(j, j)
         self._pool_remove(s2)
-        self.mate[s1] = s2
-        self.mate[s2] = s1
+        mate[s1] = s2
+        mate[s2] = s1
         self.is_active[s1] = 0
 
         if self.is_active[s2]:
@@ -170,7 +193,7 @@ class ExplorationState:
             delta = -2
             partner_degree = 0
         else:
-            u = int(self.space.owner[s2])
+            u = bisect_right(self.offsets, s2) - 1
             d_u = self.degrees[u]
             self.visited[u] = 1
             self.cluster_size += 1
@@ -178,7 +201,7 @@ class ExplorationState:
             if self.inactive_counts[d_u] == 0:
                 del self.inactive_counts[d_u]
             self.inactive_points -= d_u
-            for s in self.space.points_of(u):
+            for s in self.points_of(u):
                 if s != s2:
                     self.queue.append(s)
                     self.is_active[s] = 1
@@ -197,12 +220,11 @@ class ExplorationState:
 
     def finished_pairing(self) -> Pairing:
         """The completed pairing after a full decomposition."""
-        if np.any(self.mate == -1):
+        if len(self.mate) != self.two_m:
             raise RuntimeError("pairing incomplete")
-        lower = np.flatnonzero(np.arange(self.two_m) < self.mate)
-        return Pairing(
-            pairs=np.column_stack([lower, self.mate[lower]]), space=self.space
-        )
+        lower = sorted(s for s, t in self.mate.items() if s < t)
+        pairs = np.array([(s, self.mate[s]) for s in lower], dtype=np.int64)
+        return Pairing(pairs=pairs.reshape(-1, 2), space=self.space)
 
 
 def start_exploration(seq: DegreeSequence, v: int) -> ExplorationState:

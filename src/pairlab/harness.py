@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .degree_model import (
@@ -274,7 +273,8 @@ class RunSummary:
 
     @property
     def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        """Every verdict passed, and there was at least one to pass."""
+        return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
     def deterministic_dict(self) -> dict[str, Any]:
         """Everything except wall-clock, which varies run to run."""
@@ -478,6 +478,8 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
 
 
 def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
+    from scipy import stats  # deferred: the only scipy.stats user, ~0.5 s import
+
     seq = resolve_degrees(config.degrees)
     tol = config.tolerances
     cap = int(tol["enumeration_cap"])
@@ -596,8 +598,9 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "molloy_reed_sum": molloy_reed_sum(dist),
         "predicted_p_simple": p_simple,
         "predicted_attempts": math.inf if p_simple == 0 else 1.0 / p_simple,
-        # pairs + owner + exploration pool + positions, 8 bytes each
-        "memory_estimate_bytes": seq.two_m * 8 * 4,
+        # lower bound: the int64 pairs array and point -> owner map of one
+        # pairing, 8 bytes per point each; ignores Python and scipy overhead
+        "memory_estimate_bytes": seq.two_m * 8 * 2,
     }
     if seq.gamma is not None:
         from .degree_model import degree_cap

@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .degree_model import DegreeSequence
 
@@ -196,6 +194,10 @@ def is_simple(p: Pairing) -> bool:
 
 def project_components(p: Pairing) -> ComponentReport:
     """Connected components of the projected multigraph, plus loop stats."""
+    # deferred: exploration-only runs never project and skip the ~0.3 s import
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     u, v = p.space.owner[p.pairs.T]  # owner vertices of the m pairs
     n = p.space.n
     loops, parallel = _loops_and_parallel(u, v, n)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,18 @@ class TestDegreeSequence:
 
     def test_two_m(self):
         assert DegreeSequence((1, 2, 2, 3)).two_m == 8
+
+    def test_point_layout(self):
+        seq = DegreeSequence((2, 1, 3, 2))
+        assert seq.offsets == (0, 2, 3, 6, 8)
+        assert list(seq.histogram.items()) == [(2, 2), (1, 1), (3, 1)]
+
+    def test_cached_layout_keeps_identity(self):
+        seq = DegreeSequence((1, 2, 2, 3))
+        seq.offsets, seq.histogram  # populate the caches
+        other = pickle.loads(pickle.dumps(seq))
+        assert other == seq and hash(other) == hash(seq)
+        assert other.offsets == seq.offsets
 
 
 class TestEmpiricalDistribution:

@@ -105,6 +105,42 @@ class TestStep:
         assert state.active + state.inactive_points - 1 == 7
 
 
+class TestSparsePool:
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_swap_remove(self, m, picks):
+        state = ExplorationState(DegreeSequence((1,) * (2 * m)))
+        dense = list(range(2 * m))  # reference: the list swap-remove pool
+        for pick in picks[: 2 * m]:
+            point = dense[pick % len(dense)]
+            hole = dense.index(point)
+            dense[hole] = dense[-1]
+            dense.pop()
+            state._pool_remove(point)
+            assert state.pool == dense
+            assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
+            assert len(state._slot) == len(state._index)
+
+    @pytest.mark.parametrize("seq,steps", [
+        (DegreeSequence((3,) * 100_000), 2000),  # giant component: stop early
+        (build_subpower_sequence(100_000, 3.5, 1.0, 0.9), None),  # whole one
+    ])
+    def test_state_grows_with_the_component(self, seq, steps):
+        root = max(range(seq.n), key=seq.degrees.__getitem__)
+        state = start_exploration(seq, root)
+        assert state.mate == state._slot == state._index == {}
+        rng = substream(13)
+        while state.active > 0 and state.t_global != steps:
+            state.step(rng)
+        t = state.t_global
+        assert 0 < 4 * t < seq.two_m // 10
+        assert len(state.mate) == 2 * t
+        assert len(state._slot) == len(state._index) <= 2 * t  # <= 4t together
+
+
 class TestExploreComponent:
     def test_two_singletons(self):
         trace = explore_component(D11, 0, substream(5), record_trace=True)

@@ -223,6 +223,19 @@ class TestCli:
         write_degree_file(seq, path)
         assert cli_main(["validate", str(path), "--gamma", "3.5", "--c", "1.0"]) == 0
 
+    def test_no_verdicts_exit_one(self, tmp_path, capsys):
+        # every cell of this grid fails to build, so nothing was checked
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "scaling",
+            "output_dir": str(tmp_path / "out"),
+            "grid": {"gammas": [3.5], "sizes": [300, 1000], "target_nu": 0.2},
+        }))
+        assert cli_main(["run", "-c", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdicts"] == [] and not payload["passed"]
+        assert all("error" in cell for cell in payload["cells"])
+
     def test_bad_config_exit_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"mode": "nope"}')
