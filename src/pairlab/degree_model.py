@@ -34,7 +34,10 @@ def degree_cap(n: int, gamma: float, c: float) -> int:
     Above this cap a subpower histogram is forced to be empty, so it bounds the
     maximum degree of any sequence satisfying the j**-gamma envelope.
     """
-    return math.floor((c * n) ** (1.0 / gamma))
+    root = (c * n) ** (1.0 / gamma)
+    if not math.isfinite(root):
+        raise ValueError(f"degree cap (c*n)**(1/gamma) overflows for c={c}, n={n}")
+    return math.floor(root)
 
 
 @dataclass(frozen=True)
@@ -268,6 +271,12 @@ def build_subpower_sequence(
         raise ValueError("target_nu must lie in (0, 1]")
 
     cap = degree_cap(n, gamma, c)
+    infeasible = InfeasibleTargetError(
+        f"no scale in (0, {c}] reaches nu <= {target_nu} "
+        f"while keeping a vertex at the cap {cap}"
+    )
+    if cap >= n:  # every degree stays below n, so none reaches the cap
+        raise infeasible
 
     def try_scale(scale: float) -> tuple[int, ...] | None:
         degrees = _assemble(n, _counts_for_scale(n, gamma, scale, cap))
@@ -301,10 +310,7 @@ def build_subpower_sequence(
                 lo = mid
         degrees = best
     if degrees is None or degrees.count(cap) < 1:
-        raise InfeasibleTargetError(
-            f"no scale in (0, {c}] reaches nu <= {target_nu} "
-            f"while keeping a vertex at the cap {cap}"
-        )
+        raise infeasible
     return DegreeSequence(degrees, gamma=gamma, c=c)
 
 

@@ -9,6 +9,7 @@ component in the subcritical phase.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,10 +179,14 @@ class PoissonCheck:
 
 
 def poisson_limit_check(
-    reports: list[ComponentReport], nu_value: float, min_reports: int = 1000
+    reports: Sequence[ComponentReport], nu_value: float, min_reports: int = 1000
 ) -> PoissonCheck:
     """Sample means / simplicity rate / X-Y correlation with z-scores against
-    the Poisson limits (rates nu/2 and (nu/2)**2, independent)."""
+    the Poisson limits (rates nu/2 and (nu/2)**2, independent).
+
+    Only ``loops``, ``parallel_pairs`` and ``simple`` of each report are read,
+    so any record carrying those three serves as well.
+    """
     if len(reports) < min_reports:
         raise InsufficientSamplesError(
             f"{len(reports)} reports < floor {min_reports}"

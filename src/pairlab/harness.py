@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .diagnostics import (
 )
 from .exploration import explore_component
 from .pairing import (
-    ComponentReport,
     PointSpace,
     double_factorial_odd,
     enumerate_pairings,
@@ -82,16 +81,17 @@ def _is_int(x: Any) -> bool:
 
 
 def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float; JSON's NaN and Infinity are refused."""
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
 
 
 _INT = (_is_int, "an integer")
-_NUMBER = (_is_number, "a number")
+_NUMBER = (_is_number, "a finite number")
 _INT_LIST = (lambda x: isinstance(x, list) and all(map(_is_int, x)),
              "a list of integers")
 _NUMBER_LIST = (
     lambda x: isinstance(x, list) and len(x) > 0 and all(map(_is_number, x)),
-    "a non-empty list of numbers",
+    "a non-empty list of finite numbers",
 )
 _STRING = (lambda x: isinstance(x, str), "a string")
 _DEGREE_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
@@ -100,8 +100,15 @@ _DEGREE_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
     "explicit": {"degrees": _INT_LIST},
     "file": {"path": _STRING},
 }
-_GRID_FIELDS = {"gammas": _NUMBER_LIST, "sizes": _NUMBER_LIST,
-                "c": _NUMBER, "target_nu": _NUMBER}
+_GRID_FIELDS = {
+    "gammas": _NUMBER_LIST,
+    "sizes": (lambda x: isinstance(x, list) and len(x) > 0 and all(map(_is_int, x)),
+              "a non-empty list of integers"),
+    "c": _NUMBER,
+    "target_nu": _NUMBER,
+}
+# tolerances that count something; every other one is any finite number
+_INT_TOLERANCES = {"enumeration_cap", "max_attempts", "trajectory_j_max"}
 
 
 def _check_fields(
@@ -180,8 +187,10 @@ class ExperimentConfig:
                     f"tolerances.{key}: unknown tolerance; "
                     f"known: {', '.join(DEFAULT_TOLERANCES)}"
                 )
+            if key in _INT_TOLERANCES and not _is_int(value):
+                raise ConfigError(f"tolerances.{key}: must be an integer")
             if not _is_number(value):
-                raise ConfigError(f"tolerances.{key}: must be a number")
+                raise ConfigError(f"tolerances.{key}: must be a finite number")
         tolerances.update(extra)
         return cls(
             mode=mode,
@@ -310,24 +319,32 @@ def _run_chunked(worker: Callable[..., list], tasks: list[tuple], workers: int) 
     return [row for chunk in results for row in chunk]
 
 
+class _PoissonRow(NamedTuple):
+    """One poisson_check CSV row; also what ``poisson_limit_check`` reads."""
+
+    replicate: int
+    loops: int
+    parallel_pairs: int
+    simple: int
+    largest: int
+
+
 def _poisson_chunk(seq: DegreeSequence, seed: int, cell_index: int,
-                   reps: range) -> list[tuple]:
+                   reps: range) -> list[_PoissonRow]:
     space = PointSpace.from_degree_sequence(seq)
     rows = []
     for rep in reps:
         rng = substream(seed, cell_index, rep)
         report = project_components(sample_pairing(space, rng))
-        rows.append(
-            (rep, report.loops, report.parallel_pairs,
-             int(report.simple), report.largest)
-        )
+        rows.append(_PoissonRow(rep, report.loops, report.parallel_pairs,
+                                int(report.simple), report.largest))
     return rows
 
 
 def _trajectory_chunk(seq: DegreeSequence, seed: int, cell_index: int, root: int,
                       j_max: int, reps: range) -> list[tuple]:
     dist = empirical_distribution(seq)
-    track = [j for j in range(1, j_max + 1) if j in dist.counts]
+    track = sorted(j for j in dist.counts if j <= j_max)
     rows = []
     for rep in reps:
         rng = substream(seed, cell_index, rep)
@@ -355,13 +372,7 @@ def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
         _chunks((seq, config.seed, 0), config.replicates, config.workers),
         config.workers,
     )
-    reports = [
-        ComponentReport(
-            component_sizes=(), largest=r[4], loops=r[1], parallel_pairs=r[2]
-        )
-        for r in rows
-    ]
-    check = poisson_limit_check(reports, nu_value, min_reports=1)
+    check = poisson_limit_check(rows, nu_value, min_reports=1)
     tol = config.tolerances
     verdicts = [
         Verdict("mean_loops", abs(check.mean_loops - check.target_loops)
@@ -385,14 +396,13 @@ def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
         "p_simple": check.p_simple,
         "corr": check.corr,
     }
-    header = ["replicate", "loops", "parallel_pairs", "simple", "largest"]
-    return [header] + [list(r) for r in rows], [cell], verdicts
+    return [list(_PoissonRow._fields)] + [list(r) for r in rows], [cell], verdicts
 
 
 def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     grid = config.grid
     gammas = sorted(float(g) for g in grid["gammas"])
-    sizes = sorted(int(n) for n in grid["sizes"])
+    sizes = sorted(grid["sizes"])
     c = float(grid.get("c", 1.0))
     target_nu = float(grid.get("target_nu", 0.9))
     tol = config.tolerances
@@ -450,7 +460,7 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     seq = resolve_degrees(config.degrees)
     dist = empirical_distribution(seq)
     tol = config.tolerances
-    j_max = int(tol["trajectory_j_max"])
+    j_max = tol["trajectory_j_max"]
     root = int(np.argmax(seq.degrees))  # max-degree root stresses the path most
     rows = _run_chunked(
         _trajectory_chunk,
@@ -482,7 +492,7 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
 
     seq = resolve_degrees(config.degrees)
     tol = config.tolerances
-    cap = int(tol["enumeration_cap"])
+    cap = tol["enumeration_cap"]
     pairings = list(enumerate_pairings(seq, max_pairs=cap))
     keys = [p.key() for p in pairings]
     index = {k: i for i, k in enumerate(keys)}
@@ -578,7 +588,7 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         grid = config.grid
         spec = {
             "kind": "subpower",
-            "n": max(int(n) for n in grid["sizes"]),
+            "n": max(grid["sizes"]),
             "gamma": min(float(g) for g in grid["gammas"]),
             "c": float(grid.get("c", 1.0)),
             "target_nu": float(grid.get("target_nu", 0.9)),
@@ -599,7 +609,7 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "predicted_p_simple": p_simple,
         "predicted_attempts": math.inf if p_simple == 0 else 1.0 / p_simple,
         # lower bound: the int64 pairs array and point -> owner map of one
-        # pairing, 8 bytes per point each; ignores Python and scipy overhead
+        # pairing, 8 bytes per point each; ignores temporaries and Python objects
         "memory_estimate_bytes": seq.two_m * 8 * 2,
     }
     if seq.gamma is not None:

@@ -11,7 +11,8 @@ sampling of simple graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
@@ -87,14 +88,19 @@ class Pairing:
         return self.mate.tobytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentReport:
     """Component sizes plus loop / parallel-edge counts of one realization."""
 
-    component_sizes: tuple[int, ...]  # sorted descending
+    counts: np.ndarray = field(repr=False)  # root vertex -> component size; 0 elsewhere
     largest: int
     loops: int
     parallel_pairs: int
+
+    @cached_property
+    def component_sizes(self) -> tuple[int, ...]:
+        """Component sizes sorted descending; sorted on first access only."""
+        return tuple(np.sort(self.counts[self.counts > 0])[::-1].tolist())
 
     @property
     def simple(self) -> bool:
@@ -102,7 +108,7 @@ class ComponentReport:
 
     @property
     def n(self) -> int:
-        return sum(self.component_sizes)
+        return int(self.counts.sum())
 
 
 def _as_space(seq: DegreeSequence | PointSpace) -> PointSpace:
@@ -166,10 +172,11 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]
     """Loop count, and the sum over distinct non-loop vertex pairs of
     C(multiplicity, 2), of the multigraph with edges (u, v)."""
     loop = u == v
-    lo = np.minimum(u[~loop], v[~loop])
-    hi = np.maximum(u[~loop], v[~loop])
-    _, counts = np.unique(lo * n + hi, return_counts=True)
-    return int(np.count_nonzero(loop)), int(np.sum(counts * (counts - 1) // 2))
+    keys = np.sort((np.minimum(u, v) * n + np.maximum(u, v))[~loop])
+    # a run of r equal keys is one vertex pair of multiplicity r
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    runs = np.diff(np.r_[starts, keys.size])
+    return int(np.count_nonzero(loop)), int(np.sum(runs * (runs - 1) // 2))
 
 
 def _pair_stats(p: Pairing) -> tuple[int, int]:
@@ -192,21 +199,51 @@ def is_simple(p: Pairing) -> bool:
     return _pair_stats(p) == (0, 0)
 
 
+def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Vertex -> root of its component in the multigraph on n vertices with
+    edges (u, v); two vertices are connected iff they share a root.
+
+    Hook and shortcut: each round hooks the larger root of every pair whose
+    ends lie in different trees under the smallest root paired with it,
+    pointer-jumps the hooked roots to their new roots, and drops the pairs
+    now inside one tree.  Each round hooks at least one root of every
+    unfinished component and roots only decrease, so the rounds end.
+    Hooking under the minimum, rather than under whichever write lands last,
+    keeps a star whose centre has the largest label to two rounds.
+    """
+    parent = np.arange(n)
+    while True:  # u, v hold the current roots of each pair's two ends
+        cross = u != v
+        u, v = u[cross], v[cross]
+        if not u.size:
+            break
+        hooked = np.maximum(u, v)
+        np.minimum.at(parent, hooked, np.minimum(u, v))
+        up = parent[hooked]
+        while True:
+            upup = parent[up]
+            moving = upup != up
+            if not moving.any():
+                break
+            hooked, up = hooked[moving], upup[moving]
+            parent[hooked] = up
+        u, v = parent[u], parent[v]
+    while True:  # shortcut every vertex to its root
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent = grand
+
+
 def project_components(p: Pairing) -> ComponentReport:
     """Connected components of the projected multigraph, plus loop stats."""
-    # deferred: exploration-only runs never project and skip the ~0.3 s import
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     u, v = p.space.owner[p.pairs.T]  # owner vertices of the m pairs
     n = p.space.n
     loops, parallel = _loops_and_parallel(u, v, n)
-    graph = coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    sizes = np.sort(np.bincount(labels))[::-1]
+    counts = np.bincount(_component_roots(u, v, n))
     return ComponentReport(
-        component_sizes=tuple(sizes.tolist()),
-        largest=int(sizes[0]),
+        counts=counts,
+        largest=int(counts.max()),
         loops=loops,
         parallel_pairs=parallel,
     )

@@ -187,6 +187,16 @@ class TestBuildSubpower:
         with pytest.raises(InfeasibleTargetError):
             build_subpower_sequence(10_000, 3.5, 1.0, 1e-3)
 
+    def test_cap_beyond_n_raises_without_search(self):
+        # a cap of about 1e9 used to be walked degree by degree; no degree
+        # below n = 40 can reach it, so the build fails at once
+        with pytest.raises(InfeasibleTargetError, match="cap"):
+            build_subpower_sequence(40, 3.5, 1e30, 0.9)
+
+    def test_overflowing_cap_raises_value_error(self):
+        with pytest.raises(ValueError, match="overflows"):
+            build_subpower_sequence(40, 3.5, 1e308, 0.9)
+
     def test_output_validates(self):
         seq = build_subpower_sequence(4000, 3.5, 1.0, 0.9)
         assert validate_subpower(seq, 3.5, 1.0).valid

@@ -1,13 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pairlab
 from pairlab.cli import main as cli_main
 from pairlab.degree_model import build_subpower_sequence, write_degree_file
 from pairlab.harness import (
+    DEFAULT_TOLERANCES,
+    MODES,
     ConfigError,
     ExperimentConfig,
     describe,
@@ -141,6 +152,22 @@ class TestRunModes:
         assert summary.passed
         assert {c["j"] for c in summary.cells} <= {1, 2, 3, 4, 5}
 
+    def test_huge_j_max_tracks_only_present_degrees(self, tmp_path):
+        csvs = {}
+        for j_max in (5, 10**300):
+            config = make_config(
+                tmp_path, mode="trajectory", replicates=4,
+                degrees={"kind": "regular", "n": 4, "d": 3},
+                tolerances={"trajectory_j_max": j_max},
+                output_dir=str(tmp_path / f"j{len(str(j_max))}"),
+            )
+            start = time.monotonic()
+            summary = run(config)
+            assert time.monotonic() - start < 10
+            csvs[j_max] = Path(summary.artifacts[0]).read_text()
+        assert csvs[10**300] == csvs[5]
+        assert csvs[5].count("\n") == 1 + 4  # header, then j = 3 per replicate
+
     def test_scaling_mode(self, tmp_path):
         config = ExperimentConfig.from_dict({
             "mode": "scaling",
@@ -267,6 +294,16 @@ class TestCli:
                                       "target": 0.9}}, "grid.target"),
         ({"mode": "scaling", "grid": {"gammas": [3.5], "sizes": ["100"]}},
          "grid.sizes"),
+        ({"mode": "scaling", "grid": {"gammas": [3.5], "sizes": [0.5, 1000]}},
+         "grid.sizes"),
+        ({"tolerances": {"trajectory_j_max": 2.5}}, "tolerances.trajectory_j_max"),
+        ({"tolerances": {"enumeration_cap": 6.0}}, "tolerances.enumeration_cap"),
+        ({"tolerances": {"max_attempts": 1e3}}, "tolerances.max_attempts"),
+        ({"tolerances": {"sigma": math.nan}}, "tolerances.sigma"),
+        ({"degrees": {"kind": "subpower", "n": 100, "gamma": 3.5,
+                      "target_nu": 0.9, "c": math.inf}}, "degrees.c"),
+        ({"mode": "scaling", "grid": {"gammas": [-math.inf], "sizes": [100]}},
+         "grid.gammas"),
         ({"seed": True}, "seed"),
         ({"replicates": True}, "replicates"),
         ({"workers": True}, "workers"),
@@ -284,6 +321,133 @@ class TestCli:
         }))
         assert cli_main(["run", "-c", str(cfg)]) == 2
         assert field in capsys.readouterr().err
+
+
+def _exit_code(argv: list[str]) -> int:
+    """``pairlab`` exit code, its output discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return cli_main(argv)
+
+
+def _scipy_modules_after(tmp_path, configs: list[dict]) -> tuple[list, list]:
+    """Exit codes of ``pairlab run`` on each config in one fresh interpreter,
+    and the scipy modules loaded by the end."""
+    for i, config in enumerate(configs):
+        (tmp_path / f"cfg{i}.json").write_text(json.dumps(config))
+    script = textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+        from pairlab.cli import main
+        out = Path(sys.argv[1])
+        codes = [main(["run", "-c", str(out / f"cfg{i}.json"), "-o", str(out)])
+                 for i in range(int(sys.argv[2]))]
+        mods = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        (out / "result.json").write_text(json.dumps([codes, mods]))
+    """)
+    src = str(Path(pairlab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path), str(len(configs))],
+                   check=True, env=env, capture_output=True, timeout=120)
+    return json.loads((tmp_path / "result.json").read_text())
+
+
+def test_projection_runs_load_no_scipy(tmp_path):
+    codes, mods = _scipy_modules_after(tmp_path, [
+        {"mode": "poisson_check", "replicates": 5, "seed": 1,
+         "degrees": {"kind": "regular", "n": 50, "d": 3}},
+        {"mode": "scaling", "replicates": 3, "seed": 2,
+         "grid": {"gammas": [3.5], "sizes": [400, 800], "target_nu": 0.9}},
+    ])
+    assert all(code in (0, 1) for code in codes)  # both ran to verdicts
+    assert mods == []
+
+
+def test_oracle_run_loads_scipy_stats(tmp_path):
+    codes, mods = _scipy_modules_after(tmp_path, [
+        {"mode": "oracle_validation", "replicates": 50, "seed": 3,
+         "degrees": {"kind": "explicit", "degrees": [2, 2]}},
+    ])
+    assert codes == [0]
+    assert "scipy.stats" in mods
+
+
+# Arbitrary JSON merged into a small valid config must give exit 0, 1 or 2,
+# never a traceback.  Integers stay small so that no draw enumerates or
+# samples a large instance; tolerance values stay at most 6 so that an
+# oracle run enumerates at most the default cap of 6 pairs.
+_FIELDS = sorted({"kind", "n", "d", "gamma", "target_nu", "c", "degrees",
+                  "path", "gammas", "sizes"})
+_NUMBERS = st.integers(-3, 40) | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4)
+    | st.sampled_from(MODES + ("regular", "subpower", "explicit", "file")),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4) | st.sampled_from(_FIELDS),
+                                     inner, max_size=4)),
+    max_leaves=8,
+)
+_FIELD_VALUES = _NUMBERS | st.lists(_NUMBERS, min_size=1, max_size=3) | _JSON
+_SMALL_NUMBERS = st.integers(-3, 6) | st.floats()
+_TOP_KEYS = ["mode", "replicates", "seed", "workers", "output_dir", "degrees",
+             "grid", "tolerances", "extra"]
+_EDITS = st.lists(st.one_of(
+    st.tuples(st.none(), st.sampled_from(_TOP_KEYS), _FIELD_VALUES),
+    st.tuples(st.sampled_from(["degrees", "grid"]),
+              st.sampled_from(_FIELDS) | st.text(max_size=4), _FIELD_VALUES),
+    st.tuples(st.just("tolerances"),
+              st.sampled_from(sorted(DEFAULT_TOLERANCES)) | st.text(max_size=4),
+              _SMALL_NUMBERS | st.lists(_SMALL_NUMBERS, max_size=2) | st.text(max_size=2)),
+), max_size=4)
+_BASE_DEGREES = st.sampled_from([
+    {"kind": "regular", "n": 4, "d": 3},
+    {"kind": "subpower", "n": 40, "gamma": 3.5, "c": 1.0, "target_nu": 0.9},
+    {"kind": "explicit", "degrees": [2, 2, 1, 1]},
+])
+
+
+@given(mode=st.sampled_from(MODES), degrees=_BASE_DEGREES, edits=_EDITS)
+@settings(max_examples=100, deadline=None)
+def test_any_config_exits_cleanly(tmp_path_factory, mode, degrees, edits):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    data = {
+        "mode": mode, "replicates": 3, "seed": 1, "degrees": dict(degrees),
+        "grid": {"gammas": [4.5], "sizes": [40], "target_nu": 0.9},
+        "tolerances": {},
+    }
+    for section, key, value in edits:
+        if section is None:
+            data[key] = value
+        elif isinstance(data.get(section), dict):
+            data[section][key] = value
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    for argv in (["describe", "-c", str(cfg)],
+                 ["run", "-c", str(cfg), "--workers", "1", "-o", str(tmp / "out")]):
+        assert _exit_code(argv) in (0, 1, 2)
+
+
+_TOKENS = (st.integers(-3, 40).map(str)
+           | st.sampled_from(["", " ", "\t", "x", "1.5", "-", "2e1", "\u0663"])
+           | st.text(max_size=3))
+
+
+@given(lines=st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_any_degree_file_exits_cleanly(tmp_path_factory, lines):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "degrees.txt"
+    path.write_text("\n".join(lines), encoding="utf-8", errors="surrogatepass")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "poisson_check", "replicates": 2, "output_dir": str(tmp / "out"),
+        "degrees": {"kind": "file", "path": str(path)},
+    }))
+    for argv in (["validate", str(path)],
+                 ["validate", str(path), "--gamma", "3.5", "--c", "1.0"],
+                 ["run", "-c", str(cfg), "--workers", "1"]):
+        assert _exit_code(argv) in (0, 1, 2)
 
 
 # SHA-256 of every artifact of four small runs, one per harness mode.  A

@@ -8,6 +8,7 @@ from scipy import stats
 
 from pairlab.degree_model import DegreeSequence
 from pairlab.pairing import (
+    _component_roots,
     AttemptsExhaustedError,
     InstanceTooLargeError,
     PointSpace,
@@ -154,19 +155,84 @@ class TestProjection:
     @settings(max_examples=60, deadline=None)
     def test_simple_iff_multiplicities(self, degrees, seed):
         seq = DegreeSequence(tuple(degrees))
-        p = sample_pairing(seq, substream(seed))
-        edges = Counter()
-        loops = 0
-        for a, b in p.pairs:
-            u, v = int(p.space.owner[a]), int(p.space.owner[b])
-            if u != v:
-                edges[(min(u, v), max(u, v))] += 1
-            else:
-                loops += 1
-        by_hand = loops == 0 and all(k <= 1 for k in edges.values())
-        assert is_simple(p) == by_hand
-        assert count_loops(p) == loops
-        assert count_parallel_pairs(p) == sum(math.comb(k, 2) for k in edges.values())
+        assert_counts_by_hand(sample_pairing(seq, substream(seed)))
+
+    @pytest.mark.parametrize("degrees,highest", [
+        ((3, 3, 2), 3), ((4, 4), 4), ((3, 3, 3, 3), 3),
+    ])
+    def test_multiplicities_of_every_pairing(self, degrees, highest):
+        # every pairing, so triple and quadruple edges occur, some beside
+        # single and double ones
+        pairings = enumerate_pairings(DegreeSequence(degrees))
+        assert max(map(assert_counts_by_hand, pairings)) == highest
+
+
+def assert_counts_by_hand(p) -> int:
+    """Check loops, parallel pairs and simplicity of ``p`` against a count
+    by hand; returns the largest vertex-pair multiplicity."""
+    edges = Counter()
+    loops = 0
+    for a, b in p.pairs:
+        u, v = int(p.space.owner[a]), int(p.space.owner[b])
+        if u != v:
+            edges[(min(u, v), max(u, v))] += 1
+        else:
+            loops += 1
+    by_hand = loops == 0 and all(k <= 1 for k in edges.values())
+    assert is_simple(p) == by_hand
+    assert count_loops(p) == loops
+    assert count_parallel_pairs(p) == sum(math.comb(k, 2) for k in edges.values())
+    return max(edges.values(), default=0)
+
+
+def union_find_roots(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Smallest vertex of each vertex's component, by plain union-find."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(n)]
+
+
+class TestComponentRoots:
+    @given(st.integers(min_value=1, max_value=12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=20),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_union_find(self, case):
+        # loops, repeated pairs and isolated vertices all occur in the draws
+        n, edges = case
+        u = np.array([a for a, _ in edges], dtype=np.int64)
+        v = np.array([b for _, b in edges], dtype=np.int64)
+        roots = _component_roots(u, v, n)
+        # each component's root is its smallest vertex
+        assert roots.tolist() == union_find_roots(n, edges)
+
+    @pytest.mark.parametrize("labels", ["random", "ascending", "descending"])
+    def test_long_path(self, labels):
+        n = 100_000
+        order = {
+            "random": np.random.default_rng(3).permutation(n),
+            "ascending": np.arange(n),
+            "descending": np.arange(n)[::-1],
+        }[labels]
+        roots = _component_roots(order[:-1], order[1:], n)
+        assert np.all(roots == 0)
+
+    def test_star_centred_on_largest_label(self):
+        # every pair hooks the centre; taking the minimum settles it at once
+        n = 20_000
+        leaves = np.arange(n - 1)
+        roots = _component_roots(leaves, np.full(n - 1, n - 1), n)
+        assert np.all(roots == 0)
 
 
 class TestSamplingUniformity:
