@@ -294,6 +294,11 @@ class TestCli:
                                       "target": 0.9}}, "grid.target"),
         ({"mode": "scaling", "grid": {"gammas": [3.5], "sizes": ["100"]}},
          "grid.sizes"),
+        ({"seed": True}, "seed"),
+        ({"replicates": True}, "replicates"),
+        ({"workers": True}, "workers"),
+        ({"tolerances": {"abs_tol_loop": 0.1}}, "tolerances.abs_tol_loop"),
+        ({"tolerances": {"sigma": "3"}}, "tolerances.sigma"),
         ({"mode": "scaling", "grid": {"gammas": [3.5], "sizes": [0.5, 1000]}},
          "grid.sizes"),
         ({"tolerances": {"trajectory_j_max": 2.5}}, "tolerances.trajectory_j_max"),
@@ -304,11 +309,6 @@ class TestCli:
                       "target_nu": 0.9, "c": math.inf}}, "degrees.c"),
         ({"mode": "scaling", "grid": {"gammas": [-math.inf], "sizes": [100]}},
          "grid.gammas"),
-        ({"seed": True}, "seed"),
-        ({"replicates": True}, "replicates"),
-        ({"workers": True}, "workers"),
-        ({"tolerances": {"abs_tol_loop": 0.1}}, "tolerances.abs_tol_loop"),
-        ({"tolerances": {"sigma": "3"}}, "tolerances.sigma"),
     ])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
         cfg = tmp_path / "cfg.json"
