@@ -34,9 +34,14 @@ def degree_cap(n: int, gamma: float, c: float) -> int:
     Above this cap a subpower histogram is forced to be empty, so it bounds the
     maximum degree of any sequence satisfying the j**-gamma envelope.
     """
-    root = (c * n) ** (1.0 / gamma)
+    try:
+        root = (c * n) ** (1.0 / gamma)
+    except OverflowError:
+        root = math.inf
     if not math.isfinite(root):
-        raise ValueError(f"degree cap (c*n)**(1/gamma) overflows for c={c}, n={n}")
+        raise ValueError(
+            f"degree cap (c*n)**(1/gamma) overflows for gamma={gamma}, c={c}, n={n}"
+        )
     return math.floor(root)
 
 

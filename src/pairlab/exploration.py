@@ -7,6 +7,14 @@ points.  A fresh partner pulls its vertex into the cluster; an active partner
 closes a pair inside it.  The chain state is (A(t), {I_j(t)}): active point
 count and inactive vertex counts per degree, and the conservation law
 A(t) + I(t) = 2m - 2t is asserted at every step.
+
+``ExplorationState.step`` takes one uniform per call.  The drivers
+(``explore_component``, ``largest_component_via_exploration``) take the same
+uniforms in blocks: a step lowers A by at most 2, so with A active points at
+least ceil(A/2) more steps follow, and a block of exactly that many
+``rng.random`` values is used up in full.  ``Generator.random(k)`` yields the
+same doubles as k scalar calls, so the steps, the uniforms drawn and the
+generator's final state match a loop of ``step`` calls.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import csv
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -93,6 +102,11 @@ class ExplorationState:
     pairs matched.  The unmatched points form a swap-remove pool that starts
     as the identity on [0, 2m): ``_slot`` (pool index -> point) and
     ``_index`` (point -> pool index) record only the entries that moved.
+
+    Every transition goes through ``_advance(x)``, which consumes one uniform
+    ``x``.  ``step`` feeds it one ``rng.random()`` and returns a record; the
+    drivers feed it blocks of ceil(A/2) uniforms, the fewest steps left with
+    A active points, so no value drawn goes unused (see the module docstring).
     """
 
     def __init__(self, seq: DegreeSequence):
@@ -126,7 +140,10 @@ class ExplorationState:
         return [self._slot.get(i, i) for i in range(self._size)]
 
     def _pool_remove(self, point: int) -> None:
-        """Move the last pool slot into ``point``'s slot and shrink the pool."""
+        """Move the last pool slot into ``point``'s slot and shrink the pool.
+
+        ``_advance`` performs this same swap-remove inline, twice per step.
+        """
         i = self._index.pop(point, point)
         self._size -= 1
         last = self._slot.pop(self._size, self._size)
@@ -174,49 +191,78 @@ class ExplorationState:
         """Match the first active point with a uniform unmatched partner."""
         if self.active == 0:
             raise CannotStepError("no active points")
-        mate = self.mate
-        # lazy deletion: skip queue entries matched while waiting
-        while True:
-            s1 = self.queue.popleft()
-            if s1 not in mate:
-                break
-        self._pool_remove(s1)
-        j = int(rng.random() * self._size)
-        s2 = self._slot.get(j, j)
-        self._pool_remove(s2)
-        mate[s1] = s2
-        mate[s2] = s1
-        self.is_active[s1] = 0
+        return self._record(self._advance(rng.random()))
 
-        if self.is_active[s2]:
-            self.is_active[s2] = 0
-            delta = -2
-            partner_degree = 0
-        else:
-            u = bisect_right(self.offsets, s2) - 1
-            d_u = self.degrees[u]
-            self.visited[u] = 1
-            self.cluster_size += 1
-            self.inactive_counts[d_u] -= 1
-            if self.inactive_counts[d_u] == 0:
-                del self.inactive_counts[d_u]
-            self.inactive_points -= d_u
-            for s in self.points_of(u):
-                if s != s2:
-                    self.queue.append(s)
-                    self.is_active[s] = 1
-            delta = d_u - 2
-            partner_degree = d_u
-        self.active += delta
-        self.t += 1
-        self.t_global += 1
-        self._check_conservation()
+    def _record(self, degree: int) -> StepRecord:
+        """The step just taken, given its partner degree."""
         return StepRecord(
             t=self.t,
             active=self.active,
-            delta_active=delta,
-            partner_degree=partner_degree,
+            delta_active=degree - 2 if degree else -2,
+            partner_degree=degree,
         )
+
+    def _advance(self, x: float) -> int:
+        """The one transition: match the first active point with the
+        unmatched point in pool slot ``int(x * size)``, for a uniform ``x`` in
+        [0, 1).  Returns the partner's degree, 0 when it was active.
+
+        The caller ensures A > 0.  The two swap-removes are ``_pool_remove``
+        written out, the partner's pool index being ``j`` itself.
+        """
+        mate = self.mate
+        queue = self.queue
+        s1 = queue.popleft()
+        while s1 in mate:  # lazy deletion: skip entries matched while waiting
+            s1 = queue.popleft()
+        slot = self._slot
+        index = self._index
+        size = self._size - 1
+        i = index.pop(s1, s1)
+        last = slot.pop(size, size)
+        if i != size:
+            slot[i] = last
+            index[last] = i
+        j = int(x * size)
+        s2 = slot.get(j, j)
+        size -= 1
+        index.pop(s2, None)
+        last = slot.pop(size, size)
+        if j != size:
+            slot[j] = last
+            index[last] = j
+        self._size = size
+        mate[s1] = s2
+        mate[s2] = s1
+        is_active = self.is_active
+        is_active[s1] = 0
+
+        if is_active[s2]:
+            is_active[s2] = 0
+            degree = 0
+            self.active -= 2
+        else:
+            offsets = self.offsets
+            u = bisect_right(offsets, s2) - 1
+            degree = self.degrees[u]
+            self.visited[u] = 1
+            self.cluster_size += 1
+            counts = self.inactive_counts
+            if counts[degree] == 1:
+                del counts[degree]
+            else:
+                counts[degree] -= 1
+            self.inactive_points -= degree
+            for s in range(offsets[u], offsets[u + 1]):
+                if s != s2:
+                    queue.append(s)
+                    is_active[s] = 1
+            self.active += degree - 2
+        self.t += 1
+        self.t_global += 1
+        if self.active + self.inactive_points != self.two_m - 2 * self.t_global:
+            self._check_conservation()  # raises, naming both sides
+        return degree
 
     def finished_pairing(self) -> Pairing:
         """The completed pairing after a full decomposition."""
@@ -225,6 +271,18 @@ class ExplorationState:
         lower = sorted(s for s, t in self.mate.items() if s < t)
         pairs = np.array([(s, self.mate[s]) for s in lower], dtype=np.int64)
         return Pairing(pairs=pairs.reshape(-1, 2), space=self.space)
+
+
+def _walk(state: ExplorationState, rng: np.random.Generator) -> Iterator[int]:
+    """Advance ``state`` until A = 0, yielding each step's partner degree.
+
+    A step lowers A by at most 2, so A active points need at least
+    ceil(A/2) more steps: the uniforms are drawn that many at a time, and each
+    one is used, in the order per-step ``rng.random()`` calls would use them.
+    """
+    while state.active:
+        for x in rng.random((state.active + 1) // 2).tolist():
+            yield state._advance(x)
 
 
 def start_exploration(seq: DegreeSequence, v: int) -> ExplorationState:
@@ -250,10 +308,9 @@ def explore_component(
     initial = dict(state.inactive_counts)
     steps: list[StepRecord] = []
     stop_time = 0
-    while state.active > 0:
-        rec = state.step(rng)
+    for degree in _walk(state, rng):
         if record_trace:
-            steps.append(rec)
+            steps.append(state._record(degree))
         if stop_time == 0 and (state.active == 0 or state.inactive_points == 0):
             stop_time = state.t
     return ExplorationTrace(
@@ -279,8 +336,8 @@ def largest_component_via_exploration(
         if state.visited[v]:
             continue
         state.begin(v)
-        while state.active > 0:
-            state.step(rng)
+        for _ in _walk(state, rng):
+            pass
         sizes.append(state.cluster_size)
     return sizes
 

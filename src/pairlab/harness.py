@@ -109,6 +109,8 @@ _GRID_FIELDS = {
 }
 # tolerances that count something; every other one is any finite number
 _INT_TOLERANCES = {"enumeration_cap", "max_attempts", "trajectory_j_max"}
+# the oracle holds all (2m-1)!! pairings in memory: 135,135 at m = 7
+MAX_ENUMERATION_CAP = 7
 
 
 def _check_fields(
@@ -191,6 +193,11 @@ class ExperimentConfig:
                 raise ConfigError(f"tolerances.{key}: must be an integer")
             if not _is_number(value):
                 raise ConfigError(f"tolerances.{key}: must be a finite number")
+            if key == "enumeration_cap" and value > MAX_ENUMERATION_CAP:
+                raise ConfigError(
+                    f"tolerances.enumeration_cap: must be at most "
+                    f"{MAX_ENUMERATION_CAP}, got {value}"
+                )
         tolerances.update(extra)
         return cls(
             mode=mode,

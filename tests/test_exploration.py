@@ -1,13 +1,16 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pairlab.degree_model import DegreeSequence, build_subpower_sequence
 from pairlab.exploration import (
     CannotStepError,
+    ConservationError,
     ExplorationState,
+    _walk,
     explore_component,
     largest_component_via_exploration,
     start_exploration,
@@ -139,6 +142,125 @@ class TestSparsePool:
         assert 0 < 4 * t < seq.two_m // 10
         assert len(state.mate) == 2 * t
         assert len(state._slot) == len(state._index) <= 2 * t  # <= 4t together
+
+
+def _component_by_steps(seq, v, rng):
+    """Reference for ``explore_component``: one ``step`` (one uniform) at a time."""
+    state = start_exploration(seq, v)
+    steps, stop_time = [], 0
+    while state.active > 0:
+        steps.append(state.step(rng))
+        if stop_time == 0 and (state.active == 0 or state.inactive_points == 0):
+            stop_time = state.t
+    return steps, stop_time, state.cluster_size
+
+
+def _sizes_by_steps(seq, rng):
+    """Reference for ``largest_component_via_exploration``."""
+    state = ExplorationState(seq)
+    sizes = []
+    for v in range(seq.n):
+        if not state.visited[v]:
+            state.begin(v)
+            while state.active > 0:
+                state.step(rng)
+            sizes.append(state.cluster_size)
+    return sizes
+
+
+class TestBlockDraws:
+    """The drivers draw ceil(A/2) uniforms at a time; the result, and every
+    uniform drawn, must match a loop of single ``step`` calls."""
+
+    @given(even_degree_lists(), st.integers(min_value=0, max_value=2**31))
+    @example([3] * 300, 1)
+    @example([9] * 40, 2)
+    @settings(max_examples=80, deadline=None)
+    def test_explore_component_matches_steps(self, degrees, seed):
+        seq = DegreeSequence(tuple(degrees))
+        ref_rng = substream(seed)
+        steps, stop_time, size = _component_by_steps(seq, 0, ref_rng)
+        for record_trace in (True, False):
+            rng = substream(seed)
+            trace = explore_component(seq, 0, rng, record_trace=record_trace)
+            assert list(trace.steps) == (steps if record_trace else [])
+            assert (trace.stop_time, trace.component_size) == (stop_time, size)
+            # the same number of uniforms was drawn: the streams go on alike
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+
+    @given(even_degree_lists(), st.integers(min_value=0, max_value=2**31))
+    @example([3] * 300, 3)
+    @settings(max_examples=80, deadline=None)
+    def test_decomposition_matches_steps(self, degrees, seed):
+        seq = DegreeSequence(tuple(degrees))
+        rng, ref_rng = substream(seed), substream(seed)
+        assert largest_component_via_exploration(seq, rng) == _sizes_by_steps(
+            seq, ref_rng
+        )
+        assert rng.random() == ref_rng.random()
+
+    @given(even_degree_lists(), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_advance_matches_dense_pool(self, degrees, seed):
+        # _advance writes the swap-remove out inline; check it against a list
+        seq = DegreeSequence(tuple(degrees))
+        state = start_exploration(seq, 0)
+        dense = list(range(seq.two_m))
+
+        def swap_remove(point):
+            dense[dense.index(point)] = dense[-1]
+            dense.pop()
+
+        rng = substream(seed)
+        while state.active > 0:
+            s1 = next(s for s in state.queue if s not in state.mate)
+            x = rng.random()
+            swap_remove(s1)
+            s2 = dense[int(x * len(dense))]
+            swap_remove(s2)
+            state._advance(x)
+            assert state.mate[s1] == s2
+            assert state.pool == dense
+            assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
+            assert len(state._slot) == len(state._index)
+
+    def test_corrupt_state_raises_in_step_and_driver(self):
+        seq = DegreeSequence((3,) * 20)
+        for run in (lambda state, rng: state.step(rng),
+                    lambda state, rng: list(_walk(state, rng))):
+            state = start_exploration(seq, 0)
+            state.inactive_points -= 1
+            with pytest.raises(ConservationError):
+                run(state, substream(14))
+
+
+class TestGoldenDigests:
+    """Outputs of the exploration path, pinned before its uniforms were drawn
+    in blocks; no harness mode reaches the full decomposition."""
+
+    def test_trace_csv(self, tmp_path):
+        seq = build_subpower_sequence(10_000, 3.5, 1.0, 0.9)
+        root = int(np.argmax(seq.degrees))
+        traces = [
+            explore_component(seq, root, substream(2024, 0, rep), record_trace=True)
+            for rep in range(20)
+        ]
+        path = tmp_path / "traces.csv"
+        write_trace_csv(traces, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "21b54db0fc6016eb2cc25f46222a0218c21af3e6900460bc05995795eb0c6b0a"
+        )
+
+    def test_decomposition_sizes(self):
+        seq = DegreeSequence((3,) * 2000)
+        sizes = [
+            largest_component_via_exploration(seq, substream(2024, 1, rep))
+            for rep in range(5)
+        ]
+        assert hashlib.sha256(repr(sizes).encode()).hexdigest() == (
+            "e509fad68af37d3a33ebc3ea8b0f20a9ffd33d76909a627aad9ee5c39f67e686"
+        )
 
 
 class TestExploreComponent:
