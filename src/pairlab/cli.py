@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 
 from .harness import ConfigError, ExperimentConfig, describe, run, validate_degree_file
@@ -28,26 +27,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _check_subpower_flags(gamma: float | None, c: float | None) -> None:
-    """``--gamma`` and ``--c`` come together, each finite and positive."""
+    """``--gamma`` and ``--c`` come together; ``degree_cap`` checks their values."""
     if (gamma is None) != (c is None):
         given, missing = ("--gamma", "--c") if c is None else ("--c", "--gamma")
         raise ConfigError(f"{missing}: required with {given}")
-    for flag, value in (("--gamma", gamma), ("--c", c)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag}: must be a finite positive number, got {value}")
-
-
-def _run(config: ExperimentConfig, profile: str | None):
-    """``run(config)``, under cProfile with its stats dumped to ``profile``
-    when one is given; the dump is not an artifact of the run."""
-    if profile is None:
-        return run(config)
-    import cProfile
-
-    profiler = cProfile.Profile()
-    summary = profiler.runcall(run, config)
-    profiler.dump_stats(profile)
-    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,10 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("-o", "--output", default=None)
-    p_run.add_argument(
-        "--profile", metavar="PATH", default=None,
-        help="write a cProfile dump of the run (this process only) to PATH",
-    )
 
     p_desc = sub.add_parser("describe", help="dry-run report, no sampling")
     p_desc.add_argument("-c", "--config", required=True)
@@ -98,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(describe(config), sys.stdout, indent=2, sort_keys=True)
             print()
             return 0
-        summary = _run(config, args.profile)
+        summary = run(config)
         json.dump(
             summary.deterministic_dict(), sys.stdout, indent=2, sort_keys=True
         )

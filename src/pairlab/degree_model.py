@@ -34,6 +34,9 @@ def degree_cap(n: int, gamma: float, c: float) -> int:
     Above this cap a subpower histogram is forced to be empty, so it bounds the
     maximum degree of any sequence satisfying the j**-gamma envelope.
     """
+    for name, value in (("gamma", gamma), ("c", c)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name}: must be a finite positive number, got {value}")
     try:
         root = (c * n) ** (1.0 / gamma)
     except OverflowError:

@@ -139,18 +139,6 @@ class ExplorationState:
         """The unmatched points in pool order (a fresh list; O(2m))."""
         return [self._slot.get(i, i) for i in range(self._size)]
 
-    def _pool_remove(self, point: int) -> None:
-        """Move the last pool slot into ``point``'s slot and shrink the pool.
-
-        ``_advance`` performs this same swap-remove inline, twice per step.
-        """
-        i = self._index.pop(point, point)
-        self._size -= 1
-        last = self._slot.pop(self._size, self._size)
-        if i != self._size:
-            self._slot[i] = last
-            self._index[last] = i
-
     def points_of(self, v: int) -> range:
         return range(self.offsets[v], self.offsets[v + 1])
 
@@ -207,8 +195,8 @@ class ExplorationState:
         unmatched point in pool slot ``int(x * size)``, for a uniform ``x`` in
         [0, 1).  Returns the partner's degree, 0 when it was active.
 
-        The caller ensures A > 0.  The two swap-removes are ``_pool_remove``
-        written out, the partner's pool index being ``j`` itself.
+        The caller ensures A > 0.  Each of ``s1`` and ``s2`` is swap-removed:
+        the last pool slot moves into its slot and the pool shrinks by one.
         """
         mate = self.mate
         queue = self.queue

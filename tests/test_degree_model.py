@@ -217,6 +217,18 @@ class TestValidateSubpower:
         report = validate_subpower(DegreeSequence((1,) * 10_000), 3.5, 1.0)
         assert report.cap == 13
 
+    @pytest.mark.parametrize("gamma,c,name", [
+        (0.0, 1.0, "gamma"),  # 1/gamma
+        (-2.0, 1.0, "gamma"),
+        (math.inf, 1.0, "gamma"),
+        (math.nan, 1.0, "gamma"),
+        (3.5, -1.0, "c"),  # a negative base to a fractional power
+        (3.5, 0.0, "c"),
+    ])
+    def test_bad_envelope_raises_value_error(self, gamma, c, name):
+        with pytest.raises(ValueError, match=f"^{name}: must be a finite positive"):
+            validate_subpower(DegreeSequence((3, 3, 2, 2)), gamma, c)
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):

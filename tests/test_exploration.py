@@ -109,23 +109,39 @@ class TestStep:
 
 
 class TestSparsePool:
-    @given(
-        st.integers(min_value=1, max_value=30),
-        st.lists(st.integers(min_value=0, max_value=10**6), max_size=60),
-    )
+    @given(even_degree_lists(max_n=30), st.integers(min_value=0, max_value=2**31))
+    @example([1] * 60, 0)  # 30 one-step components: the pool empties fully
+    @example([1] * 60, 5)
+    @example([3] * 40, 6)
     @settings(max_examples=200, deadline=None)
-    def test_matches_dense_swap_remove(self, m, picks):
-        state = ExplorationState(DegreeSequence((1,) * (2 * m)))
-        dense = list(range(2 * m))  # reference: the list swap-remove pool
-        for pick in picks[: 2 * m]:
-            point = dense[pick % len(dense)]
-            hole = dense.index(point)
-            dense[hole] = dense[-1]
+    def test_matches_dense_swap_remove(self, degrees, seed):
+        # _advance swap-removes inline; check it against a list pool over a
+        # whole decomposition, so every root sees the pool its forerunners left
+        seq = DegreeSequence(tuple(degrees))
+        state = ExplorationState(seq)
+        dense = list(range(seq.two_m))  # reference: the list swap-remove pool
+
+        def swap_remove(point):
+            dense[dense.index(point)] = dense[-1]
             dense.pop()
-            state._pool_remove(point)
-            assert state.pool == dense
-            assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
-            assert len(state._slot) == len(state._index)
+
+        rng = substream(seed)
+        for v in range(seq.n):
+            if state.visited[v]:
+                continue
+            state.begin(v)
+            while state.active > 0:
+                s1 = next(s for s in state.queue if s not in state.mate)
+                x = rng.random()
+                swap_remove(s1)
+                s2 = dense[int(x * len(dense))]
+                swap_remove(s2)
+                state._advance(x)
+                assert state.mate[s1] == s2
+                assert state.pool == dense
+                assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
+                assert len(state._slot) == len(state._index)
+        assert dense == [] and len(state.mate) == seq.two_m
 
     @pytest.mark.parametrize("seq,steps", [
         (DegreeSequence((3,) * 100_000), 2000),  # giant component: stop early
@@ -199,31 +215,6 @@ class TestBlockDraws:
             seq, ref_rng
         )
         assert rng.random() == ref_rng.random()
-
-    @given(even_degree_lists(), st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=60, deadline=None)
-    def test_advance_matches_dense_pool(self, degrees, seed):
-        # _advance writes the swap-remove out inline; check it against a list
-        seq = DegreeSequence(tuple(degrees))
-        state = start_exploration(seq, 0)
-        dense = list(range(seq.two_m))
-
-        def swap_remove(point):
-            dense[dense.index(point)] = dense[-1]
-            dense.pop()
-
-        rng = substream(seed)
-        while state.active > 0:
-            s1 = next(s for s in state.queue if s not in state.mate)
-            x = rng.random()
-            swap_remove(s1)
-            s2 = dense[int(x * len(dense))]
-            swap_remove(s2)
-            state._advance(x)
-            assert state.mate[s1] == s2
-            assert state.pool == dense
-            assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
-            assert len(state._slot) == len(state._index)
 
     def test_corrupt_state_raises_in_step_and_driver(self):
         seq = DegreeSequence((3,) * 20)
