@@ -10,29 +10,6 @@ import sys
 from .harness import ConfigError, ExperimentConfig, describe, run, validate_degree_file
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.output is not None:
-        overrides["output_dir"] = args.output
-    if overrides:
-        data = dict(config.raw)
-        data.update(overrides)
-        config = ExperimentConfig.from_dict(data)
-    return config
-
-
-def _check_subpower_flags(gamma: float | None, c: float | None) -> None:
-    """``--gamma`` and ``--c`` come together; ``degree_cap`` checks their values."""
-    if (gamma is None) != (c is None):
-        given, missing = ("--gamma", "--c") if c is None else ("--c", "--gamma")
-        raise ConfigError(f"{missing}: required with {given}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pairlab",
@@ -44,15 +21,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("-c", "--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
-    p_run.add_argument("-o", "--output", default=None)
+    # these replace the config file's fields of the same name; one not given
+    # is absent from the namespace, so the file's value stays
+    p_run.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p_run.add_argument("--workers", type=int, default=argparse.SUPPRESS)
+    p_run.add_argument("-o", "--output", dest="output_dir", default=argparse.SUPPRESS)
 
     p_desc = sub.add_parser("describe", help="dry-run report, no sampling")
     p_desc.add_argument("-c", "--config", required=True)
-    p_desc.add_argument("--seed", type=int, default=None)
-    p_desc.add_argument("--workers", type=int, default=None)
-    p_desc.add_argument("-o", "--output", default=None)
 
     p_val = sub.add_parser("validate", help="check a degree file")
     p_val.add_argument("path")
@@ -67,12 +43,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "validate":
-            _check_subpower_flags(args.gamma, args.c)
             report = validate_degree_file(args.path, gamma=args.gamma, c=args.c)
             json.dump(report, sys.stdout, indent=2, sort_keys=True)
             print()
             return 0 if report["valid"] else 1
-        config = _load_config(args)
+        overrides = {k: v for k, v in vars(args).items()
+                     if k in ("seed", "workers", "output_dir")}
+        config = ExperimentConfig.from_file(args.config, **overrides)
         if args.command == "describe":
             json.dump(describe(config), sys.stdout, indent=2, sort_keys=True)
             print()

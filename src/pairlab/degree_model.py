@@ -330,10 +330,19 @@ def write_degree_file(seq: DegreeSequence, path: str | Path) -> None:
 
 
 def read_degree_file(path: str | Path) -> DegreeSequence:
-    """Load and validate a degree file written by :func:`write_degree_file`."""
+    """Load and validate a degree file written by :func:`write_degree_file`.
+
+    Only blank lines may follow the degrees.
+    """
     lines = Path(path).read_text().split("\n")
     if len(lines) < 2:
         raise DegreeSequenceError(f"{path}: expected two lines")
+    for lineno, line in enumerate(lines[2:], 3):
+        if line.strip():
+            raise DegreeSequenceError(
+                f"{path}:{lineno}: only blank lines may follow the degrees, "
+                f"got {line!r}"
+            )
     try:
         n = int(lines[0])
         degrees = tuple(int(tok) for tok in lines[1].split())

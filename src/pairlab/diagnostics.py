@@ -128,12 +128,9 @@ def expected_active_change(snapshot: StateSnapshot) -> float:
 def exact_initial_drift(dist: EmpiricalDistribution, d_root: int) -> float:
     """Mean first-step change of A for a fresh exploration rooted at degree
     d_root; approaches nu - 1 as n grows."""
-    two_m = dist.two_m
-    cross = sum(
-        j * (k - (1 if j == d_root else 0)) * (j - 2)
-        for j, k in dist.counts.items()
-    )
-    return (-2 * (d_root - 1) + cross) / (two_m - 1)
+    counts = dict(dist.counts)
+    counts[d_root] -= 1  # the root is active, no longer inactive
+    return expected_active_change(StateSnapshot(0, d_root, counts, dist.two_m))
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,6 @@ def drift_estimate(traces: list[ExplorationTrace], window: int) -> DriftEstimate
 class PoissonCheck:
     """Loop / parallel-edge statistics against their Poisson limits."""
 
-    n_reports: int
     mean_loops: float
     mean_parallel: float
     p_simple: float
@@ -172,17 +168,14 @@ class PoissonCheck:
     target_loops: float  # nu / 2
     target_parallel: float  # (nu / 2)**2
     target_simple: float  # exp(-nu/2 - nu**2/4)
-    z_loops: float
-    z_parallel: float
-    z_simple: float
     z_corr: float
 
 
 def poisson_limit_check(
     reports: Sequence[ComponentReport], nu_value: float, min_reports: int = 1000
 ) -> PoissonCheck:
-    """Sample means / simplicity rate / X-Y correlation with z-scores against
-    the Poisson limits (rates nu/2 and (nu/2)**2, independent).
+    """Sample means, simplicity rate and X-Y correlation (with its z-score)
+    beside the Poisson limits (rates nu/2 and (nu/2)**2, independent).
 
     Only ``loops``, ``parallel_pairs`` and ``simple`` of each report are read,
     so any record carrying those three serves as well.
@@ -194,34 +187,19 @@ def poisson_limit_check(
     x = np.array([r.loops for r in reports], dtype=np.float64)
     y = np.array([r.parallel_pairs for r in reports], dtype=np.float64)
     simple = np.array([r.simple for r in reports], dtype=np.float64)
-    k = len(reports)
-    t_x = nu_value / 2
-    t_y = (nu_value / 2) ** 2
-    t_s = math.exp(-nu_value / 2 - nu_value**2 / 4)
-
-    def zscore(sample: np.ndarray, target: float) -> float:
-        se = sample.std(ddof=1) / math.sqrt(k)
-        if se == 0.0:
-            return 0.0 if sample.mean() == target else math.inf
-        return (float(sample.mean()) - target) / se
-
     if x.std() > 0 and y.std() > 0:
         corr = float(np.corrcoef(x, y)[0, 1])
     else:
         corr = 0.0
     return PoissonCheck(
-        n_reports=k,
         mean_loops=float(x.mean()),
         mean_parallel=float(y.mean()),
         p_simple=float(simple.mean()),
         corr=corr,
-        target_loops=t_x,
-        target_parallel=t_y,
-        target_simple=t_s,
-        z_loops=zscore(x, t_x),
-        z_parallel=zscore(y, t_y),
-        z_simple=zscore(simple, t_s),
-        z_corr=corr * math.sqrt(k),
+        target_loops=nu_value / 2,
+        target_parallel=(nu_value / 2) ** 2,
+        target_simple=math.exp(-nu_value / 2 - nu_value**2 / 4),
+        z_corr=corr * math.sqrt(len(reports)),
     )
 
 

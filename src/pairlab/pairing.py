@@ -54,10 +54,6 @@ class PointSpace:
     def total_points(self) -> int:
         return len(self.owner)
 
-    def points_of(self, v: int) -> range:
-        start = int(np.searchsorted(self.owner, v, side="left"))
-        return range(start, start + self.degrees[v])
-
 
 @dataclass(frozen=True)
 class Pairing:

@@ -249,3 +249,11 @@ class TestSerialization:
         path.write_text("3\n1 1\n")
         with pytest.raises(DegreeSequenceError):
             read_degree_file(path)
+
+    def test_loader_rejects_trailing_content(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n1 1\n9 9 9\n")
+        with pytest.raises(DegreeSequenceError, match=r"bad\.txt:3: "):
+            read_degree_file(path)
+        path.write_text("2\n1 1\n\n \t\n")  # trailing blank lines stay legal
+        assert read_degree_file(path).degrees == (1, 1)

@@ -163,7 +163,7 @@ class TestDrift:
         snap = state.snapshot()
         deltas = []
         for s in state.pool:
-            if s in set(state.space.points_of(0)):
+            if s in set(state.points_of(0)):
                 continue  # the dequeued point itself is excluded separately
             if state.is_active[s]:
                 deltas.append(-2)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,12 @@ class TestRunModes:
         assert payload["config_hash"] == summary.config_hash
         assert all("tolerance" in v for v in payload["verdicts"])
 
+    @pytest.mark.parametrize("replicates", [1, 2])
+    def test_small_poisson_run_warns_nothing(self, tmp_path, replicates):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(make_config(tmp_path, replicates=replicates))
+
     def test_oracle_validation_two_two(self, tmp_path):
         config = make_config(
             tmp_path,
@@ -226,6 +233,16 @@ class TestValidateDegreeFile:
         report = validate_degree_file(path, gamma=3.5, c=1.0)
         assert not report["valid"]
 
+    @pytest.mark.parametrize("envelope,message", [
+        ({"gamma": 3.5}, "c: required with gamma"),
+        ({"c": 1.0}, "gamma: required with c"),
+    ])
+    def test_gamma_and_c_come_together(self, tmp_path, envelope, message):
+        path = tmp_path / "d.txt"
+        path.write_text("4\n3 3 2 2\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_degree_file(path, **envelope)
+
 
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -264,8 +281,8 @@ class TestCli:
         (["--gamma", "nan", "--c", "1"], "error: gamma:"),
         (["--gamma", "3.5", "--c", "-1"], "error: c:"),
         (["--gamma", "3.5", "--c", "0"], "error: c:"),
-        (["--gamma", "3.5"], "error: --c: required with --gamma"),
-        (["--c", "1"], "error: --gamma: required with --c"),
+        (["--gamma", "3.5"], "error: c: required with gamma"),
+        (["--c", "1"], "error: gamma: required with c"),
         (["--gamma", "1e-300", "--c", "1"], "gamma=1e-300"),  # cap overflows
     ])
     def test_validate_refuses_bad_subpower_flags(self, tmp_path, capsys, flags,
@@ -287,6 +304,34 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdicts"] == [] and not payload["passed"]
         assert all("error" in cell for cell in payload["cells"])
+
+    def test_run_options_replace_file_fields(self, tmp_path, capsys):
+        data = {
+            "mode": "poisson_check", "replicates": 12, "seed": 1, "workers": 1,
+            "output_dir": str(tmp_path / "file_out"),
+            "degrees": {"kind": "regular", "n": 50, "d": 3},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        cli_out = tmp_path / "cli_out"
+        code = cli_main(["run", "-c", str(cfg), "--seed", "5", "--workers", "2",
+                         "-o", str(cli_out)])
+        assert code in (0, 1) and not (tmp_path / "file_out").exists()
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps({**data, "seed": 5}))
+        assert cli_main(["run", "-c", str(seeded)]) == code
+        got = sorted(cli_out.iterdir())
+        want = sorted((tmp_path / "file_out").iterdir())
+        assert [p.name for p in got] == [p.name for p in want]
+        assert len(got) == 2 and all("_seed5." in p.name for p in got)
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+        capsys.readouterr()
+
+        assert cli_main(["run", "-c", str(cfg), "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # describe takes only -c
+            cli_main(["describe", "-c", str(cfg), "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_bad_config_exit_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -479,7 +524,9 @@ def test_any_degree_file_exits_cleanly(tmp_path_factory, lines):
 
 # SHA-256 of every artifact of four small runs, one per harness mode.  A
 # change that keeps each replicate's random draws must keep these bytes; one
-# that changes RNG consumption must update them deliberately.
+# that changes RNG consumption must update them deliberately.  So must a
+# deliberate change to the config echo (which the file names hash) or to the
+# verdicts, though the CSV digests then stay as they were.
 DIGEST_CONFIGS = [
     {"mode": "poisson_check", "replicates": 60, "seed": 21,
      "degrees": {"kind": "regular", "n": 300, "d": 3}},
@@ -496,22 +543,22 @@ DIGEST_CONFIGS = [
 ]
 
 ARTIFACT_DIGESTS = {
-    "poisson_check_80b900bc5e3b6802_seed21.csv":
+    "poisson_check_cb27c520cb2807c2_seed21.csv":
         "c709f6a200baab3be57a410683ac639609ad1b6f0034547599d0d0343375d709",
-    "poisson_check_80b900bc5e3b6802_seed21.json":
-        "4c9fe22ff3a16d7d5d93405ca27217b1168ab8afd255277c4b6bc67344e93e73",
-    "scaling_1fb10c06408463cf_seed22.csv":
+    "poisson_check_cb27c520cb2807c2_seed21.json":
+        "c8fccc915bd40fe1e6d890977c4c8957c932d11918e4a3038c7827bc269c424a",
+    "scaling_f4acd952c550c449_seed22.csv":
         "24ade44417e87a69d92022924689686dd8eba8bba97ba1da28907969fc176b23",
-    "scaling_1fb10c06408463cf_seed22.json":
-        "323987404fd25bc4777d5b2f751d0e9bfd9da82e3cc004de74dc12efc98a5b00",
-    "trajectory_1367b63f872d7984_seed23.csv":
+    "scaling_f4acd952c550c449_seed22.json":
+        "d2587d6741d54e57fe69b8c72fea3d565bf618e62f57a9b66e1c322a5f6fd7eb",
+    "trajectory_9ff77a47a9d7b58a_seed23.csv":
         "53537b5efcb40a2fb2c19ae6ffbee030626d5c592f6171073b3715e953f59a34",
-    "trajectory_1367b63f872d7984_seed23.json":
-        "6cfbc755c1b1f74de7517b4ab22ad3a6429259545e04111002476ea9cd0f964e",
-    "oracle_validation_1df52701616b1a2b_seed24.csv":
+    "trajectory_9ff77a47a9d7b58a_seed23.json":
+        "912ff5757798d63012e9eec2bd80bb261f5d1985b0b82b5928be420ebdaf0987",
+    "oracle_validation_2f84702608edf8db_seed24.csv":
         "b545463a2dbcbacec8a667266f2089d00b9f5c0bd3dc62fc5610d69bcb24ac76",
-    "oracle_validation_1df52701616b1a2b_seed24.json":
-        "624f943b5bcebaa514d770224cf0ea45d631e82a9800de59cca26dfbf14fe522",
+    "oracle_validation_2f84702608edf8db_seed24.json":
+        "7d13d9404db938b93d29ee86cab6c6e43ce6afd9278723530d428440674e9496",
 }
 
 

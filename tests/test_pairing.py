@@ -55,10 +55,11 @@ def even_degree_lists(max_n=8, max_d=4):
 
 class TestPointSpace:
     def test_owner_blocks(self):
-        space = PointSpace.from_degree_sequence(DegreeSequence((1, 2, 2, 3)))
+        seq = DegreeSequence((1, 2, 2, 3))
+        space = PointSpace.from_degree_sequence(seq)
         assert space.total_points == 8
         assert list(space.owner) == [0, 1, 1, 2, 2, 3, 3, 3]
-        assert space.points_of(3) == range(5, 8)
+        assert list(space.owner[seq.offsets[3]:seq.offsets[4]]) == [3, 3, 3]
 
 
 class TestEnumeration:
