@@ -19,6 +19,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 
 class DegreeSequenceError(ValueError):
     """The degree list violates a structural invariant."""
@@ -54,8 +56,8 @@ class DegreeSequence:
 
     ``gamma``/``c`` are optional subpower metadata: when present, the maximum
     degree must respect the corresponding cap.  The point layout
-    (``two_m``, ``offsets``, ``histogram``) is computed on first use and
-    cached, so every chain or sampler built on the sequence shares it.
+    (``two_m``, ``offsets``, ``histogram``, ``owner``) is computed on first
+    use and cached, so every chain or sampler built on the sequence shares it.
     """
 
     degrees: tuple[int, ...]
@@ -100,6 +102,17 @@ class DegreeSequence:
     def histogram(self) -> dict[int, int]:
         """Degree -> vertex count, in order of first appearance; do not mutate."""
         return dict(Counter(self.degrees))
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Point -> owner vertex, as a read-only int64 array of length 2m."""
+        owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        owner.setflags(write=False)
+        return owner
+
+    def __getstate__(self) -> dict:
+        # 8 bytes a point that the receiver rebuilds on first use
+        return {k: v for k, v in self.__dict__.items() if k != "owner"}
 
     @property
     def max_degree(self) -> int:

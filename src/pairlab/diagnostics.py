@@ -1,9 +1,9 @@
 """Theory-side verifiers for the exploration chain and the pairing model.
 
 Covers the normalized inactive-count martingale, the deterministic trajectory
-the counts follow, drift of the active-point count, Poisson statistics of the
-loop / parallel-edge counts, and the scaling experiment for the largest
-component in the subcritical phase.
+the counts follow, drift of the active-point count, and Poisson statistics of
+the loop / parallel-edge counts.  The largest-component scaling experiment is
+the harness's ``scaling`` mode.
 """
 
 from __future__ import annotations
@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree_model import (
-    DegreeSequence,
-    EmpiricalDistribution,
-    build_subpower_sequence,
-    empirical_distribution,
-    nu,
-)
+from .degree_model import EmpiricalDistribution
 from .exploration import ExplorationTrace, StateSnapshot
-from .pairing import ComponentReport, PointSpace, project_components, sample_pairing
-from .rng import substream
+from .pairing import ComponentReport
 
 
 class HorizonExceededError(ValueError):
@@ -201,84 +194,3 @@ def poisson_limit_check(
         target_simple=math.exp(-nu_value / 2 - nu_value**2 / 4),
         z_corr=corr * math.sqrt(len(reports)),
     )
-
-
-@dataclass(frozen=True)
-class ScalingRecord:
-    """Largest component of one replicate, normalized by n**(1/gamma) * ln n."""
-
-    n: int
-    gamma: float
-    nu_actual: float
-    replicate: int
-    largest: int
-    normalized: float
-
-
-@dataclass(frozen=True)
-class ScalingCellSummary:
-    n: int
-    gamma: float
-    nu_actual: float
-    max_degree_ratio: float  # max_v d_v / n**(1/gamma)
-    q50: float
-    q95: float
-    q_max: float
-
-
-def scaling_cell_records(
-    seq: DegreeSequence, gamma: float, nu_actual: float,
-    seed: int, cell_index: int, reps: range,
-) -> list[ScalingRecord]:
-    """Replicates ``reps`` of one (gamma, n) cell; replicate r draws from
-    ``substream(seed, cell_index, r)``."""
-    n, space = seq.n, PointSpace.from_degree_sequence(seq)
-    scale = n ** (1.0 / gamma) * math.log(n)
-    records = []
-    for rep in reps:
-        rng = substream(seed, cell_index, rep)
-        size = project_components(sample_pairing(space, rng)).largest
-        records.append(ScalingRecord(n, gamma, nu_actual, rep, size, size / scale))
-    return records
-
-
-def summarize_scaling_cell(
-    records: list[ScalingRecord], max_degree: int
-) -> ScalingCellSummary:
-    """Quantiles of the normalized largest component over one cell."""
-    first = records[0]
-    normalized = np.array([r.normalized for r in records])
-    return ScalingCellSummary(
-        n=first.n,
-        gamma=first.gamma,
-        nu_actual=first.nu_actual,
-        max_degree_ratio=max_degree / first.n ** (1.0 / first.gamma),
-        q50=float(np.quantile(normalized, 0.5)),
-        q95=float(np.quantile(normalized, 0.95)),
-        q_max=float(normalized.max()),
-    )
-
-
-def scaling_experiment(
-    gammas: list[float],
-    sizes: list[int],
-    replicates: int,
-    seed: int,
-    target_nu: float = 0.9,
-    c: float = 1.0,
-) -> tuple[list[ScalingRecord], list[ScalingCellSummary]]:
-    """Monte Carlo grid over (gamma, n): normalized largest-component sizes.
-
-    Cells run in sorted order, cell k drawing from ``substream(seed, k, rep)``;
-    a sequence that cannot be built raises the builder's ValueError.
-    """
-    records: list[ScalingRecord] = []
-    summaries: list[ScalingCellSummary] = []
-    cells = [(g, n) for g in sorted(gammas) for n in sorted(sizes)]
-    for cell_index, (gamma, n) in enumerate(cells):
-        seq = build_subpower_sequence(n, gamma, c, target_nu)
-        cell = scaling_cell_records(seq, gamma, nu(empirical_distribution(seq)),
-                                    seed, cell_index, range(replicates))
-        records.extend(cell)
-        summaries.append(summarize_scaling_cell(cell, seq.max_degree))
-    return records, summaries

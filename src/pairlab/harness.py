@@ -19,6 +19,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -35,15 +36,9 @@ from .degree_model import (
     read_degree_file,
     validate_subpower,
 )
-from .diagnostics import (
-    poisson_limit_check,
-    scaling_cell_records,
-    summarize_scaling_cell,
-    trajectory_deviation,
-)
+from .diagnostics import poisson_limit_check, trajectory_deviation
 from .exploration import explore_component
 from .pairing import (
-    PointSpace,
     double_factorial_odd,
     enumerate_pairings,
     is_simple,
@@ -305,25 +300,66 @@ class RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# chunked replicate execution (deterministic at any worker count)
+# replicate execution (deterministic at any worker count)
+#
+# A kernel ``(seq, rng) -> result`` does one replicate.  A task is a cell's
+# position and a range of its replicates; the kernel, the cells and the seed
+# reach each pool worker once, through the pool's initializer.
 
-def _chunks(static: tuple, replicates: int, workers: int) -> list[tuple]:
-    """Tasks ``static + (reps,)``, about four per worker, whose ranges of
-    replicate indices cover 0 .. replicates-1 in order."""
-    chunks = max(1, min(replicates, workers * 4))
-    size = math.ceil(replicates / chunks)
-    return [static + (range(lo, min(lo + size, replicates)),)
-            for lo in range(0, replicates, size)]
+_WORK: tuple = ()  # (kernel, cells, seed) inside a pool worker
 
 
-def _run_chunked(worker: Callable[..., list], tasks: list[tuple], workers: int) -> list:
-    """Rows of ``worker(*task)`` for every task, concatenated in task order."""
+def _init_worker(*work) -> None:
+    global _WORK
+    _WORK = work
+
+
+def _chunk(position: int, reps: range, work: tuple = ()) -> list:
+    """Kernel results for replicates ``reps`` of cell ``position``; replicate
+    r of the cell with index k draws from ``substream(seed, k, r)``."""
+    kernel, cells, seed = work or _WORK
+    cell_index, seq = cells[position]
+    return [kernel(seq, substream(seed, cell_index, rep)) for rep in reps]
+
+
+def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
+                seed: int, replicates: int, workers: int) -> list[list]:
+    """Each cell's ``replicates`` kernel results, in replicate order; about
+    four tasks a worker for each ``(cell_index, sequence)`` cell."""
+    size = math.ceil(replicates / min(replicates, workers * 4))
+    tasks = [(position, range(lo, min(lo + size, replicates)))
+             for position in range(len(cells)) for lo in range(0, replicates, size)]
+    work = (kernel, cells, seed)
     if workers <= 1 or len(tasks) <= 1:
-        results = [worker(*task) for task in tasks]
+        chunks = [_chunk(*task, work) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, *zip(*tasks)))
-    return [row for chunk in results for row in chunk]
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=work) as pool:
+            chunks = list(pool.map(_chunk, *zip(*tasks)))
+    results: list[list] = [[] for _ in cells]
+    for (position, _), chunk in zip(tasks, chunks):
+        results[position] += chunk
+    return results
+
+
+def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """Loops, parallel pairs, simple (0 or 1) and largest component of one
+    uniform pairing."""
+    report = project_components(sample_pairing(seq, rng))
+    return report.loops, report.parallel_pairs, int(report.simple), report.largest
+
+
+def _deviations(seq: DegreeSequence, rng: np.random.Generator, root: int,
+                track: tuple[int, ...]) -> list[float]:
+    """Trajectory deviation of each tracked degree over one exploration from
+    ``root``."""
+    trace = explore_component(seq, root, rng, record_trace=True)
+    dist = empirical_distribution(seq)
+    return [trajectory_deviation(trace, dist, j) for j in track]
+
+
+def _pairing_key(seq: DegreeSequence, rng: np.random.Generator) -> bytes:
+    return sample_pairing(seq, rng).key()
 
 
 class _PoissonRow(NamedTuple):
@@ -336,49 +372,15 @@ class _PoissonRow(NamedTuple):
     largest: int
 
 
-def _poisson_chunk(seq: DegreeSequence, seed: int, cell_index: int,
-                   reps: range) -> list[_PoissonRow]:
-    space = PointSpace.from_degree_sequence(seq)
-    rows = []
-    for rep in reps:
-        rng = substream(seed, cell_index, rep)
-        report = project_components(sample_pairing(space, rng))
-        rows.append(_PoissonRow(rep, report.loops, report.parallel_pairs,
-                                int(report.simple), report.largest))
-    return rows
-
-
-def _trajectory_chunk(seq: DegreeSequence, seed: int, cell_index: int, root: int,
-                      j_max: int, reps: range) -> list[tuple]:
-    dist = empirical_distribution(seq)
-    track = sorted(j for j in dist.counts if j <= j_max)
-    rows = []
-    for rep in reps:
-        rng = substream(seed, cell_index, rep)
-        trace = explore_component(seq, root, rng, record_trace=True)
-        for j in track:
-            rows.append((rep, j, trajectory_deviation(trace, dist, j)))
-    return rows
-
-
-def _oracle_chunk(seq: DegreeSequence, seed: int, cell_index: int,
-                  reps: range) -> list[tuple]:
-    space = PointSpace.from_degree_sequence(seq)
-    return [(rep, sample_pairing(space, substream(seed, cell_index, rep)).key())
-            for rep in reps]
-
-
 # ---------------------------------------------------------------------------
 # mode implementations
 
 def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     seq = resolve_degrees(config.degrees)
     nu_value = nu(empirical_distribution(seq))
-    rows = _run_chunked(
-        _poisson_chunk,
-        _chunks((seq, config.seed, 0), config.replicates, config.workers),
-        config.workers,
-    )
+    (results,) = _replicates(_project, [(0, seq)], config.seed,
+                             config.replicates, config.workers)
+    rows = [_PoissonRow(rep, *r) for rep, r in enumerate(results)]
     check = poisson_limit_check(rows, nu_value, min_reports=1)
     tol = config.tolerances
     verdicts = [
@@ -416,34 +418,36 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
     gammas, sizes, c, target_nu = _grid(config.grid)
     tol = config.tolerances
     built: list[tuple[float, int, DegreeSequence | ValueError]] = []
-    tasks: list[tuple] = []
-    for cell_index, (gamma, n) in enumerate((g, n) for g in gammas for n in sizes):
+    for gamma, n in ((g, n) for g in gammas for n in sizes):
         try:
-            seq = build_subpower_sequence(n, gamma, c, target_nu)
+            built.append((gamma, n, build_subpower_sequence(n, gamma, c, target_nu)))
         except ValueError as exc:  # build failure: record, keep the grid going
             built.append((gamma, n, exc))
-            continue
-        built.append((gamma, n, seq))
-        static = (seq, gamma, nu(empirical_distribution(seq)), config.seed, cell_index)
-        tasks += _chunks(static, config.replicates, config.workers)
-    records = _run_chunked(scaling_cell_records, tasks, config.workers)
+    sampled = [(cell_index, seq) for cell_index, (_, _, seq) in enumerate(built)
+               if not isinstance(seq, ValueError)]
+    results = iter(_replicates(_project, sampled, config.seed,
+                               config.replicates, config.workers))
     low, high = tol["max_degree_ratio_low"], tol["max_degree_ratio_high"]
     cells: list[dict] = []
     verdicts: list[Verdict] = []
-    done = 0  # every built cell contributes its replicates, in cell order
+    rows: list[list] = [["gamma", "n", "nu", "replicate", "largest", "normalized"]]
     for gamma, n, seq in built:
         if isinstance(seq, ValueError):
             cells.append({"gamma": gamma, "n": n, "error": str(seq)})
             continue
-        summary = summarize_scaling_cell(
-            records[done:done + config.replicates], seq.max_degree
-        )
-        done += config.replicates
-        ratio = summary.max_degree_ratio
+        nu_actual = nu(empirical_distribution(seq))
+        scale = n ** (1.0 / gamma) * math.log(n)
+        largest = [r[3] for r in next(results)]
+        normalized = [size / scale for size in largest]
+        rows += [[gamma, n, nu_actual, rep, size, norm]
+                 for rep, (size, norm) in enumerate(zip(largest, normalized))]
+        ratio = seq.max_degree / n ** (1.0 / gamma)
         cells.append({
-            "gamma": gamma, "n": n, "nu": summary.nu_actual,
+            "gamma": gamma, "n": n, "nu": nu_actual,
             "max_degree_ratio": ratio,
-            "q50": summary.q50, "q95": summary.q95, "q_max": summary.q_max,
+            "q50": float(np.quantile(normalized, 0.5)),
+            "q95": float(np.quantile(normalized, 0.95)),
+            "q_max": max(normalized),
         })
         verdicts.append(Verdict(
             f"max_degree_ratio[gamma={gamma},n={n}]",
@@ -459,10 +463,7 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
                 factor <= tol["scaling_factor"],
                 factor, 1.0, tol["scaling_factor"],
             ))
-    header = ["gamma", "n", "nu", "replicate", "largest", "normalized"]
-    rows = [[r.gamma, r.n, r.nu_actual, r.replicate, r.largest, r.normalized]
-            for r in records]
-    return [header] + rows, cells, verdicts
+    return rows, cells, verdicts
 
 
 def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
@@ -471,29 +472,28 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     tol = config.tolerances
     j_max = tol["trajectory_j_max"]
     root = int(np.argmax(seq.degrees))  # max-degree root stresses the path most
-    rows = _run_chunked(
-        _trajectory_chunk,
-        _chunks((seq, config.seed, 0, root, j_max), config.replicates,
-                config.workers),
-        config.workers,
-    )
+    track = tuple(sorted(j for j in dist.counts if j <= j_max))
+    (results,) = _replicates(partial(_deviations, root=root, track=track),
+                             [(0, seq)], config.seed, config.replicates,
+                             config.workers)
+    devs = np.array(results)  # one row per replicate, one column per degree
     cells = []
     verdicts = []
-    for j in sorted({r[1] for r in rows}):
-        devs = np.array([r[2] for r in rows if r[1] == j])
-        med = float(np.median(devs))
+    for j, column in zip(track, devs.T):
+        med = float(np.median(column))
         cells.append({
             "j": j,
             "median_deviation": med,
-            "max_deviation": float(devs.max()),
+            "max_deviation": float(column.max()),
         })
         verdicts.append(Verdict(
             f"median_deviation[j={j}]",
             med <= tol["trajectory_threshold"],
             med, 0.0, tol["trajectory_threshold"],
         ))
-    header = ["replicate", "j", "deviation"]
-    return [header] + [list(r) for r in rows], cells, verdicts
+    rows = [[rep, j, dev] for rep, row in enumerate(results)
+            for j, dev in zip(track, row)]
+    return [["replicate", "j", "deviation"]] + rows, cells, verdicts
 
 
 def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
@@ -510,13 +510,10 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
         "double_factorial": double_factorial_odd(seq.two_m // 2),
         "p_simple_exact": sum(map(is_simple, pairings)) / len(pairings),
     }
-    rows = _run_chunked(
-        _oracle_chunk,
-        _chunks((seq, config.seed, 0), config.replicates, config.workers),
-        config.workers,
-    )
+    (drawn,) = _replicates(_pairing_key, [(0, seq)], config.seed,
+                           config.replicates, config.workers)
     counts = np.zeros(len(pairings), dtype=np.int64)
-    for _, key in rows:
+    for key in drawn:
         counts[index[key]] += 1
     chi2_stat, p_value = stats.chisquare(counts)
     expected = config.replicates / len(pairings)
@@ -584,11 +581,24 @@ def run(config: ExperimentConfig) -> RunSummary:
     return summary
 
 
+def _first_buildable(gammas: list[float], sizes: list[int], c: float,
+                     target_nu: float) -> DegreeSequence:
+    """The grid's first cell that builds, trying the largest n first and
+    within each n the smallest gamma first; with none, the first cell's error."""
+    errors = []
+    for n in reversed(sizes):
+        for gamma in gammas:
+            try:
+                return build_subpower_sequence(n, gamma, c, target_nu)
+            except ValueError as exc:
+                errors.append(exc)
+    raise errors[0]
+
+
 def describe(config: ExperimentConfig) -> dict[str, Any]:
     """Dry-run report: scalar functionals and predictions, no sampling."""
     if config.mode == "scaling":
-        gammas, sizes, c, target_nu = _grid(config.grid)
-        seq = build_subpower_sequence(sizes[-1], gammas[0], c, target_nu)
+        seq = _first_buildable(*_grid(config.grid))
     else:
         seq = resolve_degrees(config.degrees)
     dist = empirical_distribution(seq)

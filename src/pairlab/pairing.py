@@ -42,9 +42,8 @@ class PointSpace:
 
     @classmethod
     def from_degree_sequence(cls, seq: DegreeSequence) -> "PointSpace":
-        owner = np.repeat(np.arange(seq.n, dtype=np.int64), seq.degrees)
-        owner.setflags(write=False)
-        return cls(owner=owner, degrees=seq.degrees)
+        """The sequence's cached layout; building a space costs nothing."""
+        return cls(owner=seq.owner, degrees=seq.degrees)
 
     @property
     def n(self) -> int:

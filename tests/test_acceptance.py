@@ -24,7 +24,6 @@ from pairlab.diagnostics import (
     exact_initial_drift,
     martingale_one_step_error,
     poisson_limit_check,
-    scaling_experiment,
     trajectory_deviation,
 )
 from pairlab.exploration import (
@@ -223,24 +222,28 @@ def test_criterion_6_trajectory():
     )
 
 
-def test_criterion_7_theorem_scaling():
+def test_criterion_7_theorem_scaling(tmp_path):
     """gamma in {3.5, 4.5}, n in {1e3, 1e4, 1e5}, 200 replicates per cell:
     the 95th percentile of C_n/(n^(1/gamma) ln n) varies by at most a factor
     of 3 across the n-grid, and max degree / n^(1/gamma) stays in
     [0.5, 1.5]; under 15 min."""
     t0 = time.monotonic()
-    _, summaries = scaling_experiment(
-        gammas=[3.5, 4.5],
-        sizes=[1_000, 10_000, 100_000],
-        replicates=200,
-        seed=707,
-        target_nu=0.9,
-    )
+    cells = run(ExperimentConfig.from_dict({
+        "mode": "scaling",
+        "replicates": 200,
+        "seed": 707,
+        "workers": 1,
+        "output_dir": str(tmp_path),
+        "grid": {"gammas": [3.5, 4.5], "sizes": [1_000, 10_000, 100_000],
+                 "target_nu": 0.9},
+    })).cells
+    errors = [cell["error"] for cell in cells if "error" in cell]
+    assert not errors, errors
     factors = {}
     for gamma in (3.5, 4.5):
-        q95s = [s.q95 for s in summaries if s.gamma == gamma]
+        q95s = [cell["q95"] for cell in cells if cell["gamma"] == gamma]
         factors[gamma] = max(q95s) / min(q95s)
-    ratios_ok = all(0.5 <= s.max_degree_ratio <= 1.5 for s in summaries)
+    ratios_ok = all(0.5 <= cell["max_degree_ratio"] <= 1.5 for cell in cells)
     elapsed = time.monotonic() - t0
     ok = all(f <= 3.0 for f in factors.values()) and ratios_ok and elapsed < 900.0
     verdict(

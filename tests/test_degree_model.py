@@ -2,6 +2,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +69,26 @@ class TestDegreeSequence:
         other = pickle.loads(pickle.dumps(seq))
         assert other == seq and hash(other) == hash(seq)
         assert other.offsets == seq.offsets
+
+    def test_owner_is_cached_and_read_only(self):
+        seq = DegreeSequence((2, 1, 3, 2))
+        owner = seq.owner
+        assert owner.dtype == np.int64
+        assert np.array_equal(owner, np.repeat(np.arange(seq.n), seq.degrees))
+        assert not owner.flags.writeable
+        with pytest.raises(ValueError):
+            owner[0] = 1
+        assert seq.owner is owner
+
+    def test_owner_stays_out_of_pickles(self):
+        seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
+        size = len(pickle.dumps(seq))
+        seq.owner  # populate the cache
+        assert len(pickle.dumps(seq)) == size
+        other = pickle.loads(pickle.dumps(seq))
+        assert "owner" not in vars(other)
+        assert np.array_equal(other.owner, seq.owner)
+        assert not other.owner.flags.writeable
 
 
 class TestEmpiricalDistribution:

@@ -21,7 +21,6 @@ from pairlab.diagnostics import (
     martingale_value,
     poisson_limit_check,
     predict_trajectory,
-    scaling_experiment,
     trajectory_deviation,
 )
 from pairlab.exploration import explore_component, start_exploration
@@ -211,29 +210,3 @@ class TestPoissonCheck:
     def test_sample_floor(self):
         with pytest.raises(InsufficientSamplesError):
             poisson_limit_check([], 1.0)
-
-
-class TestScalingExperiment:
-    def test_records_and_summaries(self):
-        records, summaries = scaling_experiment(
-            gammas=[3.5], sizes=[500, 1000], replicates=20, seed=99
-        )
-        assert len(records) == 40
-        for rec in records:
-            assert rec.normalized > 0
-            assert rec.largest <= rec.n
-        for cell in summaries:
-            assert 0.5 <= cell.max_degree_ratio <= 1.5
-            assert cell.q50 <= cell.q95 <= cell.q_max
-
-    def test_deterministic(self):
-        a, _ = scaling_experiment([3.5], [500], replicates=5, seed=7)
-        b, _ = scaling_experiment([3.5], [500], replicates=5, seed=7)
-        assert a == b
-
-    def test_max_degree_monotone_in_n(self):
-        _, summaries = scaling_experiment(
-            gammas=[4.0], sizes=[500, 2000, 8000], replicates=3, seed=1
-        )
-        caps = [s.max_degree_ratio * s.n ** (1 / s.gamma) for s in summaries]
-        assert caps == sorted(caps)

@@ -1,20 +1,24 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairlab
+import pairlab.harness
 from pairlab.cli import main as cli_main
 from pairlab.degree_model import build_subpower_sequence, write_degree_file
 from pairlab.harness import (
@@ -115,6 +119,26 @@ class TestDescribe:
         assert report["predicted_p_simple"] == 1.0
         assert report["predicted_attempts"] == 1.0
 
+    def test_scaling_describes_first_cell_that_builds(self, tmp_path, capsys):
+        # the largest n at the smallest gamma (3.5) fails for this target;
+        # n = 1000 at gamma = 4.5 builds, as it does in ``run``
+        (scaling,) = [c for c in DIGEST_CONFIGS if c["mode"] == "scaling"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(scaling))
+        assert cli_main(["describe", "-c", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 1000
+        assert report["max_degree"] <= report["degree_cap"]
+
+    def test_scaling_grid_that_never_builds_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "scaling",
+            "grid": {"gammas": [3.5], "sizes": [300, 1000], "target_nu": 0.2},
+        }))
+        assert cli_main(["describe", "-c", str(cfg)]) == 2
+        assert "error: no scale" in capsys.readouterr().err
+
     def test_subpower_reports_negative_molloy_reed(self, tmp_path):
         report = describe(make_config(
             tmp_path,
@@ -194,6 +218,65 @@ class TestRunModes:
         names = [v.name for v in summary.verdicts]
         assert any(name.startswith("q95_factor") for name in names)
         assert any(name.startswith("max_degree_ratio") for name in names)
+
+
+def scaling_run(tmp_path, gammas, sizes, replicates, seed, out="out"):
+    """A scaling run at the grid defaults (c = 1, target_nu = 0.9), and its
+    CSV records."""
+    summary = run(ExperimentConfig.from_dict({
+        "mode": "scaling", "replicates": replicates, "seed": seed,
+        "output_dir": str(tmp_path / out),
+        "grid": {"gammas": gammas, "sizes": sizes},
+    }))
+    with open(summary.artifacts[0], newline="") as fh:
+        return summary, list(csv.DictReader(fh))
+
+
+class TestScalingMode:
+    def test_records_and_summaries(self, tmp_path):
+        summary, records = scaling_run(tmp_path, [3.5], [500, 1000], 20, seed=99)
+        assert len(records) == 40
+        for rec in records:
+            assert float(rec["normalized"]) > 0
+            assert int(rec["largest"]) <= int(rec["n"])
+        assert len(summary.cells) == 2
+        for cell in summary.cells:
+            assert 0.5 <= cell["max_degree_ratio"] <= 1.5
+            assert cell["q50"] <= cell["q95"] <= cell["q_max"]
+
+    def test_deterministic(self, tmp_path):
+        a = scaling_run(tmp_path, [3.5], [500], 5, seed=7, out="a")
+        b = scaling_run(tmp_path, [3.5], [500], 5, seed=7, out="b")
+        assert a[1] == b[1] and len(a[1]) == 5
+        assert a[0].cells == b[0].cells
+
+    def test_max_degree_monotone_in_n(self, tmp_path):
+        summary, _ = scaling_run(tmp_path, [4.0], [500, 2000, 8000], 3, seed=1)
+        caps = [c["max_degree_ratio"] * c["n"] ** (1 / c["gamma"])
+                for c in summary.cells]
+        assert len(caps) == 3 and caps == sorted(caps)
+
+    def test_pool_tasks_carry_no_sequence(self, tmp_path, monkeypatch):
+        # the sequences reach each worker once, through the pool's
+        # initializer; a task names a cell and a replicate range only
+        task_bytes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(pairlab.harness, "ProcessPoolExecutor", RecordingPool)
+        seq = build_subpower_sequence(100_000, 3.5, 1.0, 0.9)
+        assert len(pickle.dumps(seq)) > 100_000
+        summary = run(ExperimentConfig.from_dict({
+            "mode": "scaling", "replicates": 4, "seed": 3, "workers": 2,
+            "output_dir": str(tmp_path / "out"),
+            "grid": {"gammas": [3.5], "sizes": [100_000]},
+        }))
+        assert "error" not in summary.cells[0]
+        assert len(task_bytes) == 4
+        assert max(task_bytes) < 1024
 
 
 class TestDeterminism:
@@ -562,12 +645,22 @@ ARTIFACT_DIGESTS = {
 }
 
 
-def test_artifact_digests(tmp_path):
+def _digests(tmp_path, workers: int) -> dict[str, str]:
     got = {}
     for data in DIGEST_CONFIGS:
         summary = run(ExperimentConfig.from_dict(
-            {**data, "output_dir": str(tmp_path / data["mode"])}))
+            {**data, "workers": workers,
+             "output_dir": str(tmp_path / data["mode"])}))
         for artifact in summary.artifacts:
             path = Path(artifact)
             got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == ARTIFACT_DIGESTS
+    return got
+
+
+def test_artifact_digests(tmp_path):
+    assert _digests(tmp_path, workers=1) == ARTIFACT_DIGESTS
+
+
+def test_artifact_digests_through_pool(tmp_path):
+    # every mode through the process pool, scaling's error cells included
+    assert _digests(tmp_path, workers=2) == ARTIFACT_DIGESTS

@@ -61,6 +61,15 @@ class TestPointSpace:
         assert list(space.owner) == [0, 1, 1, 2, 2, 3, 3, 3]
         assert list(space.owner[seq.offsets[3]:seq.offsets[4]]) == [3, 3, 3]
 
+    def test_wraps_the_sequence_layout(self):
+        seq = DegreeSequence((3, 1, 2, 2, 1, 3))
+        assert PointSpace.from_degree_sequence(seq).owner is seq.owner
+        for rep in range(5):
+            direct = sample_pairing(seq, substream(17, rep))
+            spaced = sample_pairing(PointSpace.from_degree_sequence(seq),
+                                    substream(17, rep))
+            assert np.array_equal(direct.pairs, spaced.pairs)
+
 
 class TestEnumeration:
     def test_single_pairing(self):
