@@ -70,9 +70,8 @@ class DegreeSequence:
             raise DegreeSequenceError("need at least 2 vertices")
         # multigraph instances like (2, 2) or (3, 3) are legal: the pairing
         # model needs only positivity and parity, not d_i < n
-        for d in self.degrees:
-            if d < 1:
-                raise DegreeSequenceError(f"degree {d} < 1")
+        if min(self.degrees) < 1:
+            raise DegreeSequenceError(f"degree {min(self.degrees)} < 1")
         if sum(self.degrees) % 2 != 0:
             raise DegreeSequenceError("sum of degrees is odd")
         if (self.gamma is None) != (self.c is None):
@@ -299,14 +298,20 @@ def build_subpower_sequence(
     if cap >= n:  # every degree stays below n, so none reaches the cap
         raise infeasible
 
-    def try_scale(scale: float) -> tuple[int, ...] | None:
-        degrees = _assemble(n, _counts_for_scale(n, gamma, scale, cap))
-        if degrees is None or max(degrees) >= n:
+    def try_scale(scale: float) -> dict[int, int] | None:
+        # nu of _assemble's sequence from the counts alone: filler degree-1
+        # vertices add 1 to sum d and 0 to sum d(d-1), and the parity repair
+        # turns one of them into a 2, adding 1 and 2
+        counts = _counts_for_scale(n, gamma, scale, cap)
+        filler = n - sum(counts.values())
+        s1 = sum(j * k for j, k in counts.items()) + filler
+        s2 = sum(j * (j - 1) * k for j, k in counts.items())
+        repair = s1 % 2
+        if filler < repair or max(counts, default=1 + repair) >= n:
+            return None  # too many heavy vertices, or no filler to repair
+        if Fraction(s2 + 2 * repair, s1 + repair) > target_nu:
             return None
-        dist = empirical_distribution(DegreeSequence(degrees))
-        if nu_exact(dist) > target_nu:
-            return None
-        return degrees
+        return counts
 
     if cap < 2:
         degrees = _assemble(n, {})
@@ -317,19 +322,18 @@ def build_subpower_sequence(
             return DegreeSequence(degrees)
         return DegreeSequence(degrees, gamma=gamma, c=c)
 
-    degrees = try_scale(c)
-    if degrees is None:
+    counts = try_scale(c)
+    if counts is None:
         lo, hi = 0.0, c  # feasible scales form (0, x]; bisect for x
-        best = None
         for _ in range(80):
             mid = (lo + hi) / 2
             cand = try_scale(mid)
             if cand is None:
                 hi = mid
             else:
-                best = cand
+                counts = cand
                 lo = mid
-        degrees = best
+    degrees = None if counts is None else _assemble(n, counts)
     if degrees is None or degrees.count(cap) < 1:
         raise infeasible
     return DegreeSequence(degrees, gamma=gamma, c=c)

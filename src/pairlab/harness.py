@@ -1,7 +1,8 @@
 """Declarative experiment runner with seeded, scheduling-independent output.
 
 A config (JSON file) picks a mode, a degree specification, a replicate count
-and a seed; ``run`` executes the replicates (optionally on a process pool),
+and a seed; ``run`` executes the replicates (in the parent, handing the rest
+to a process pool when they outlast the pool's start-up cost),
 writes a records CSV plus a summary JSON, and returns pass/fail verdicts with
 the tolerances that produced them.  Replicate streams come from
 ``substream(seed, cell_index, replicate_index)``, so artifacts are
@@ -16,8 +17,8 @@ import hashlib
 import json
 import logging
 import math
+import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -306,6 +307,10 @@ class RunSummary:
 # position and a range of its replicates; the kernel, the cells and the seed
 # reach each pool worker once, through the pool's initializer.
 
+# Measured cost of starting a 2-worker fork pool on a 2-core VM: replicates
+# that finish within it are cheaper run in the parent than sent to a pool.
+_POOL_START_S = 0.03
+
 _WORK: tuple = ()  # (kernel, cells, seed) inside a pool worker
 
 
@@ -314,31 +319,66 @@ def _init_worker(*work) -> None:
     _WORK = work
 
 
-def _chunk(position: int, reps: range, work: tuple = ()) -> list:
-    """Kernel results for replicates ``reps`` of cell ``position``; replicate
-    r of the cell with index k draws from ``substream(seed, k, r)``."""
-    kernel, cells, seed = work or _WORK
+def _chunk(position: int, reps: range) -> list:
+    """In a pool worker, kernel results for replicates ``reps`` of cell
+    ``position``; replicate r of the cell with index k draws from
+    ``substream(seed, k, r)``."""
+    kernel, cells, seed = _WORK
     cell_index, seq = cells[position]
     return [kernel(seq, substream(seed, cell_index, rep)) for rep in reps]
 
 
+def _in_parent(work: tuple, tasks: list[tuple[int, range]], results: list[list],
+               budget: float) -> tuple[int, list[tuple[int, range]]]:
+    """Run ``tasks`` in order into ``results`` until ``budget`` seconds have
+    passed since the first replicate ended, while more than one task is
+    left.  Returns the replicates run and the tasks left, a task cut short
+    as its remainder."""
+    kernel, cells, seed = work
+    deadline = math.inf
+    done = 0
+    for i, (position, reps) in enumerate(tasks):
+        cell_index, seq = cells[position]
+        for j, rep in enumerate(reps):
+            if i < len(tasks) - 1 and time.perf_counter() >= deadline:
+                return done, [(position, reps[j:])] + tasks[i + 1:]
+            results[position].append(kernel(seq, substream(seed, cell_index, rep)))
+            done += 1
+            if done == 1:
+                deadline = time.perf_counter() + budget
+    return done, []
+
+
 def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
                 seed: int, replicates: int, workers: int) -> list[list]:
-    """Each cell's ``replicates`` kernel results, in replicate order; about
-    four tasks a worker for each ``(cell_index, sequence)`` cell."""
+    """Each cell's ``replicates`` kernel results, in replicate order.
+
+    The work is cut into about four tasks a worker for each
+    ``(cell_index, sequence)`` cell.  The parent runs them itself until
+    ``_POOL_START_S`` has passed since its first replicate ended (that one
+    pays numpy.random's one-time import, which the workers then inherit);
+    only if more than one task is left does a pool of at most ``workers``
+    processes take the rest.
+    """
     size = math.ceil(replicates / min(replicates, workers * 4))
     tasks = [(position, range(lo, min(lo + size, replicates)))
              for position in range(len(cells)) for lo in range(0, replicates, size)]
     work = (kernel, cells, seed)
-    if workers <= 1 or len(tasks) <= 1:
-        chunks = [_chunk(*task, work) for task in tasks]
-    else:
-        with ProcessPoolExecutor(workers, initializer=_init_worker,
-                                 initargs=work) as pool:
-            chunks = list(pool.map(_chunk, *zip(*tasks)))
     results: list[list] = [[] for _ in cells]
-    for (position, _), chunk in zip(tasks, chunks):
-        results[position] += chunk
+    done, left = _in_parent(work, tasks, results,
+                            _POOL_START_S if workers > 1 else math.inf)
+    if not left:
+        log.info("replicates: %d in the parent, serial", done)
+        return results
+    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
+    pool_workers = min(workers, len(left))
+    log.info("replicates: %d in the parent, %d tasks to a pool of %d workers",
+             done, len(left), pool_workers)
+    with ProcessPoolExecutor(pool_workers, initializer=_init_worker,
+                             initargs=work) as pool:
+        for (position, _), chunk in zip(left, pool.map(_chunk, *zip(*left))):
+            results[position] += chunk
     return results
 
 
@@ -476,15 +516,15 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     (results,) = _replicates(partial(_deviations, root=root, track=track),
                              [(0, seq)], config.seed, config.replicates,
                              config.workers)
-    devs = np.array(results)  # one row per replicate, one column per degree
     cells = []
     verdicts = []
-    for j, column in zip(track, devs.T):
-        med = float(np.median(column))
+    # statistics.median: np.median's first call imports numpy.ma (~12 ms)
+    for j, column in zip(track, zip(*results)):  # one column per degree
+        med = statistics.median(column)
         cells.append({
             "j": j,
             "median_deviation": med,
-            "max_deviation": float(column.max()),
+            "max_deviation": max(column),
         })
         verdicts.append(Verdict(
             f"median_deviation[j={j}]",

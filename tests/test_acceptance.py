@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
+import pairlab.harness
 from pairlab.degree_model import (
     DegreeSequence,
     build_subpower_sequence,
@@ -312,9 +313,11 @@ def test_criterion_8_pipeline_agreement():
     )
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     """Identical config and seed yield byte-identical artifacts at worker
     counts 1 and 8."""
+    # the pool must run, however quickly the parent could finish alone
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
     base_poisson = {
         "mode": "poisson_check",
         "replicates": 240,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -10,6 +11,8 @@ from pairlab.degree_model import (
     DegreeSequence,
     DegreeSequenceError,
     InfeasibleTargetError,
+    _assemble,
+    _counts_for_scale,
     build_subpower_sequence,
     degree_cap,
     empirical_distribution,
@@ -221,6 +224,57 @@ class TestBuildSubpower:
     def test_output_validates(self):
         seq = build_subpower_sequence(4000, 3.5, 1.0, 0.9)
         assert validate_subpower(seq, 3.5, 1.0).valid
+
+
+def _whole_sequence_build(n, gamma, c, target_nu):
+    """build_subpower_sequence's search with every trial scale assembling and
+    measuring the whole sequence, for 2 <= cap < n: the degrees (None when
+    infeasible) and whether the bisection ran."""
+    cap = degree_cap(n, gamma, c)
+
+    def try_scale(scale):
+        degrees = _assemble(n, _counts_for_scale(n, gamma, scale, cap))
+        if degrees is None or max(degrees) >= n:
+            return None
+        if nu_exact(empirical_distribution(DegreeSequence(degrees))) > target_nu:
+            return None
+        return degrees
+
+    degrees = try_scale(c)
+    bisected = degrees is None
+    if bisected:
+        lo, hi = 0.0, c
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            cand = try_scale(mid)
+            if cand is None:
+                hi = mid
+            else:
+                degrees, lo = cand, mid
+    if degrees is None or degrees.count(cap) < 1:
+        return None, bisected
+    return degrees, bisected
+
+
+def test_build_matches_whole_sequence_trials():
+    # the search measures nu from the counts alone; it must pick the same
+    # sequence, or fail, wherever the whole-sequence search did
+    outcomes = []
+    for n, gamma, c, target in itertools.product(
+            (3, 10, 57, 300, 1000, 4001), (3.2, 3.5, 4.5), (0.5, 1.0, 3.0),
+            (0.05, 0.2, 0.55, 0.9, 1.0)):
+        if not 2 <= degree_cap(n, gamma, c) < n:
+            continue
+        expected, bisected = _whole_sequence_build(n, gamma, c, target)
+        if expected is None:
+            with pytest.raises(InfeasibleTargetError):
+                build_subpower_sequence(n, gamma, c, target)
+        else:
+            seq = build_subpower_sequence(n, gamma, c, target)
+            assert (seq.degrees, seq.gamma, seq.c) == (expected, gamma, c)
+        outcomes.append((expected is not None, bisected))
+    # every branch is covered: built with and without bisection, and refused
+    assert {(True, False), (True, True), (False, True)} <= set(outcomes)
 
 
 class TestValidateSubpower:

@@ -1,11 +1,15 @@
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
+import logging
 import math
 import os
 import pickle
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -14,6 +18,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,6 +264,7 @@ class TestScalingMode:
     def test_pool_tasks_carry_no_sequence(self, tmp_path, monkeypatch):
         # the sequences reach each worker once, through the pool's
         # initializer; a task names a cell and a replicate range only
+        monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
         task_bytes = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -266,7 +272,7 @@ class TestScalingMode:
                 task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(pairlab.harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         seq = build_subpower_sequence(100_000, 3.5, 1.0, 0.9)
         assert len(pickle.dumps(seq)) > 100_000
         summary = run(ExperimentConfig.from_dict({
@@ -275,12 +281,14 @@ class TestScalingMode:
             "grid": {"gammas": [3.5], "sizes": [100_000]},
         }))
         assert "error" not in summary.cells[0]
-        assert len(task_bytes) == 4
+        # four one-replicate tasks; the parent runs the first
+        assert len(task_bytes) == 3
         assert max(task_bytes) < 1024
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
         base = {
             "mode": "poisson_check",
             "replicates": 120,
@@ -485,9 +493,9 @@ def _exit_code(argv: list[str]) -> int:
         return cli_main(argv)
 
 
-def _scipy_modules_after(tmp_path, configs: list[dict]) -> tuple[list, list]:
+def _modules_after(tmp_path, configs: list[dict]) -> tuple[list, list]:
     """Exit codes of ``pairlab run`` on each config in one fresh interpreter,
-    and the scipy modules loaded by the end."""
+    and the modules loaded by the end."""
     for i, config in enumerate(configs):
         (tmp_path / f"cfg{i}.json").write_text(json.dumps(config))
     script = textwrap.dedent("""
@@ -497,8 +505,7 @@ def _scipy_modules_after(tmp_path, configs: list[dict]) -> tuple[list, list]:
         out = Path(sys.argv[1])
         codes = [main(["run", "-c", str(out / f"cfg{i}.json"), "-o", str(out)])
                  for i in range(int(sys.argv[2]))]
-        mods = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        (out / "result.json").write_text(json.dumps([codes, mods]))
+        (out / "result.json").write_text(json.dumps([codes, sorted(sys.modules)]))
     """)
     src = str(Path(pairlab.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -509,18 +516,36 @@ def _scipy_modules_after(tmp_path, configs: list[dict]) -> tuple[list, list]:
 
 
 def test_projection_runs_load_no_scipy(tmp_path):
-    codes, mods = _scipy_modules_after(tmp_path, [
+    codes, mods = _modules_after(tmp_path, [
         {"mode": "poisson_check", "replicates": 5, "seed": 1,
          "degrees": {"kind": "regular", "n": 50, "d": 3}},
         {"mode": "scaling", "replicates": 3, "seed": 2,
          "grid": {"gammas": [3.5], "sizes": [400, 800], "target_nu": 0.9}},
     ])
     assert all(code in (0, 1) for code in codes)  # both ran to verdicts
-    assert mods == []
+    assert [m for m in mods if m.split(".")[0] == "scipy"] == []
+
+
+def test_serial_trajectory_run_loads_no_pool_and_no_numpy_ma(tmp_path):
+    codes, mods = _modules_after(tmp_path, [
+        {"mode": "trajectory", "replicates": 4, "seed": 4, "workers": 1,
+         "degrees": {"kind": "subpower", "n": 2000, "gamma": 3.5,
+                     "c": 1.0, "target_nu": 0.9}},
+    ])
+    assert codes in ([0], [1])  # ran to verdicts
+    assert [m for m in mods if m.split(".")[0] == "multiprocessing"
+            or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+@given(st.lists(st.floats(0, 1), min_size=1, max_size=40))
+def test_trajectory_median_is_numpy_median(column):
+    # trajectory takes its medians with statistics.median, which must give
+    # the float np.median gave, at odd and even counts alike
+    assert statistics.median(column) == float(np.median(column))
 
 
 def test_oracle_run_loads_scipy_stats(tmp_path):
-    codes, mods = _scipy_modules_after(tmp_path, [
+    codes, mods = _modules_after(tmp_path, [
         {"mode": "oracle_validation", "replicates": 50, "seed": 3,
          "degrees": {"kind": "explicit", "degrees": [2, 2]}},
     ])
@@ -661,6 +686,67 @@ def test_artifact_digests(tmp_path):
     assert _digests(tmp_path, workers=1) == ARTIFACT_DIGESTS
 
 
-def test_artifact_digests_through_pool(tmp_path):
+def test_artifact_digests_through_pool(tmp_path, monkeypatch):
     # every mode through the process pool, scaling's error cells included
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
     assert _digests(tmp_path, workers=2) == ARTIFACT_DIGESTS
+
+
+def test_pool_takes_over_partway_through_a_task(tmp_path, monkeypatch, caplog):
+    # a clock that ticks once a read: the parent runs 3 replicates, then
+    # hands the rest to the pool; poisson and oracle have 8 tasks of 8 and
+    # 38 replicates, so their first task goes over cut short
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 2.5)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    assert _digests(tmp_path, workers=2) == ARTIFACT_DIGESTS
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("replicates:")] == [
+        "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
+        "replicates: 3 in the parent, 29 tasks to a pool of 2 workers",
+        "replicates: 3 in the parent, 3 tasks to a pool of 2 workers",
+        "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
+    ]
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a pool was started")
+
+
+_SMALL_POISSON = {"mode": "poisson_check", "replicates": 4, "seed": 5,
+                  "degrees": {"kind": "regular", "n": 50, "d": 3}}
+
+
+def test_run_within_budget_starts_no_pool(tmp_path, monkeypatch):
+    # four replicates of well under a millisecond each fit the pool's
+    # start-up cost, so a 2-worker run does them in the parent
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    blobs = []
+    for workers in (1, 2):
+        summary = run(ExperimentConfig.from_dict(
+            {**_SMALL_POISSON, "workers": workers,
+             "output_dir": str(tmp_path / f"w{workers}")}))
+        blobs.append([Path(a).read_bytes() for a in summary.artifacts])
+    assert blobs[0] == blobs[1]
+
+
+def test_one_worker_never_starts_a_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
+    run(ExperimentConfig.from_dict(
+        {**_SMALL_POISSON, "workers": 1, "output_dir": str(tmp_path)}))
+
+
+@pytest.mark.parametrize("budget, message", [
+    (None, "replicates: 4 in the parent, serial"),
+    (0, "replicates: 1 in the parent, 3 tasks to a pool of 2 workers"),
+])
+def test_dispatch_path_is_logged(tmp_path, monkeypatch, caplog, budget, message):
+    if budget is not None:
+        monkeypatch.setattr(pairlab.harness, "_POOL_START_S", budget)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    run(ExperimentConfig.from_dict(
+        {**_SMALL_POISSON, "workers": 2, "output_dir": str(tmp_path)}))
+    assert message in [r.getMessage() for r in caplog.records]
