@@ -69,18 +69,19 @@ class DegreeSequence:
         if n < 2:
             raise DegreeSequenceError("need at least 2 vertices")
         # multigraph instances like (2, 2) or (3, 3) are legal: the pairing
-        # model needs only positivity and parity, not d_i < n
-        if min(self.degrees) < 1:
-            raise DegreeSequenceError(f"degree {min(self.degrees)} < 1")
-        if sum(self.degrees) % 2 != 0:
+        # model needs only positivity and parity, not d_i < n; both are read
+        # from the histogram, which costs one pass over the degrees
+        if min(self.histogram) < 1:
+            raise DegreeSequenceError(f"degree {min(self.histogram)} < 1")
+        if self.two_m % 2 != 0:
             raise DegreeSequenceError("sum of degrees is odd")
         if (self.gamma is None) != (self.c is None):
             raise DegreeSequenceError("gamma and c must be given together")
         if self.gamma is not None:
             cap = degree_cap(n, self.gamma, self.c)
-            if max(self.degrees) > cap:
+            if self.max_degree > cap:
                 raise DegreeSequenceError(
-                    f"max degree {max(self.degrees)} exceeds cap {cap}"
+                    f"max degree {self.max_degree} exceeds cap {cap}"
                 )
 
     @property
@@ -90,7 +91,7 @@ class DegreeSequence:
     @cached_property
     def two_m(self) -> int:
         """Total number of half-edge points (= twice the edge count)."""
-        return sum(self.degrees)
+        return sum(j * k for j, k in self.histogram.items())
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
@@ -115,7 +116,7 @@ class DegreeSequence:
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees)
+        return max(self.histogram)
 
 
 @dataclass(frozen=True)
@@ -209,22 +210,16 @@ class SubpowerReport:
 
     per_degree_ok: dict[int, bool]
     max_degree_ok: bool
-    parity_ok: bool
-    positivity_ok: bool
     cap: int
 
     @property
     def valid(self) -> bool:
-        return (
-            all(self.per_degree_ok.values())
-            and self.max_degree_ok
-            and self.parity_ok
-            and self.positivity_ok
-        )
+        # parity and positivity need no verdict: DegreeSequence refuses both
+        return all(self.per_degree_ok.values()) and self.max_degree_ok
 
 
 def validate_subpower(seq: DegreeSequence, gamma: float, c: float) -> SubpowerReport:
-    """Check n*p_j <= c*n*j**-gamma + 1 per degree, plus cap/parity/positivity.
+    """Check n*p_j <= c*n*j**-gamma + 1 per degree, plus the degree cap.
 
     The +1 slack absorbs the single vertex moved by parity repair.
     """
@@ -237,8 +232,6 @@ def validate_subpower(seq: DegreeSequence, gamma: float, c: float) -> SubpowerRe
     return SubpowerReport(
         per_degree_ok=per_degree,
         max_degree_ok=max(counts) <= cap + 1,
-        parity_ok=sum(seq.degrees) % 2 == 0,
-        positivity_ok=min(counts) >= 1,
         cap=cap,
     )
 

@@ -27,26 +27,23 @@ class InsufficientSamplesError(ValueError):
     """Too few reports for a meaningful statistical check."""
 
 
-def depletion_factors(j: int, t: int, total_points: int) -> np.ndarray:
-    """Factors (1 - j/(2m - 2*tau - 1)) for tau = 0 .. t-1.
+def depletion_products(j: int, t_max: int, total_points: int) -> np.ndarray:
+    """Running products of (1 - j/(2m - 2*tau - 1)) over tau < t, for
+    t = 0 .. t_max; entry 0 is the empty product 1.
 
     Defined up to t = m, where the last denominator reaches 1.
     """
-    if 2 * (t - 1) >= total_points - 1:
-        raise HorizonExceededError(f"t = {t} beyond horizon m = {total_points // 2}")
-    denom = total_points - 2 * np.arange(t, dtype=np.float64) - 1
-    return 1.0 - j / denom
+    if 2 * (t_max - 1) >= total_points - 1:
+        raise HorizonExceededError(
+            f"t = {t_max} beyond horizon m = {total_points // 2}"
+        )
+    denom = total_points - 2 * np.arange(t_max, dtype=np.float64) - 1
+    return np.concatenate([[1.0], np.cumprod(1.0 - j / denom)])
 
 
 def depletion_product(j: int, t: int, total_points: int) -> float:
-    """Product of the depletion factors up to step t (empty product at t=0)."""
-    return float(np.prod(depletion_factors(j, t, total_points)))
-
-
-def depletion_products(j: int, t_max: int, total_points: int) -> np.ndarray:
-    """Running products for t = 0 .. t_max; entry 0 is 1."""
-    factors = depletion_factors(j, t_max, total_points)
-    return np.concatenate([[1.0], np.cumprod(factors)])
+    """The running product at step t (the empty product 1 at t = 0)."""
+    return float(depletion_products(j, t, total_points)[-1])
 
 
 def martingale_value(snapshot: StateSnapshot, j: int) -> float:
@@ -137,15 +134,12 @@ class DriftEstimate:
 
 def drift_estimate(traces: list[ExplorationTrace], window: int) -> DriftEstimate:
     """Mean observed delta-A over steps t <= window, pooled across traces."""
-    deltas = [
-        rec.delta_active
-        for trace in traces
-        for rec in trace.steps
-        if rec.t <= window
-    ]
-    if not deltas:
+    first = max(window, 0)
+    arr = np.concatenate(
+        [np.empty(0)] + [np.diff(trace.active_series())[:first] for trace in traces]
+    )
+    if not arr.size:
         raise ValueError("no steps inside the window")
-    arr = np.array(deltas, dtype=np.float64)
     sem = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return DriftEstimate(mean=float(arr.mean()), sem=sem, steps=len(arr))
 

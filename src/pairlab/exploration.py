@@ -24,7 +24,6 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +38,6 @@ class ConservationError(AssertionError):
 
 class CannotStepError(RuntimeError):
     """No active points remain; the current component is complete."""
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One transition: resulting time t, A(t), and what the partner was."""
-
-    t: int
-    active: int
-    delta_active: int
-    partner_degree: int  # 0 when the partner point was already active
 
 
 @dataclass(frozen=True)
@@ -74,24 +63,22 @@ class ExplorationTrace:
     n: int
     total_points: int
     initial_inactive_counts: dict[int, int]
-    steps: tuple[StepRecord, ...]
+    steps: tuple[int, ...]  # each step's partner degree, 0 for an active partner
     stop_time: int
     component_size: int
 
     def active_series(self) -> np.ndarray:
-        """A(t) for t = 0 .. number of recorded steps."""
-        return np.concatenate(
-            [[self.root_degree], [rec.active for rec in self.steps]]
-        ).astype(np.int64)
+        """A(t) for t = 0 .. number of recorded steps: a partner of degree d
+        adds d - 2 active points, an active partner (d = 0) removes 2."""
+        degrees = np.array(self.steps, dtype=np.int64)
+        delta = np.where(degrees == 0, -2, degrees - 2)
+        return self.root_degree + np.concatenate([[0], np.cumsum(delta)])
 
     def inactive_series(self, j: int) -> np.ndarray:
-        """I_j(t) for t = 0 .. number of recorded steps."""
-        start = self.initial_inactive_counts.get(j, 0)
-        drops = np.array(
-            [1 if rec.partner_degree == j else 0 for rec in self.steps],
-            dtype=np.int64,
-        )
-        return start - np.concatenate([[0], np.cumsum(drops)])
+        """I_j(t) for t = 0 .. number of recorded steps: each partner of
+        degree j removes one inactive vertex of degree j."""
+        drops = np.cumsum(np.array(self.steps, dtype=np.int64) == j)
+        return self.initial_inactive_counts.get(j, 0) - np.concatenate([[0], drops])
 
 
 class ExplorationState:
@@ -104,9 +91,10 @@ class ExplorationState:
     ``_index`` (point -> pool index) record only the entries that moved.
 
     Every transition goes through ``_advance(x)``, which consumes one uniform
-    ``x``.  ``step`` feeds it one ``rng.random()`` and returns a record; the
-    drivers feed it blocks of ceil(A/2) uniforms, the fewest steps left with
-    A active points, so no value drawn goes unused (see the module docstring).
+    ``x``.  ``step`` feeds it one ``rng.random()`` and returns the partner's
+    degree; the drivers feed it blocks of ceil(A/2) uniforms, the fewest steps
+    left with A active points, so no value drawn goes unused (see the module
+    docstring).
     """
 
     def __init__(self, seq: DegreeSequence):
@@ -128,11 +116,6 @@ class ExplorationState:
         self.t_global = 0  # pairs matched overall
         self.t = 0  # steps since the current root was activated
         self.cluster_size = 0
-
-    @cached_property
-    def space(self) -> PointSpace:
-        """Built on first use; only ``finished_pairing`` needs the owner map."""
-        return PointSpace.from_degree_sequence(self.seq)
 
     @property
     def pool(self) -> list[int]:
@@ -175,20 +158,12 @@ class ExplorationState:
             total_points=self.two_m,
         )
 
-    def step(self, rng: np.random.Generator) -> StepRecord:
-        """Match the first active point with a uniform unmatched partner."""
+    def step(self, rng: np.random.Generator) -> int:
+        """Match the first active point with a uniform unmatched partner;
+        returns the partner's degree, 0 when it was active."""
         if self.active == 0:
             raise CannotStepError("no active points")
-        return self._record(self._advance(rng.random()))
-
-    def _record(self, degree: int) -> StepRecord:
-        """The step just taken, given its partner degree."""
-        return StepRecord(
-            t=self.t,
-            active=self.active,
-            delta_active=degree - 2 if degree else -2,
-            partner_degree=degree,
-        )
+        return self._advance(rng.random())
 
     def _advance(self, x: float) -> int:
         """The one transition: match the first active point with the
@@ -258,7 +233,8 @@ class ExplorationState:
             raise RuntimeError("pairing incomplete")
         lower = sorted(s for s, t in self.mate.items() if s < t)
         pairs = np.array([(s, self.mate[s]) for s in lower], dtype=np.int64)
-        return Pairing(pairs=pairs.reshape(-1, 2), space=self.space)
+        return Pairing(pairs=pairs.reshape(-1, 2),
+                       space=PointSpace.from_degree_sequence(self.seq))
 
 
 def _walk(state: ExplorationState, rng: np.random.Generator) -> Iterator[int]:
@@ -294,11 +270,11 @@ def explore_component(
     """
     state = start_exploration(seq, v)
     initial = dict(state.inactive_counts)
-    steps: list[StepRecord] = []
+    steps: list[int] = []
     stop_time = 0
     for degree in _walk(state, rng):
         if record_trace:
-            steps.append(state._record(degree))
+            steps.append(degree)
         if stop_time == 0 and (state.active == 0 or state.inactive_points == 0):
             stop_time = state.t
     return ExplorationTrace(
@@ -338,7 +314,7 @@ def write_trace_csv(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "A", "delta_A", "partner_degree", "component_id"])
         for cid, trace in enumerate(traces):
-            for rec in trace.steps:
-                writer.writerow(
-                    [rec.t, rec.active, rec.delta_active, rec.partner_degree, cid]
-                )
+            active = trace.active_series()
+            rows = zip(active[1:].tolist(), np.diff(active).tolist(), trace.steps)
+            for t, (a, delta, degree) in enumerate(rows, 1):
+                writer.writerow([t, a, delta, degree, cid])

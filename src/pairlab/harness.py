@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .degree_model import (
     DegreeSequence,
+    EmpiricalDistribution,
     build_subpower_sequence,
     degree_cap,
     empirical_distribution,
@@ -390,11 +391,10 @@ def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, i
 
 
 def _deviations(seq: DegreeSequence, rng: np.random.Generator, root: int,
-                track: tuple[int, ...]) -> list[float]:
+                dist: EmpiricalDistribution, track: tuple[int, ...]) -> list[float]:
     """Trajectory deviation of each tracked degree over one exploration from
-    ``root``."""
+    ``root``; ``dist`` is the distribution of ``seq``."""
     trace = explore_component(seq, root, rng, record_trace=True)
-    dist = empirical_distribution(seq)
     return [trajectory_deviation(trace, dist, j) for j in track]
 
 
@@ -511,10 +511,11 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     dist = empirical_distribution(seq)
     tol = config.tolerances
     j_max = tol["trajectory_j_max"]
-    root = int(np.argmax(seq.degrees))  # max-degree root stresses the path most
+    # the first max-degree vertex: that root stresses the path most
+    root = seq.degrees.index(seq.max_degree)
     track = tuple(sorted(j for j in dist.counts if j <= j_max))
-    (results,) = _replicates(partial(_deviations, root=root, track=track),
-                             [(0, seq)], config.seed, config.replicates,
+    kernel = partial(_deviations, root=root, dist=dist, track=track)
+    (results,) = _replicates(kernel, [(0, seq)], config.seed, config.replicates,
                              config.workers)
     cells = []
     verdicts = []

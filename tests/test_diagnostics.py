@@ -167,10 +167,10 @@ class TestDrift:
             if state.is_active[s]:
                 deltas.append(-2)
             else:
-                deltas.append(seq.degrees[int(state.space.owner[s])] - 2)
+                deltas.append(seq.degrees[int(seq.owner[s])] - 2)
         # pool minus the point being matched: 2 other actives + 5 inactive
         by_hand = (2 * (-2) + sum(
-            seq.degrees[int(state.space.owner[s])] - 2
+            seq.degrees[int(seq.owner[s])] - 2
             for s in state.pool
             if not state.is_active[s]
         )) / (snap.active + snap.inactive_points - 1)

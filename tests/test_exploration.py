@@ -62,9 +62,8 @@ class TestStart:
 class TestStep:
     def test_forced_transition_two_singletons(self):
         state = start_exploration(D11, 0)
-        rec = state.step(substream(1))
-        assert rec.delta_active == -1
-        assert rec.partner_degree == 1
+        assert state.active == 1
+        assert state.step(substream(1)) == 1  # the partner's degree
         assert state.active == 0
         assert state.cluster_size == 2
 
@@ -73,11 +72,10 @@ class TestStep:
         seq = DegreeSequence((2, 2))
         state = start_exploration(seq, 0)
         rng = substream(2)
-        first = state.step(rng)
-        if first.partner_degree != 0:  # pulled in vertex 1; now I = 0, A = 2
-            rec = state.step(rng)
-            assert rec.delta_active == -2
-            assert rec.partner_degree == 0
+        if state.step(rng) != 0:  # pulled in vertex 1; now I = 0, A = 2
+            assert (state.active, state.inactive_points) == (2, 0)
+            assert state.step(rng) == 0
+            assert state.active == 0
 
     def test_cannot_step_when_component_done(self):
         state = start_exploration(D11, 0)
@@ -161,14 +159,18 @@ class TestSparsePool:
 
 
 def _component_by_steps(seq, v, rng):
-    """Reference for ``explore_component``: one ``step`` (one uniform) at a time."""
+    """Reference for ``explore_component``: one ``step`` (one uniform) at a
+    time, with A(t) and the counts I_j(t) read off the chain after each."""
     state = start_exploration(seq, v)
     steps, stop_time = [], 0
+    active, inactive = [state.active], [dict(state.inactive_counts)]
     while state.active > 0:
         steps.append(state.step(rng))
+        active.append(state.active)
+        inactive.append(dict(state.inactive_counts))
         if stop_time == 0 and (state.active == 0 or state.inactive_points == 0):
             stop_time = state.t
-    return steps, stop_time, state.cluster_size
+    return steps, active, inactive, stop_time, state.cluster_size
 
 
 def _sizes_by_steps(seq, rng):
@@ -195,11 +197,19 @@ class TestBlockDraws:
     def test_explore_component_matches_steps(self, degrees, seed):
         seq = DegreeSequence(tuple(degrees))
         ref_rng = substream(seed)
-        steps, stop_time, size = _component_by_steps(seq, 0, ref_rng)
+        steps, active, inactive, stop_time, size = _component_by_steps(
+            seq, 0, ref_rng
+        )
         for record_trace in (True, False):
             rng = substream(seed)
             trace = explore_component(seq, 0, rng, record_trace=record_trace)
             assert list(trace.steps) == (steps if record_trace else [])
+            if record_trace:  # the series derived from the degrees are the chain's
+                assert trace.active_series().tolist() == active
+                for j in seq.histogram:
+                    assert trace.inactive_series(j).tolist() == [
+                        counts.get(j, 0) for counts in inactive
+                    ]
             assert (trace.stop_time, trace.component_size) == (stop_time, size)
             # the same number of uniforms was drawn: the streams go on alike
             assert rng.bit_generator.state == ref_rng.bit_generator.state
