@@ -6,6 +6,9 @@ non-root vertex), the size-biased offspring law, and the Molloy-Reed sum that
 separates the subcritical and supercritical phases.  All functionals are
 computed from integer sums, with at most one final division, so the algebraic
 identities between them hold exactly.
+
+Nothing here but ``DegreeSequence.owner`` needs numpy, which it imports on
+first use: ``describe``, ``validate`` and config checks never load it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DegreeSequenceError(ValueError):
@@ -106,6 +110,8 @@ class DegreeSequence:
     @cached_property
     def owner(self) -> np.ndarray:
         """Point -> owner vertex, as a read-only int64 array of length 2m."""
+        import numpy as np  # the one numpy use here; a dry run never reaches it
+
         owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         owner.setflags(write=False)
         return owner
@@ -202,6 +208,11 @@ def molloy_reed_sum_exact(dist: EmpiricalDistribution) -> Fraction:
 def molloy_reed_sum(dist: EmpiricalDistribution) -> float:
     """sum_j j(j-2) p_j; negative in the subcritical phase."""
     return sum(j * (j - 2) * k for j, k in dist.counts.items()) / dist.n
+
+
+def predicted_simple_probability(nu_value: float) -> float:
+    """Limit of the simplicity probability, exp(-nu/2 - nu**2/4)."""
+    return math.exp(-nu_value / 2 - nu_value**2 / 4)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,10 @@ the tolerances that produced them.  Replicate streams come from
 ``substream(seed, cell_index, replicate_index)``, so artifacts are
 byte-identical at any worker count.  Wall-clock time is only logged, never
 kept on the summary or written to the artifacts.
+
+Config parsing, ``describe`` and ``validate_degree_file`` need only the
+degree model.  The samplers, the exploration, the diagnostics and numpy load
+inside the code that runs replicates, so a dry run never imports them.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import __version__
 from .degree_model import (
@@ -35,20 +37,13 @@ from .degree_model import (
     empirical_distribution,
     molloy_reed_sum,
     nu,
+    predicted_simple_probability,
     read_degree_file,
     validate_subpower,
 )
-from .diagnostics import poisson_limit_check, trajectory_deviation
-from .exploration import explore_component
-from .pairing import (
-    double_factorial_odd,
-    enumerate_pairings,
-    is_simple,
-    predicted_simple_probability,
-    project_components,
-    sample_pairing,
-)
-from .rng import substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -324,6 +319,8 @@ def _chunk(position: int, reps: range) -> list:
     """In a pool worker, kernel results for replicates ``reps`` of cell
     ``position``; replicate r of the cell with index k draws from
     ``substream(seed, k, r)``."""
+    from .rng import substream
+
     kernel, cells, seed = _WORK
     cell_index, seq = cells[position]
     return [kernel(seq, substream(seed, cell_index, rep)) for rep in reps]
@@ -335,6 +332,8 @@ def _in_parent(work: tuple, tasks: list[tuple[int, range]], results: list[list],
     passed since the first replicate ended, while more than one task is
     left.  Returns the replicates run and the tasks left, a task cut short
     as its remainder."""
+    from .rng import substream
+
     kernel, cells, seed = work
     deadline = math.inf
     done = 0
@@ -357,7 +356,8 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
     The work is cut into about four tasks a worker for each
     ``(cell_index, sequence)`` cell.  The parent runs them itself until
     ``_POOL_START_S`` has passed since its first replicate ended (that one
-    pays numpy.random's one-time import, which the workers then inherit);
+    pays the one-time imports of numpy and the samplers, which the workers
+    then inherit);
     only if more than one task is left does a pool of at most ``workers``
     processes take the rest.
     """
@@ -386,6 +386,8 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
 def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, int, int]:
     """Loops, parallel pairs, simple (0 or 1) and largest component of one
     uniform pairing."""
+    from .pairing import project_components, sample_pairing
+
     report = project_components(sample_pairing(seq, rng))
     return report.loops, report.parallel_pairs, int(report.simple), report.largest
 
@@ -394,11 +396,16 @@ def _deviations(seq: DegreeSequence, rng: np.random.Generator, root: int,
                 dist: EmpiricalDistribution, track: tuple[int, ...]) -> list[float]:
     """Trajectory deviation of each tracked degree over one exploration from
     ``root``; ``dist`` is the distribution of ``seq``."""
+    from .diagnostics import trajectory_deviation
+    from .exploration import explore_component
+
     trace = explore_component(seq, root, rng, record_trace=True)
     return [trajectory_deviation(trace, dist, j) for j in track]
 
 
 def _pairing_key(seq: DegreeSequence, rng: np.random.Generator) -> bytes:
+    from .pairing import sample_pairing
+
     return sample_pairing(seq, rng).key()
 
 
@@ -416,6 +423,8 @@ class _PoissonRow(NamedTuple):
 # mode implementations
 
 def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
+    from .diagnostics import poisson_limit_check
+
     seq = resolve_degrees(config.degrees)
     nu_value = nu(empirical_distribution(seq))
     (results,) = _replicates(_project, [(0, seq)], config.seed,
@@ -455,6 +464,8 @@ def _grid(grid: dict[str, Any]) -> tuple[list[float], list[int], float, float]:
 
 
 def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
+    import numpy as np
+
     gammas, sizes, c, target_nu = _grid(config.grid)
     tol = config.tolerances
     built: list[tuple[float, int, DegreeSequence | ValueError]] = []
@@ -538,7 +549,10 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
 
 
 def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
+    import numpy as np
     from scipy import stats  # deferred: the only scipy.stats user, ~0.5 s import
+
+    from .pairing import double_factorial_odd, enumerate_pairings, is_simple
 
     seq = resolve_degrees(config.degrees)
     tol = config.tolerances

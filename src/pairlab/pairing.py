@@ -10,7 +10,6 @@ sampling of simple graphs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -168,10 +167,14 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]
     C(multiplicity, 2), of the multigraph with edges (u, v)."""
     loop = u == v
     keys = np.sort((np.minimum(u, v) * n + np.maximum(u, v))[~loop])
-    # a run of r equal keys is one vertex pair of multiplicity r
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    runs = np.diff(np.r_[starts, keys.size])
-    return int(np.count_nonzero(loop)), int(np.sum(runs * (runs - 1) // 2))
+    # a run of r equal keys is one vertex pair of multiplicity r and adds
+    # C(r, 2); it repeats its key at r - 1 consecutive positions, and a
+    # pairing has only a handful of repeats.  ``ends`` holds the last repeat
+    # of every run but the final one, and ``repeated`` each run's r - 1.
+    repeats = np.flatnonzero(keys[1:] == keys[:-1])
+    ends = np.flatnonzero(np.diff(repeats) != 1)
+    repeated = np.diff(np.concatenate(([-1], ends, [repeats.size - 1])))
+    return int(np.count_nonzero(loop)), int(np.sum(repeated * (repeated + 1) // 2))
 
 
 def _pair_stats(p: Pairing) -> tuple[int, int]:
@@ -262,11 +265,6 @@ def sample_simple_graph(
         if is_simple(p):
             return p, attempt
     raise AttemptsExhaustedError(max_attempts)
-
-
-def predicted_simple_probability(nu_value: float) -> float:
-    """Limit of the simplicity probability, exp(-nu/2 - nu**2/4)."""
-    return math.exp(-nu_value / 2 - nu_value**2 / 4)
 
 
 def _sorted_pairs(p: Pairing) -> np.ndarray:

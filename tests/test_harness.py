@@ -493,26 +493,40 @@ def _exit_code(argv: list[str]) -> int:
         return cli_main(argv)
 
 
+def _fresh(tmp_path, body: str):
+    """The JSON value ``body`` leaves in ``result``, run in a fresh
+    interpreter on pairlab's sources with ``out`` bound to ``tmp_path``."""
+    script = (
+        "import json, sys\nfrom pathlib import Path\nout = Path(sys.argv[1])\n"
+        + textwrap.dedent(body)
+        + "\n(out / 'result.json').write_text(json.dumps(result))\n"
+    )
+    src = str(Path(pairlab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                   check=True, env=env, capture_output=True, timeout=120)
+    return json.loads((tmp_path / "result.json").read_text())
+
+
+def _cli_modules(tmp_path, argvs: list[list[str]]) -> tuple[list, list]:
+    """Exit codes of ``pairlab`` on each argv in one fresh interpreter, and
+    the modules loaded by the end."""
+    (tmp_path / "argvs.json").write_text(json.dumps(argvs))
+    return _fresh(tmp_path, """
+        from pairlab.cli import main
+        codes = [main(argv) for argv in json.loads((out / "argvs.json").read_text())]
+        result = [codes, sorted(sys.modules)]
+    """)
+
+
 def _modules_after(tmp_path, configs: list[dict]) -> tuple[list, list]:
     """Exit codes of ``pairlab run`` on each config in one fresh interpreter,
     and the modules loaded by the end."""
     for i, config in enumerate(configs):
         (tmp_path / f"cfg{i}.json").write_text(json.dumps(config))
-    script = textwrap.dedent("""
-        import json, sys
-        from pathlib import Path
-        from pairlab.cli import main
-        out = Path(sys.argv[1])
-        codes = [main(["run", "-c", str(out / f"cfg{i}.json"), "-o", str(out)])
-                 for i in range(int(sys.argv[2]))]
-        (out / "result.json").write_text(json.dumps([codes, sorted(sys.modules)]))
-    """)
-    src = str(Path(pairlab.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", script, str(tmp_path), str(len(configs))],
-                   check=True, env=env, capture_output=True, timeout=120)
-    return json.loads((tmp_path / "result.json").read_text())
+    return _cli_modules(tmp_path, [["run", "-c", str(tmp_path / f"cfg{i}.json"),
+                                    "-o", str(tmp_path)] for i in range(len(configs))])
 
 
 def test_projection_runs_load_no_scipy(tmp_path):
@@ -750,3 +764,139 @@ def test_dispatch_path_is_logged(tmp_path, monkeypatch, caplog, budget, message)
     run(ExperimentConfig.from_dict(
         {**_SMALL_POISSON, "workers": 2, "output_dir": str(tmp_path)}))
     assert message in [r.getMessage() for r in caplog.records]
+
+
+# The import rule: a path that samples nothing loads no numpy.  Config
+# checks, describe and validate read only the degree model; the samplers and
+# numpy load on a run's first replicate, on first access to their names, or
+# before the process forks.
+def _subpower_file(tmp_path) -> str:
+    path = tmp_path / "degrees.txt"
+    write_degree_file(build_subpower_sequence(2000, 3.5, 1.0, 0.9), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("config", DIGEST_CONFIGS, ids=lambda c: c["mode"])
+def test_describe_loads_no_numpy(tmp_path, config):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    codes, mods = _cli_modules(tmp_path,
+                               [["describe", "-c", str(tmp_path / "cfg.json")]])
+    assert codes == [0]
+    assert "numpy" not in mods
+
+
+@pytest.mark.parametrize("flags", [[], ["--gamma", "3.5", "--c", "1.0"]],
+                         ids=["bare", "subpower"])
+def test_validate_loads_no_numpy(tmp_path, flags):
+    codes, mods = _cli_modules(tmp_path,
+                               [["validate", _subpower_file(tmp_path), *flags]])
+    assert codes == [0]
+    assert "numpy" not in mods
+
+
+def test_malformed_config_loads_no_numpy(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"mode": "poisson_check", "degrees": {"kind": "regular", "n": 10}}))
+    codes, mods = _cli_modules(tmp_path, [["run", "-c", str(tmp_path / "cfg.json")]])
+    assert codes == [2]  # degrees.d: required
+    assert "numpy" not in mods
+
+
+@pytest.mark.parametrize("statement", [
+    "import pairlab",
+    "from pairlab import DegreeSequence, build_subpower_sequence, nu",
+])
+def test_degree_model_names_load_no_numpy(tmp_path, statement):
+    mods = _fresh(tmp_path, f"""
+        {statement}
+        from pairlab import empirical_distribution
+        from pairlab import build_subpower_sequence as build
+        assert 0 < empirical_distribution(build(2000, 3.5, 1.0, 0.9)).d_bar
+        result = sorted(sys.modules)
+    """)
+    assert "numpy" not in mods
+
+
+def test_run_loads_numpy_itself(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"mode": "poisson_check", "replicates": 3, "seed": 5,
+         "degrees": {"kind": "regular", "n": 50, "d": 3}}))
+    before, codes, after = _fresh(tmp_path, """
+        from pairlab.cli import main
+        before = "numpy" in sys.modules
+        codes = [main(["run", "-c", str(out / "cfg.json"), "-o", str(out)])]
+        result = [before, codes, "numpy" in sys.modules]
+    """)
+    assert codes in ([0], [1])  # ran to verdicts
+    assert (before, after) == (False, True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_inherits_the_sampling_layers(tmp_path):
+    # a fork pool's workers must not each import numpy again: the parent
+    # loads the sampling layers before it forks
+    before, child_code = _fresh(tmp_path, """
+        import os
+        from pairlab import DegreeSequence
+        before = "numpy" in sys.modules
+        pid = os.fork()
+        if pid == 0:
+            inherited = {"numpy", "pairlab.exploration", "pairlab.rng"} <= set(sys.modules)
+            os._exit(0 if inherited else 1)
+        result = [before, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])]
+    """)
+    assert (before, child_code) == (False, 0)
+
+
+def _package_probe(tmp_path) -> dict:
+    """In a fresh interpreter: the pairlab modules that ``import pairlab``
+    loads, the error an unknown name raises, ``dir(pairlab)``, and for each
+    exported name the module defining the object it resolves to."""
+    return _fresh(tmp_path, """
+        import pairlab
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "pairlab")
+
+        eager = loaded()
+        try:
+            pairlab.no_such_name
+            unknown = None
+        except AttributeError as exc:
+            unknown = str(exc)
+        after_unknown = loaded()
+        listed = dir(pairlab)
+        defined = {}
+        for name in pairlab.__all__:
+            value = getattr(pairlab, name)
+            module = getattr(value, "__module__", "pairlab")
+            home = sys.modules[module]
+            defined[name] = module if getattr(home, name) is value else None
+        result = {"eager": eager, "unknown": unknown, "after_unknown": after_unknown,
+                  "dir": listed, "defined": defined}
+    """)
+
+
+def test_package_names_resolve_to_their_modules(tmp_path):
+    probe = _package_probe(tmp_path)
+    assert probe["eager"] == ["pairlab", "pairlab.degree_model"]
+    assert set(pairlab.__all__) <= set(probe["dir"])
+    assert probe["defined"]["__version__"] == "pairlab"
+    assert probe["defined"]["DegreeSequence"] == "pairlab.degree_model"
+    assert probe["defined"]["substream"] == "pairlab.rng"
+    assert probe["defined"]["PointSpace"] == "pairlab.pairing"
+    assert probe["defined"]["explore_component"] == "pairlab.exploration"
+    assert None not in probe["defined"].values()
+    for name in pairlab.__all__:  # and in this interpreter too
+        assert getattr(pairlab, name) is getattr(
+            sys.modules[probe["defined"][name]], name)
+
+
+def test_unknown_package_name_raises_attribute_error(tmp_path):
+    probe = _package_probe(tmp_path)
+    assert probe["unknown"] == "module 'pairlab' has no attribute 'no_such_name'"
+    assert probe["after_unknown"] == probe["eager"] == ["pairlab", "pairlab.degree_model"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pairlab.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from pairlab import no_such_name  # noqa: F401

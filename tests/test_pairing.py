@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from pairlab.degree_model import DegreeSequence
+from pairlab.degree_model import DegreeSequence, predicted_simple_probability
 from pairlab.pairing import (
     _component_roots,
     AttemptsExhaustedError,
@@ -17,7 +17,6 @@ from pairlab.pairing import (
     double_factorial_odd,
     enumerate_pairings,
     is_simple,
-    predicted_simple_probability,
     project_components,
     read_pairing,
     sample_pairing,
