@@ -146,10 +146,6 @@ class EmpiricalDistribution:
         """Average vertex degree, exact."""
         return Fraction(self.two_m, self.n)
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.counts)
-
 
 @dataclass(frozen=True)
 class OffspringLaw:

@@ -20,7 +20,7 @@ from .pairing import ComponentReport
 
 
 class HorizonExceededError(ValueError):
-    """Requested step is beyond the point-depletion horizon 2t < 2m."""
+    """Requested step is beyond the point-depletion horizon t = m."""
 
 
 class InsufficientSamplesError(ValueError):
@@ -71,27 +71,14 @@ def martingale_one_step_error(snapshot: StateSnapshot, j: int) -> float:
     return abs(expected_x - x_now) / abs(x_now)
 
 
-@dataclass(frozen=True)
-class TrajectoryPrediction:
-    """Deterministic path of I_j(t): exact product and closed-form versions."""
-
-    j: int
-    t: int
-    predicted: float  # (n p_j - [j = d_root]) * running product
-    closed_form: float  # n p_j * (1 - 2t/(2m))**(j/2)
-
-
-def predict_trajectory(
-    dist: EmpiricalDistribution, d_root: int, j: int, t: int
-) -> TrajectoryPrediction:
-    two_m = dist.two_m
-    if 2 * t >= two_m:
-        raise HorizonExceededError(f"2t = {2 * t} >= 2m = {two_m}")
-    count_j = dist.counts.get(j, 0)
-    start = count_j - (1 if j == d_root else 0)
-    predicted = start * depletion_product(j, t, two_m)
-    closed = count_j * (1.0 - 2 * t / two_m) ** (j / 2)
-    return TrajectoryPrediction(j=j, t=t, predicted=predicted, closed_form=closed)
+def predicted_path(
+    dist: EmpiricalDistribution, root_degree: int, j: int, t_max: int
+) -> np.ndarray:
+    """The deterministic path of I_j(t) for t = 0 .. t_max from a root of
+    degree ``root_degree``: (n p_j - [j = root_degree]) times the running
+    depletion product.  Defined up to t = m."""
+    start = dist.counts.get(j, 0) - (1 if j == root_degree else 0)
+    return start * depletion_products(j, t_max, dist.two_m)
 
 
 def trajectory_deviation(
@@ -99,9 +86,7 @@ def trajectory_deviation(
 ) -> float:
     """max over recorded t of |I_j(t) - predicted path| / n."""
     series = trace.inactive_series(j)
-    t_max = len(series) - 1
-    start = dist.counts.get(j, 0) - (1 if j == trace.root_degree else 0)
-    preds = start * depletion_products(j, t_max, trace.total_points)
+    preds = predicted_path(dist, trace.root_degree, j, len(series) - 1)
     return float(np.max(np.abs(series - preds)) / trace.n)
 
 

@@ -19,12 +19,10 @@ generator's final state match a loop of ``step`` calls.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -61,7 +59,6 @@ class ExplorationTrace:
     root: int
     root_degree: int
     n: int
-    total_points: int
     initial_inactive_counts: dict[int, int]
     steps: tuple[int, ...]  # each step's partner degree, 0 for an active partner
     stop_time: int
@@ -116,11 +113,6 @@ class ExplorationState:
         self.t_global = 0  # pairs matched overall
         self.t = 0  # steps since the current root was activated
         self.cluster_size = 0
-
-    @property
-    def pool(self) -> list[int]:
-        """The unmatched points in pool order (a fresh list; O(2m))."""
-        return [self._slot.get(i, i) for i in range(self._size)]
 
     def points_of(self, v: int) -> range:
         return range(self.offsets[v], self.offsets[v + 1])
@@ -281,7 +273,6 @@ def explore_component(
         root=v,
         root_degree=seq.degrees[v],
         n=seq.n,
-        total_points=seq.two_m,
         initial_inactive_counts=initial,
         steps=tuple(steps),
         stop_time=stop_time,
@@ -305,16 +296,3 @@ def largest_component_via_exploration(
         sizes.append(state.cluster_size)
     return sizes
 
-
-def write_trace_csv(
-    traces: list[ExplorationTrace], path: str | Path
-) -> None:
-    """One row per step: t, A, delta_A, partner_degree, component_id."""
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "A", "delta_A", "partner_degree", "component_id"])
-        for cid, trace in enumerate(traces):
-            active = trace.active_series()
-            rows = zip(active[1:].tolist(), np.diff(active).tolist(), trace.steps)
-            for t, (a, delta, degree) in enumerate(rows, 1):
-                writer.writerow([t, a, delta, degree, cid])

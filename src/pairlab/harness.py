@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import statistics
 import time
 from dataclasses import dataclass
@@ -99,8 +100,9 @@ _GRID_FIELDS = {
     "c": _NUMBER,
     "target_nu": _NUMBER,
 }
-# tolerances that count something; every other one is any finite number
-_INT_TOLERANCES = {"enumeration_cap", "trajectory_j_max"}
+# tolerances that count something, with their floor; every other one is any
+# finite number >= 0
+_INT_TOLERANCES = {"enumeration_cap": 1, "trajectory_j_max": 1}
 # the oracle holds all (2m-1)!! pairings in memory: 135,135 at m = 7
 MAX_ENUMERATION_CAP = 7
 
@@ -184,6 +186,11 @@ class ExperimentConfig:
                 raise ConfigError(f"tolerances.{key}: must be an integer")
             if not _is_number(value):
                 raise ConfigError(f"tolerances.{key}: must be a finite number")
+            floor = _INT_TOLERANCES.get(key, 0)
+            if value < floor:
+                raise ConfigError(
+                    f"tolerances.{key}: must be at least {floor}, got {value}"
+                )
             if key == "enumeration_cap" and value > MAX_ENUMERATION_CAP:
                 raise ConfigError(
                     f"tolerances.enumeration_cap: must be at most "
@@ -359,8 +366,12 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
     pays the one-time imports of numpy and the samplers, which the workers
     then inherit);
     only if more than one task is left does a pool of at most ``workers``
-    processes take the rest.
+    processes take the rest.  ``workers`` is first capped at the CPUs this
+    process may run on: a fork pool starts all its processes at once.
     """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, cpus)
     size = math.ceil(replicates / min(replicates, workers * 4))
     tasks = [(position, range(lo, min(lo + size, replicates)))
              for position in range(len(cells)) for lo in range(0, replicates, size)]
@@ -552,12 +563,16 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
     import numpy as np
     from scipy import stats  # deferred: the only scipy.stats user, ~0.5 s import
 
-    from .pairing import double_factorial_odd, enumerate_pairings, is_simple
+    from .pairing import (InstanceTooLargeError, double_factorial_odd,
+                          enumerate_pairings, is_simple)
 
     seq = resolve_degrees(config.degrees)
     tol = config.tolerances
     cap = tol["enumeration_cap"]
-    pairings = list(enumerate_pairings(seq, max_pairs=cap))
+    try:
+        pairings = list(enumerate_pairings(seq, max_pairs=cap))
+    except InstanceTooLargeError as exc:
+        raise InstanceTooLargeError(f"tolerances.enumeration_cap: {exc}") from exc
     keys = [p.key() for p in pairings]
     index = {k: i for i, k in enumerate(keys)}
     exact = {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -99,10 +98,6 @@ class ComponentReport:
     @property
     def simple(self) -> bool:
         return self.loops == 0 and self.parallel_pairs == 0
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
 
 def _as_space(seq: DegreeSequence | PointSpace) -> PointSpace:
@@ -266,33 +261,3 @@ def sample_simple_graph(
             return p, attempt
     raise AttemptsExhaustedError(max_attempts)
 
-
-def _sorted_pairs(p: Pairing) -> np.ndarray:
-    """The pairs with the lower point first, ordered by that point."""
-    pairs = np.sort(p.pairs, axis=1)
-    return pairs[np.argsort(pairs[:, 0])]
-
-
-def write_pairing(p: Pairing, path: str | Path) -> None:
-    """One line 's s2' of point indices per matching-pair, s < s2, by s."""
-    lines = [f"{a} {b}" for a, b in _sorted_pairs(p)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_pairing(path: str | Path, space: PointSpace) -> Pairing:
-    total = space.total_points
-    pairs = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        toks = line.split()
-        if len(toks) != 2 or not all(t.isdecimal() and int(t) < total for t in toks):
-            raise ValueError(f"{path}:{lineno}: not two points < {total}: {line!r}")
-        pairs.append([int(t) for t in toks])
-    p = Pairing(pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2), space=space)
-    p.validate()
-    return p
-
-
-def write_edge_list(p: Pairing, path: str | Path) -> None:
-    """Multigraph export: one 'u v' line per matching-pair, loops as 'u u'."""
-    lines = [f"{u} {v}" for u, v in p.space.owner[_sorted_pairs(p)]]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -20,12 +20,17 @@ from pairlab.diagnostics import (
     martingale_one_step_error,
     martingale_value,
     poisson_limit_check,
-    predict_trajectory,
+    predicted_path,
     trajectory_deviation,
 )
 from pairlab.exploration import explore_component, start_exploration
 from pairlab.pairing import enumerate_pairings, project_components
 from pairlab.rng import substream
+
+
+def _pool(state):
+    """The unmatched points in pool order."""
+    return [state._slot.get(i, i) for i in range(state._size)]
 
 
 def subcritical_states(seq, seeds, max_steps=200):
@@ -73,39 +78,37 @@ class TestTrajectory:
         seq = build_subpower_sequence(1000, 3.5, 1.0, 0.9)
         dist = empirical_distribution(seq)
         d_root = seq.degrees[0]
-        pred = predict_trajectory(dist, d_root, d_root, 0)
-        assert pred.predicted == dist.counts[d_root] - 1
-        pred1 = predict_trajectory(dist, d_root, 1, 0)
-        assert pred1.predicted == dist.counts[1]
+        assert predicted_path(dist, d_root, d_root, 0)[0] == dist.counts[d_root] - 1
+        assert predicted_path(dist, d_root, 1, 0)[0] == dist.counts[1]
 
     def test_absent_degree_class_stays_zero(self):
         dist = empirical_distribution(DegreeSequence((3,) * 4))
-        for t in range(3):
-            assert predict_trajectory(dist, 3, 5, t).predicted == 0.0
+        assert predicted_path(dist, 3, 5, 2).tolist() == [0.0] * 3
 
     def test_monotone_nonincreasing_in_t(self):
         seq = build_subpower_sequence(1000, 3.5, 1.0, 0.9)
         dist = empirical_distribution(seq)
-        values = [
-            predict_trajectory(dist, seq.degrees[0], 2, t).predicted
-            for t in range(50)
-        ]
+        values = predicted_path(dist, seq.degrees[0], 2, 49).tolist()
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_product_close_to_closed_form(self):
-        # agreement bound 5*j*(t+1)/(2m) in the j*t << n regime
+        # agreement with n p_j (1 - 2t/2m)^(j/2) within 5*j*(t+1)/(2m) in
+        # the j*t << n regime
         seq = DegreeSequence((1,) * 99_988 + (3,) * 4 + (2,) * 8)
         dist = empirical_distribution(seq)
         two_m = dist.two_m
         for j, t in [(3, 1000), (2, 500), (1, 2000)]:
-            pred = predict_trajectory(dist, 1, j, t)
-            rel = abs(pred.predicted - pred.closed_form) / pred.closed_form
+            predicted = predicted_path(dist, 1, j, t)[t]
+            closed_form = dist.counts[j] * (1.0 - 2 * t / two_m) ** (j / 2)
+            rel = abs(predicted - closed_form) / closed_form
             assert rel <= 5 * j * (t + 1) / two_m
 
     def test_horizon_guard(self):
+        # the path runs through t = m, which a full component reaches
         dist = empirical_distribution(DegreeSequence((1, 1)))
+        assert predicted_path(dist, 1, 1, 1).tolist() == [1.0, 0.0]
         with pytest.raises(HorizonExceededError):
-            predict_trajectory(dist, 1, 1, 1)
+            predicted_path(dist, 1, 1, 2)
 
     def test_forced_instance_deviation_zero(self):
         seq = DegreeSequence((1, 1))
@@ -161,7 +164,7 @@ class TestDrift:
         state = start_exploration(seq, 0)
         snap = state.snapshot()
         deltas = []
-        for s in state.pool:
+        for s in _pool(state):
             if s in set(state.points_of(0)):
                 continue  # the dequeued point itself is excluded separately
             if state.is_active[s]:
@@ -171,7 +174,7 @@ class TestDrift:
         # pool minus the point being matched: 2 other actives + 5 inactive
         by_hand = (2 * (-2) + sum(
             seq.degrees[int(seq.owner[s])] - 2
-            for s in state.pool
+            for s in _pool(state)
             if not state.is_active[s]
         )) / (snap.active + snap.inactive_points - 1)
         assert by_hand == pytest.approx(expected_active_change(snap), rel=1e-12)

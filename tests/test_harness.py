@@ -38,6 +38,12 @@ from pairlab.harness import (
 )
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so a 2-worker pool is not capped to fewer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def make_config(tmp_path, **overrides):
     data = {
         "mode": "poisson_check",
@@ -261,6 +267,7 @@ class TestScalingMode:
                 for c in summary.cells]
         assert len(caps) == 3 and caps == sorted(caps)
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_pool_tasks_carry_no_sequence(self, tmp_path, monkeypatch):
         # the sequences reach each worker once, through the pool's
         # initializer; a task names a cell and a replicate range only
@@ -472,6 +479,15 @@ class TestCli:
          "grid.gammas"),
         # the oracle would hold all 15!! = 2,027,025 pairings in memory
         ({"tolerances": {"enumeration_cap": 8}}, "tolerances.enumeration_cap"),
+        # no degree to track, so no verdict
+        ({"tolerances": {"trajectory_j_max": 0}}, "tolerances.trajectory_j_max"),
+        ({"tolerances": {"enumeration_cap": 0}}, "tolerances.enumeration_cap"),
+        ({"tolerances": {"sigma": -1.0}}, "tolerances.sigma"),
+        ({"tolerances": {"abs_tol_simple": -0.01}}, "tolerances.abs_tol_simple"),
+        # m = 4 is over a valid cap of 3: refused by the oracle, not the parser
+        ({"mode": "oracle_validation",
+          "degrees": {"kind": "explicit", "degrees": [2, 2, 2, 2]},
+          "tolerances": {"enumeration_cap": 3}}, "tolerances.enumeration_cap"),
     ])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
         cfg = tmp_path / "cfg.json"
@@ -706,6 +722,7 @@ def test_artifact_digests_through_pool(tmp_path, monkeypatch):
     assert _digests(tmp_path, workers=2) == ARTIFACT_DIGESTS
 
 
+@pytest.mark.usefixtures("two_cpus")
 def test_pool_takes_over_partway_through_a_task(tmp_path, monkeypatch, caplog):
     # a clock that ticks once a read: the parent runs 3 replicates, then
     # hands the rest to the pool; poisson and oracle have 8 tasks of 8 and
@@ -753,6 +770,49 @@ def test_one_worker_never_starts_a_pool(tmp_path, monkeypatch):
         {**_SMALL_POISSON, "workers": 1, "output_dir": str(tmp_path)}))
 
 
+@pytest.mark.parametrize("affinity", [True, False],
+                         ids=["sched_getaffinity", "cpu_count"])
+def test_pool_asks_for_no_more_processes_than_cpus(tmp_path, monkeypatch,
+                                                   affinity):
+    # a fork pool starts every process it is asked for at once; this
+    # stand-in records the count and runs the tasks in this process
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
+    monkeypatch.setattr(pairlab.harness, "_WORK", ())  # restored afterwards
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_POISSON, "replicates": 100}))
+    blobs = []
+    for workers in ("10000", "1"):
+        out = tmp_path / f"w{workers}"
+        assert _exit_code(["run", "-c", str(cfg), "--workers", workers,
+                           "-o", str(out)]) in (0, 1)
+        blobs.append(sorted(path.read_bytes() for path in out.iterdir()))
+    assert asked == [3]
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("budget, message", [
     (None, "replicates: 4 in the parent, serial"),
     (0, "replicates: 1 in the parent, 3 tasks to a pool of 2 workers"),

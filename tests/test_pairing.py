@@ -11,6 +11,7 @@ from pairlab.pairing import (
     _component_roots,
     AttemptsExhaustedError,
     InstanceTooLargeError,
+    Pairing,
     PointSpace,
     count_loops,
     count_parallel_pairs,
@@ -18,11 +19,8 @@ from pairlab.pairing import (
     enumerate_pairings,
     is_simple,
     project_components,
-    read_pairing,
     sample_pairing,
     sample_simple_graph,
-    write_edge_list,
-    write_pairing,
 )
 from pairlab.rng import substream
 
@@ -296,43 +294,17 @@ class TestSimpleGraphSampling:
         assert abs(hits / 3000 - predicted_simple_probability(2.0)) < 0.02
 
 
-class TestSerialization:
-    def test_pairing_roundtrip(self, tmp_path):
-        seq = DegreeSequence((2, 3, 1, 2))
-        p = sample_pairing(seq, substream(10))
-        path = tmp_path / "pairing.txt"
-        write_pairing(p, path)
-        loaded = read_pairing(path, p.space)
-        assert loaded.key() == p.key()
 
-    @pytest.mark.parametrize("text,message", [
-        ("0 1\n2 9\n", r"pairing\.txt:2: .*'2 9'"),  # index beyond 2m
-        ("0 1\n2 -1\n", r"pairing\.txt:2: .*'2 -1'"),  # negative index
-        ("0 1\n2\n", r"pairing\.txt:2"),  # one token
-        ("0 1\nx 3\n", r"pairing\.txt:2"),  # not an integer
-        ("0 0\n1 1\n", "point 0 is matched 2 times"),  # self-pair
-        ("0 1\n1 2\n", "point 1 is matched 2 times"),  # repeated point
-        ("0 1\n", "expected 2 pairs"),  # points 2 and 3 missing
+class TestValidate:
+    @pytest.mark.parametrize("pairs,message", [
+        ([[0, 1], [2, 4]], r"expected 2 pairs of points in \[0, 4\)"),  # beyond 2m
+        ([[0, 1], [2, -1]], r"expected 2 pairs of points in \[0, 4\)"),  # negative
+        ([[0, 0], [1, 1]], "point 0 is matched 2 times"),  # self-pair
+        ([[0, 1], [1, 2]], "point 1 is matched 2 times"),  # repeated point
+        ([[0, 1]], "expected 2 pairs"),  # points 2 and 3 missing
     ])
-    def test_read_malformed(self, tmp_path, text, message):
-        path = tmp_path / "pairing.txt"
-        path.write_text(text)
+    def test_rejects_non_matching(self, pairs, message):
+        p = Pairing(pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                    space=PointSpace.from_degree_sequence(D22))
         with pytest.raises(ValueError, match=message):
-            read_pairing(path, PointSpace.from_degree_sequence(D22))
-
-    def test_write_is_sorted(self, tmp_path):
-        seq = DegreeSequence((3,) * 6)
-        p = sample_pairing(seq, substream(13))
-        path = tmp_path / "pairing.txt"
-        write_pairing(p, path)
-        pairs = [tuple(map(int, line.split()))
-                 for line in path.read_text().splitlines()]
-        assert all(a < b for a, b in pairs)
-        assert pairs == sorted(pairs)
-
-    def test_edge_list_format(self, tmp_path):
-        p = pairing_by_pairs(D22, [(0, 1), (2, 3)])
-        path = tmp_path / "edges.txt"
-        write_edge_list(p, path)
-        lines = sorted(path.read_text().splitlines())
-        assert lines == ["0 0", "1 1"]  # two loops
+            p.validate()
