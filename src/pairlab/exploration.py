@@ -56,7 +56,6 @@ class StateSnapshot:
 class ExplorationTrace:
     """Recorded path of one exploration up to (and past) its stopping time."""
 
-    root: int
     root_degree: int
     n: int
     initial_inactive_counts: dict[int, int]
@@ -270,7 +269,6 @@ def explore_component(
         if stop_time == 0 and (state.active == 0 or state.inactive_points == 0):
             stop_time = state.t
     return ExplorationTrace(
-        root=v,
         root_degree=seq.degrees[v],
         n=seq.n,
         initial_inactive_counts=initial,

@@ -24,6 +24,7 @@ import math
 import os
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -103,7 +104,7 @@ _GRID_FIELDS = {
 # tolerances that count something, with their floor; every other one is any
 # finite number >= 0
 _INT_TOLERANCES = {"enumeration_cap": 1, "trajectory_j_max": 1}
-# the oracle holds all (2m-1)!! pairings in memory: 135,135 at m = 7
+# the oracle checks every (2m-1)!! pairing for simplicity: 135,135 at m = 7
 MAX_ENUMERATION_CAP = 7
 
 
@@ -414,10 +415,10 @@ def _deviations(seq: DegreeSequence, rng: np.random.Generator, root: int,
     return [trajectory_deviation(trace, dist, j) for j in track]
 
 
-def _pairing_key(seq: DegreeSequence, rng: np.random.Generator) -> bytes:
+def _pairing_index(seq: DegreeSequence, rng: np.random.Generator) -> int:
     from .pairing import sample_pairing
 
-    return sample_pairing(seq, rng).key()
+    return sample_pairing(seq, rng).index()
 
 
 class _PoissonRow(NamedTuple):
@@ -569,38 +570,35 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
     seq = resolve_degrees(config.degrees)
     tol = config.tolerances
     cap = tol["enumeration_cap"]
-    try:
-        pairings = list(enumerate_pairings(seq, max_pairs=cap))
+    try:  # streamed: no pairing outlives its simplicity check
+        simple = Counter(map(is_simple, enumerate_pairings(seq, max_pairs=cap)))
     except InstanceTooLargeError as exc:
         raise InstanceTooLargeError(f"tolerances.enumeration_cap: {exc}") from exc
-    keys = [p.key() for p in pairings]
-    index = {k: i for i, k in enumerate(keys)}
+    count = simple.total()
     exact = {
-        "count": len(pairings),
+        "count": count,
         "double_factorial": double_factorial_odd(seq.two_m // 2),
-        "p_simple_exact": sum(map(is_simple, pairings)) / len(pairings),
+        "p_simple_exact": simple[True] / count,
     }
-    (drawn,) = _replicates(_pairing_key, [(0, seq)], config.seed,
+    (drawn,) = _replicates(_pairing_index, [(0, seq)], config.seed,
                            config.replicates, config.workers)
-    counts = np.zeros(len(pairings), dtype=np.int64)
-    for key in drawn:
-        counts[index[key]] += 1
+    counts = np.bincount(drawn, minlength=count)
     chi2_stat, p_value = stats.chisquare(counts)
-    expected = config.replicates / len(pairings)
+    expected = config.replicates / count
     cells = [{
-        "n_pairings": len(pairings),
+        "n_pairings": count,
         "chi2": float(chi2_stat),
         "p_value": float(p_value),
         **exact,
     }]
     verdicts = [
-        Verdict("pairing_count", len(pairings) == exact["double_factorial"],
-                len(pairings), exact["double_factorial"], 0.0),
+        Verdict("pairing_count", count == exact["double_factorial"],
+                count, exact["double_factorial"], 0.0),
         Verdict("uniformity_chi2_p", p_value >= tol["chi2_alpha"],
                 float(p_value), 1.0, tol["chi2_alpha"]),
     ]
     out_rows = [["pairing_index", "count", "expected"]]
-    out_rows += [[i, int(counts[i]), expected] for i in range(len(pairings))]
+    out_rows += [[i, int(c), expected] for i, c in enumerate(counts)]
     return out_rows, cells, verdicts
 
 

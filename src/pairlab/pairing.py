@@ -59,13 +59,6 @@ class Pairing:
     pairs: np.ndarray  # row k = the two points of matching-pair k
     space: PointSpace
 
-    @property
-    def mate(self) -> np.ndarray:
-        """Point index -> matched point index (derived from the pairs)."""
-        mate = np.empty(self.space.total_points, dtype=np.int64)
-        mate[self.pairs] = self.pairs[:, ::-1]
-        return mate
-
     def validate(self) -> None:
         total = self.space.total_points
         flat = self.pairs.ravel()
@@ -76,9 +69,20 @@ class Pairing:
             s = int(np.flatnonzero(times != 1)[0])
             raise ValueError(f"point {s} is matched {times[s]} times, not once")
 
-    def key(self) -> bytes:
-        """Canonical hashable identity of this pairing."""
-        return self.mate.tobytes()
+    def index(self) -> int:
+        """This pairing's position in ``enumerate_pairings``' order: a
+        mixed-radix number, radices 2m-1, 2m-3, ..., 1, whose digits are the
+        positions of each lowest free point's partner among the others."""
+        partner = [0] * self.space.total_points
+        for s, t in self.pairs.tolist():
+            partner[s], partner[t] = t, s
+        free = list(range(self.space.total_points))
+        index = 0
+        while free:
+            i = free.index(partner[free.pop(0)])
+            index = index * len(free) + i
+            del free[i]
+        return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +134,7 @@ def double_factorial_odd(m: int) -> int:
 def enumerate_pairings(
     seq: DegreeSequence | PointSpace, max_pairs: int = 6
 ) -> Iterator[Pairing]:
-    """Yield every pairing exactly once; total count is (2m-1)!!.
+    """Yield all (2m-1)!! pairings once each, the k-th with ``index()`` k.
 
     Capped by default at m = 6 (10395 pairings) to keep oracle runs fast.
     """

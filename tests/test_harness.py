@@ -477,7 +477,7 @@ class TestCli:
                       "target_nu": 0.9, "c": math.inf}}, "degrees.c"),
         ({"mode": "scaling", "grid": {"gammas": [-math.inf], "sizes": [100]}},
          "grid.gammas"),
-        # the oracle would hold all 15!! = 2,027,025 pairings in memory
+        # the oracle would check all 15!! = 2,027,025 pairings for simplicity
         ({"tolerances": {"enumeration_cap": 8}}, "tolerances.enumeration_cap"),
         # no degree to track, so no verdict
         ({"tolerances": {"trajectory_j_max": 0}}, "tolerances.trajectory_j_max"),
@@ -581,6 +581,28 @@ def test_oracle_run_loads_scipy_stats(tmp_path):
     ])
     assert codes == [0]
     assert "scipy.stats" in mods
+
+
+def test_oracle_memory_does_not_grow_with_pairing_count(tmp_path):
+    # the enumeration is streamed and draws are counted by index, so an
+    # m = 6 run (10,395 pairings) allocates far less than one object per
+    # pairing would; the modules it loads are imported before tracing
+    import tracemalloc
+
+    import scipy.stats  # noqa: F401
+    import pairlab.pairing  # noqa: F401
+    import pairlab.rng  # noqa: F401
+
+    config = make_config(tmp_path, mode="oracle_validation", replicates=2000,
+                         degrees={"kind": "explicit", "degrees": [2] * 6})
+    tracemalloc.start()
+    try:
+        summary = run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.cells[0]["n_pairings"] == 10_395
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # Arbitrary JSON merged into a small valid config must give exit 0, 1 or 2,

@@ -84,8 +84,20 @@ class TestEnumeration:
             assert len(list(enumerate_pairings(seq))) == double_factorial_odd(m)
 
     def test_all_distinct(self):
-        keys = [p.key() for p in enumerate_pairings(DegreeSequence((2, 2, 2)))]
-        assert len(set(keys)) == len(keys)
+        indices = [p.index() for p in enumerate_pairings(DegreeSequence((2, 2, 2)))]
+        assert indices == list(range(double_factorial_odd(3)))
+
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 2), (2, 2, 2), (3, 3, 1, 1),
+                                         (1,) * 8])
+    def test_index_is_enumeration_position(self, degrees):
+        seq = DegreeSequence(degrees)
+        for position, p in enumerate(enumerate_pairings(seq)):
+            assert p.index() == position
+        rng = substream(12, len(degrees))
+        for _ in range(20):
+            drawn = sample_pairing(seq, rng)
+            want = pairing_by_pairs(seq, drawn.pairs.tolist())
+            assert drawn.index() == want.index()
 
     def test_cap_enforced(self):
         with pytest.raises(InstanceTooLargeError):
@@ -253,20 +265,18 @@ class TestSamplingUniformity:
         ],
     )
     def test_uniform_against_enumeration(self, seq, draws):
-        keys = [p.key() for p in enumerate_pairings(seq)]
-        index = {k: i for i, k in enumerate(keys)}
-        counts = np.zeros(len(keys), dtype=np.int64)
+        counts = np.zeros(double_factorial_odd(seq.two_m // 2), dtype=np.int64)
         rng = substream(20_240_601, seq.two_m)
         space = PointSpace.from_degree_sequence(seq)
         for _ in range(draws):
-            counts[index[sample_pairing(space, rng).key()]] += 1
+            counts[sample_pairing(space, rng).index()] += 1
         _, p_value = stats.chisquare(counts)
         assert p_value >= 1e-3
 
     def test_deterministic_given_seed(self):
         a = sample_pairing(D22, substream(5, 0, 0))
         b = sample_pairing(D22, substream(5, 0, 0))
-        assert a.key() == b.key()
+        assert np.array_equal(a.pairs, b.pairs)
 
 
 class TestSimpleGraphSampling:
