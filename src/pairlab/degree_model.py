@@ -7,8 +7,9 @@ separates the subcritical and supercritical phases.  All functionals are
 computed from integer sums, with at most one final division, so the algebraic
 identities between them hold exactly.
 
-Nothing here but ``DegreeSequence.owner`` needs numpy, which it imports on
-first use: ``describe``, ``validate`` and config checks never load it.
+Nothing here but the point maps of ``DegreeSequence`` (``owner``, ``core``
+and ``core_degrees``) needs numpy, which they import on first use:
+``describe``, ``validate`` and config checks never load it.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class DegreeSequence:
 
     ``gamma``/``c`` are optional subpower metadata: when present, the maximum
     degree must respect the corresponding cap.  The point layout
-    (``two_m``, ``offsets``, ``histogram``, ``owner``) is computed on first
-    use and cached, so every chain or sampler built on the sequence shares it.
+    (``two_m``, ``offsets``, ``histogram``, ``owner``, ``core``,
+    ``core_degrees``) is computed on first use and cached, so every chain or
+    sampler built on the sequence shares it.
     """
 
     degrees: tuple[int, ...]
@@ -116,9 +118,41 @@ class DegreeSequence:
         owner.setflags(write=False)
         return owner
 
+    @cached_property
+    def core(self) -> np.ndarray:
+        """Point -> label of its owner among the core, the vertices of degree
+        >= 2 numbered 0, 1, ... in vertex order, or -1 for the point of a
+        degree-1 vertex; a read-only int32 array of length 2m."""
+        import numpy as np
+
+        degrees = np.fromiter(self.degrees, np.int32, self.n)
+        in_core = degrees > 1
+        labels = np.where(in_core, np.cumsum(in_core, dtype=np.int32) - 1,
+                          np.int32(-1))
+        core = np.repeat(labels, degrees)
+        core.setflags(write=False)
+        return core
+
+    @cached_property
+    def core_degrees(self) -> np.ndarray:
+        """Core label -> degree, as a read-only int64 array of length
+        ``n_core``."""
+        import numpy as np
+
+        degrees = np.bincount(self.core + 1, minlength=self.n_core + 1)[1:]
+        degrees.setflags(write=False)
+        return degrees
+
+    @property
+    def n_core(self) -> int:
+        """Number of vertices of degree >= 2."""
+        return self.n - self.histogram.get(1, 0)
+
     def __getstate__(self) -> dict:
-        # 8 bytes a point that the receiver rebuilds on first use
-        return {k: v for k, v in self.__dict__.items() if k != "owner"}
+        # the point maps: up to 12 bytes a point that the receiver rebuilds
+        # on first use
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("owner", "core", "core_degrees")}
 
     @property
     def max_degree(self) -> int:

@@ -404,6 +404,13 @@ def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, i
     return report.loops, report.parallel_pairs, int(report.simple), report.largest
 
 
+def _largest(seq: DegreeSequence, rng: np.random.Generator) -> int:
+    """Largest component of one uniform pairing."""
+    from .pairing import largest_component, sample_pairing
+
+    return largest_component(sample_pairing(seq, rng))
+
+
 def _deviations(seq: DegreeSequence, rng: np.random.Generator, root: int,
                 dist: EmpiricalDistribution, track: tuple[int, ...]) -> list[float]:
     """Trajectory deviation of each tracked degree over one exploration from
@@ -488,7 +495,7 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
             built.append((gamma, n, exc))
     sampled = [(cell_index, seq) for cell_index, (_, _, seq) in enumerate(built)
                if not isinstance(seq, ValueError)]
-    results = iter(_replicates(_project, sampled, config.seed,
+    results = iter(_replicates(_largest, sampled, config.seed,
                                config.replicates, config.workers))
     low, high = tol["max_degree_ratio_low"], tol["max_degree_ratio_high"]
     cells: list[dict] = []
@@ -500,7 +507,7 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
             continue
         nu_actual = nu(empirical_distribution(seq))
         scale = n ** (1.0 / gamma) * math.log(n)
-        largest = [r[3] for r in next(results)]
+        largest = next(results)
         normalized = [size / scale for size in largest]
         rows += [[gamma, n, nu_actual, rep, size, norm]
                  for rep, (size, norm) in enumerate(zip(largest, normalized))]
@@ -681,9 +688,11 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "molloy_reed_sum": molloy_reed_sum(dist),
         "predicted_p_simple": p_simple,
         "predicted_attempts": math.inf if p_simple == 0 else 1.0 / p_simple,
-        # lower bound: the int64 pairs array and point -> owner map of one
-        # pairing, 8 bytes per point each; ignores temporaries and Python objects
-        "memory_estimate_bytes": seq.two_m * 8 * 2,
+        # lower bound: the per-point arrays of one projected pairing, namely
+        # the int64 pairs, the point map the projection reads and the labels
+        # it gathers through that map (the int64 owner map with no degree-1
+        # vertex, else the int32 core map); ignores temporaries and objects
+        "memory_estimate_bytes": seq.two_m * (24 if seq.n_core == seq.n else 16),
     }
     if seq.gamma is not None:
         report["degree_cap"] = degree_cap(seq.n, seq.gamma, seq.c)

@@ -5,7 +5,9 @@ Each vertex i owns d_i points; a pairing is a uniform perfect matching on all
 multigraph with the prescribed degrees.  Alongside the sampler there is an
 exhaustive enumerator for small instances (the exact oracle used by the
 tests), loop / parallel-edge counters, a component projector, and rejection
-sampling of simple graphs.
+sampling of simple graphs.  The counters and the projector read only the
+pairs of two core points, those of vertices of degree >= 2; the degree-1
+vertices join components by counting.
 """
 
 from __future__ import annotations
@@ -33,23 +35,28 @@ class AttemptsExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class PointSpace:
-    """The 2m half-edge points, grouped contiguously by owner vertex."""
+    """The 2m half-edge points of a degree sequence, grouped contiguously by
+    owner vertex; the point maps are the sequence's, built on first read."""
 
-    owner: np.ndarray  # point index -> vertex index
-    degrees: tuple[int, ...]
+    seq: DegreeSequence
 
     @classmethod
     def from_degree_sequence(cls, seq: DegreeSequence) -> "PointSpace":
         """The sequence's cached layout; building a space costs nothing."""
-        return cls(owner=seq.owner, degrees=seq.degrees)
+        return cls(seq)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Point index -> vertex index."""
+        return self.seq.owner
 
     @property
     def n(self) -> int:
-        return len(self.degrees)
+        return self.seq.n
 
     @property
     def total_points(self) -> int:
-        return len(self.owner)
+        return self.seq.two_m
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,9 @@ class Pairing:
 class ComponentReport:
     """Component sizes plus loop / parallel-edge counts of one realization."""
 
-    counts: np.ndarray = field(repr=False)  # root vertex -> component size; 0 elsewhere
+    # core vertex -> size of the component it roots, 0 for a non-root; then a
+    # 2 for each component of two degree-1 vertices
+    counts: np.ndarray = field(repr=False)
     largest: int
     loops: int
     parallel_pairs: int
@@ -165,7 +174,8 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]
     """Loop count, and the sum over distinct non-loop vertex pairs of
     C(multiplicity, 2), of the multigraph with edges (u, v)."""
     loop = u == v
-    keys = np.sort((np.minimum(u, v) * n + np.maximum(u, v))[~loop])
+    # int64 keys: core labels are int32, and n * n can pass 2**31
+    keys = np.sort((np.minimum(u, v) * np.int64(n) + np.maximum(u, v))[~loop])
     # a run of r equal keys is one vertex pair of multiplicity r and adds
     # C(r, 2); it repeats its key at r - 1 consecutive positions, and a
     # pairing has only a handful of repeats.  ``ends`` holds the last repeat
@@ -176,9 +186,46 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]
     return int(np.count_nonzero(loop)), int(np.sum(repeated * (repeated + 1) // 2))
 
 
+def _core_pairs(p: Pairing) -> tuple[np.ndarray, np.ndarray, int]:
+    """p projected on its core, the vertices of degree >= 2: the core labels
+    u, v of the two ends of each pair of two core points, and the core size.
+
+    A degree-1 vertex has one point, so it has no loop and no parallel pair.
+    With no degree-1 vertex the core is the whole sequence, and u, v are the
+    owners of the ends of every pair.
+    """
+    seq = p.space.seq
+    if seq.n_core == seq.n:
+        u, v = seq.owner[p.pairs.T]
+        return u, v, seq.n
+    # one contiguous gather per column: the rows of core[p.pairs.T] are strided
+    a, b = seq.core[p.pairs[:, 0]], seq.core[p.pairs[:, 1]]
+    both = np.minimum(a, b) >= 0
+    return a[both], b[both], seq.n_core
+
+
+def _core_components(p: Pairing, u: np.ndarray, v: np.ndarray,
+                     n_core: int) -> tuple[np.ndarray, int]:
+    """Core vertex -> size of the component it roots (0 for a non-root), and
+    the number of components of two degree-1 vertices, from ``_core_pairs``.
+
+    A point of a core vertex that is in no core pair has a degree-1 partner,
+    whose vertex joins that component.  The m pairs are the u.size core
+    pairs, one pair per such partner, and the pairs of two degree-1 points.
+    """
+    seq = p.space.seq
+    roots = _component_roots(u, v, n_core)
+    if n_core == seq.n:
+        return np.bincount(roots), 0
+    vertices = (seq.core_degrees + 1 - np.bincount(u, minlength=n_core)
+                - np.bincount(v, minlength=n_core))
+    counts = np.bincount(roots, weights=vertices, minlength=n_core)
+    return counts.astype(np.int64), seq.n - n_core - seq.two_m // 2 + u.size
+
+
 def _pair_stats(p: Pairing) -> tuple[int, int]:
     """(loops, parallel_pairs) of the multigraph that p projects to."""
-    return _loops_and_parallel(*p.space.owner[p.pairs.T], p.space.n)
+    return _loops_and_parallel(*_core_pairs(p))
 
 
 def count_loops(p: Pairing) -> int:
@@ -234,16 +281,25 @@ def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 def project_components(p: Pairing) -> ComponentReport:
     """Connected components of the projected multigraph, plus loop stats."""
-    u, v = p.space.owner[p.pairs.T]  # owner vertices of the m pairs
-    n = p.space.n
-    loops, parallel = _loops_and_parallel(u, v, n)
-    counts = np.bincount(_component_roots(u, v, n))
+    u, v, n_core = _core_pairs(p)
+    loops, parallel = _loops_and_parallel(u, v, n_core)
+    counts, twos = _core_components(p, u, v, n_core)
+    if twos:
+        counts = np.concatenate((counts, np.full(twos, 2, dtype=counts.dtype)))
     return ComponentReport(
         counts=counts,
         largest=int(counts.max()),
         loops=loops,
         parallel_pairs=parallel,
     )
+
+
+def largest_component(p: Pairing) -> int:
+    """``project_components(p).largest``, without the loop and parallel-pair
+    counts or the sizes of the components of two degree-1 vertices."""
+    counts, twos = _core_components(p, *_core_pairs(p))
+    largest = int(counts.max(initial=0))
+    return max(largest, 2) if twos else largest
 
 
 def sample_simple_graph(

@@ -86,12 +86,31 @@ class TestDegreeSequence:
     def test_owner_stays_out_of_pickles(self):
         seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
         size = len(pickle.dumps(seq))
-        seq.owner  # populate the cache
+        seq.owner, seq.core, seq.core_degrees  # populate the caches
         assert len(pickle.dumps(seq)) == size
         other = pickle.loads(pickle.dumps(seq))
-        assert "owner" not in vars(other)
+        assert not {"owner", "core", "core_degrees"} & set(vars(other))
         assert np.array_equal(other.owner, seq.owner)
         assert not other.owner.flags.writeable
+        assert np.array_equal(other.core, seq.core)
+        assert not other.core.flags.writeable
+        assert np.array_equal(other.core_degrees, seq.core_degrees)
+
+    @pytest.mark.parametrize("degrees,core", [
+        ((2, 1, 3, 1, 1), [0, 0, -1, 1, 1, 1, -1, -1]),
+        ((1, 1, 1, 1), [-1, -1, -1, -1]),
+        ((3, 3), [0, 0, 0, 1, 1, 1]),
+    ])
+    def test_core_labels_degree_two_and_up(self, degrees, core):
+        seq = DegreeSequence(degrees)
+        layout = seq.core
+        assert layout.dtype == np.int32 and layout.tolist() == core
+        assert not layout.flags.writeable
+        assert seq.core is layout
+        assert seq.n_core == sum(d > 1 for d in degrees)
+        assert seq.core_degrees.tolist() == [d for d in degrees if d > 1]
+        assert not seq.core_degrees.flags.writeable
+        assert "owner" not in vars(seq)  # built from the degrees alone
 
 
 class TestEmpiricalDistribution:

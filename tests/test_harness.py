@@ -130,6 +130,15 @@ class TestDescribe:
         assert report["predicted_p_simple"] == 1.0
         assert report["predicted_attempts"] == 1.0
 
+    @pytest.mark.parametrize("degrees,per_point", [
+        ({"kind": "regular", "n": 100, "d": 3}, 24),  # pairs, owner, owners
+        ({"kind": "explicit", "degrees": [3, 1, 1, 1]}, 16),  # int32 core
+    ])
+    def test_memory_estimate_counts_the_projection_arrays(self, tmp_path, degrees,
+                                                          per_point):
+        report = describe(make_config(tmp_path, degrees=degrees))
+        assert report["memory_estimate_bytes"] == report["two_m"] * per_point
+
     def test_scaling_describes_first_cell_that_builds(self, tmp_path, capsys):
         # the largest n at the smallest gamma (3.5) fails for this target;
         # n = 1000 at gamma = 4.5 builds, as it does in ``run``
@@ -266,6 +275,23 @@ class TestScalingMode:
         caps = [c["max_degree_ratio"] * c["n"] ** (1 / c["gamma"])
                 for c in summary.cells]
         assert len(caps) == 3 and caps == sorted(caps)
+
+    @pytest.mark.parametrize("gamma,n", [(3.5, 1000), (3.5, 10_000),
+                                         (4.5, 1000), (4.5, 10_000)])
+    def test_kernel_is_the_largest_of_the_public_projection(self, gamma, n):
+        # the scaling kernel reads only the core layout; the replay through
+        # ``sample_pairing`` and ``project_components`` must agree with it
+        from pairlab.harness import _largest
+        from pairlab.pairing import project_components, sample_pairing
+        from pairlab.rng import substream
+
+        seq = build_subpower_sequence(n, gamma, 1.0, 0.9)
+        kernel = [_largest(seq, substream(5, 1, rep)) for rep in range(20)]
+        assert "owner" not in vars(seq)
+        assert kernel == [
+            project_components(sample_pairing(seq, substream(5, 1, rep))).largest
+            for rep in range(20)
+        ]
 
     @pytest.mark.usefixtures("two_cpus")
     def test_pool_tasks_carry_no_sequence(self, tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from pairlab.pairing import (
     double_factorial_odd,
     enumerate_pairings,
     is_simple,
+    largest_component,
     project_components,
     sample_pairing,
     sample_simple_graph,
@@ -252,6 +253,64 @@ class TestComponentRoots:
         leaves = np.arange(n - 1)
         roots = _component_roots(leaves, np.full(n - 1, n - 1), n)
         assert np.all(roots == 0)
+
+
+def full_multigraph_report(p):
+    """(component sizes descending, loops, parallel pairs) of the multigraph
+    on every vertex that ``p`` projects to, by union-find over owners."""
+    edges = [(int(p.space.owner[a]), int(p.space.owner[b])) for a, b in p.pairs]
+    sizes = Counter(union_find_roots(p.space.n, edges)).values()
+    multiplicity = Counter((min(e), max(e)) for e in edges if e[0] != e[1])
+    return (tuple(sorted(sizes, reverse=True)),
+            sum(a == b for a, b in edges),
+            sum(math.comb(k, 2) for k in multiplicity.values()))
+
+
+def assert_core_projection_exact(p):
+    sizes, loops, parallel = full_multigraph_report(p)
+    report = project_components(p)
+    assert report.component_sizes == sizes
+    assert report.largest == sizes[0] == largest_component(p)
+    assert (report.loops, report.parallel_pairs) == (loops, parallel)
+    assert (count_loops(p), count_parallel_pairs(p)) == (loops, parallel)
+    assert is_simple(p) == (loops == parallel == 0)
+
+
+class TestCoreProjection:
+    """Pairs of two degree-1 points, and degree-1 partners of core points,
+    are added to the core's components without projecting them."""
+
+    @given(st.lists(st.sampled_from([1, 1, 1, 1, 2, 3, 4]), min_size=2,
+                    max_size=30).map(lambda d: d + [1] * (sum(d) % 2)),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_union_find_on_the_full_multigraph(self, degrees, seed):
+        seq = DegreeSequence(tuple(degrees))
+        assert_core_projection_exact(sample_pairing(seq, substream(seed)))
+
+    @pytest.mark.parametrize("degrees", [(2, 1, 1), (3, 1, 1, 1), (2, 2, 1, 1),
+                                         (3, 3, 1, 1), (1,) * 6])
+    def test_every_pairing(self, degrees):
+        for p in enumerate_pairings(DegreeSequence(degrees)):
+            assert_core_projection_exact(p)
+
+    @pytest.mark.parametrize("degrees,support", [
+        ((1, 1, 1, 1), {(2, 2)}),  # no core at all
+        ((1,) * 8, {(2, 2, 2, 2)}),
+        ((2, 1, 1), {(3,), (2, 1)}),  # a single core vertex
+        ((4, 1, 1, 1, 1), {(5,), (3, 2), (2, 2, 1)}),
+    ])
+    def test_no_pair_of_two_core_points(self, degrees, support):
+        pairings = list(enumerate_pairings(DegreeSequence(degrees)))
+        for p in pairings:
+            assert_core_projection_exact(p)
+        assert {project_components(p).component_sizes for p in pairings} == support
+
+    def test_no_degree_one_vertex_reads_the_owner_map(self):
+        seq = DegreeSequence((3, 3, 2, 2, 2))
+        for rep in range(20):
+            assert_core_projection_exact(sample_pairing(seq, substream(32, rep)))
+        assert "core" not in vars(seq)
 
 
 class TestSamplingUniformity:
