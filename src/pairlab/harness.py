@@ -689,10 +689,9 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "predicted_p_simple": p_simple,
         "predicted_attempts": math.inf if p_simple == 0 else 1.0 / p_simple,
         # lower bound: the per-point arrays of one projected pairing, namely
-        # the int64 pairs, the point map the projection reads and the labels
-        # it gathers through that map (the int64 owner map with no degree-1
-        # vertex, else the int32 core map); ignores temporaries and objects
-        "memory_estimate_bytes": seq.two_m * (24 if seq.n_core == seq.n else 16),
+        # the int64 pairs, the int32 core map the projection reads and the
+        # int32 labels it gathers through it; ignores temporaries and objects
+        "memory_estimate_bytes": seq.two_m * 16,
     }
     if seq.gamma is not None:
         report["degree_cap"] = degree_cap(seq.n, seq.gamma, seq.c)

@@ -175,7 +175,10 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]
     C(multiplicity, 2), of the multigraph with edges (u, v)."""
     loop = u == v
     # int64 keys: core labels are int32, and n * n can pass 2**31
-    keys = np.sort((np.minimum(u, v) * np.int64(n) + np.maximum(u, v))[~loop])
+    keys = np.minimum(u, v, dtype=np.int64)
+    keys *= n
+    keys += np.maximum(u, v)
+    keys = np.sort(keys[~loop])
     # a run of r equal keys is one vertex pair of multiplicity r and adds
     # C(r, 2); it repeats its key at r - 1 consecutive positions, and a
     # pairing has only a handful of repeats.  ``ends`` holds the last repeat
@@ -191,17 +194,15 @@ def _core_pairs(p: Pairing) -> tuple[np.ndarray, np.ndarray, int]:
     u, v of the two ends of each pair of two core points, and the core size.
 
     A degree-1 vertex has one point, so it has no loop and no parallel pair.
-    With no degree-1 vertex the core is the whole sequence, and u, v are the
-    owners of the ends of every pair.
+    With no degree-1 vertex the core is every vertex and every pair is kept.
     """
     seq = p.space.seq
-    if seq.n_core == seq.n:
-        u, v = seq.owner[p.pairs.T]
-        return u, v, seq.n
     # one contiguous gather per column: the rows of core[p.pairs.T] are strided
-    a, b = seq.core[p.pairs[:, 0]], seq.core[p.pairs[:, 1]]
-    both = np.minimum(a, b) >= 0
-    return a[both], b[both], seq.n_core
+    u, v = seq.core[p.pairs[:, 0]], seq.core[p.pairs[:, 1]]
+    if seq.n_core < seq.n:
+        both = np.minimum(u, v) >= 0
+        u, v = u[both], v[both]
+    return u, v, seq.n_core
 
 
 def _core_components(p: Pairing, u: np.ndarray, v: np.ndarray,
@@ -215,7 +216,7 @@ def _core_components(p: Pairing, u: np.ndarray, v: np.ndarray,
     """
     seq = p.space.seq
     roots = _component_roots(u, v, n_core)
-    if n_core == seq.n:
+    if u.size == seq.two_m // 2:  # every pair is a core pair
         return np.bincount(roots), 0
     vertices = (seq.core_degrees + 1 - np.bincount(u, minlength=n_core)
                 - np.bincount(v, minlength=n_core))
@@ -255,7 +256,8 @@ def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     Hooking under the minimum, rather than under whichever write lands last,
     keeps a star whose centre has the largest label to two rounds.
     """
-    parent = np.arange(n)
+    # in the labels' dtype: minimum.at across dtypes is far slower
+    parent = np.arange(n, dtype=u.dtype)
     while True:  # u, v hold the current roots of each pair's two ends
         cross = u != v
         u, v = u[cross], v[cross]

@@ -130,14 +130,14 @@ class TestDescribe:
         assert report["predicted_p_simple"] == 1.0
         assert report["predicted_attempts"] == 1.0
 
-    @pytest.mark.parametrize("degrees,per_point", [
-        ({"kind": "regular", "n": 100, "d": 3}, 24),  # pairs, owner, owners
-        ({"kind": "explicit", "degrees": [3, 1, 1, 1]}, 16),  # int32 core
+    @pytest.mark.parametrize("degrees", [
+        {"kind": "regular", "n": 100, "d": 3},
+        {"kind": "explicit", "degrees": [3, 1, 1, 1]},
     ])
-    def test_memory_estimate_counts_the_projection_arrays(self, tmp_path, degrees,
-                                                          per_point):
+    def test_memory_estimate_counts_the_projection_arrays(self, tmp_path, degrees):
+        # int64 pairs, int32 core map, int32 gathered labels
         report = describe(make_config(tmp_path, degrees=degrees))
-        assert report["memory_estimate_bytes"] == report["two_m"] * per_point
+        assert report["memory_estimate_bytes"] == report["two_m"] * 16
 
     def test_scaling_describes_first_cell_that_builds(self, tmp_path, capsys):
         # the largest n at the smallest gamma (3.5) fails for this target;

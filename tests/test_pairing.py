@@ -306,11 +306,24 @@ class TestCoreProjection:
             assert_core_projection_exact(p)
         assert {project_components(p).component_sizes for p in pairings} == support
 
-    def test_no_degree_one_vertex_reads_the_owner_map(self):
+    def test_no_degree_one_vertex(self):
         seq = DegreeSequence((3, 3, 2, 2, 2))
         for rep in range(20):
             assert_core_projection_exact(sample_pairing(seq, substream(32, rep)))
-        assert "core" not in vars(seq)
+
+    def test_pair_keys_do_not_wrap_past_int32(self):
+        # 2**17 degree-2 vertices: the pair keys u * n + v of the edges
+        # (0, 40000) and (2**15, 40000) differ by exactly 2**32, so int32 keys
+        # would collide and report one parallel pair
+        n = 2**17
+        seq = DegreeSequence((2,) * n)
+        pairs = np.arange(2 * n).reshape(-1, 2)  # every vertex a loop
+        pairs[[0, 2**15, 40000]] = [[0, 80000], [1, 2**16], [2**16 + 1, 80001]]
+        p = Pairing(pairs=pairs, space=PointSpace.from_degree_sequence(seq))
+        p.validate()
+        report = project_components(p)
+        assert (report.loops, report.parallel_pairs) == (n - 3, 0)
+        assert count_parallel_pairs(p) == 0 and report.largest == 3
 
 
 class TestSamplingUniformity:
