@@ -77,20 +77,6 @@ __all__ = [
     "nu",
     "offspring_law",
     "validate_subpower",
-    "ExplorationState",
-    "ExplorationTrace",
-    "explore_component",
-    "largest_component_via_exploration",
-    "start_exploration",
-    "ComponentReport",
-    "Pairing",
-    "PointSpace",
-    "count_loops",
-    "count_parallel_pairs",
-    "enumerate_pairings",
-    "project_components",
-    "sample_pairing",
-    "sample_simple_graph",
-    "substream",
+    *_LAZY,
     "__version__",
 ]

@@ -7,9 +7,9 @@ separates the subcritical and supercritical phases.  All functionals are
 computed from integer sums, with at most one final division, so the algebraic
 identities between them hold exactly.
 
-Nothing here but the point maps of ``DegreeSequence`` (``owner``, ``core``
-and ``core_degrees``) needs numpy, which they import on first use:
-``describe``, ``validate`` and config checks never load it.
+Nothing here but the point maps of ``DegreeSequence`` (``core`` and
+``core_degrees``) needs numpy, which they import on first use: ``describe``,
+``validate`` and config checks never load it.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class DegreeSequence:
 
     ``gamma``/``c`` are optional subpower metadata: when present, the maximum
     degree must respect the corresponding cap.  The point layout
-    (``two_m``, ``offsets``, ``histogram``, ``owner``, ``core``,
-    ``core_degrees``) is computed on first use and cached, so every chain or
-    sampler built on the sequence shares it.
+    (``two_m``, ``offsets``, ``histogram``, ``core``, ``core_degrees``) is
+    computed on first use and cached, so every chain or sampler built on the
+    sequence shares it.
     """
 
     degrees: tuple[int, ...]
@@ -110,15 +110,6 @@ class DegreeSequence:
         return dict(Counter(self.degrees))
 
     @cached_property
-    def owner(self) -> np.ndarray:
-        """Point -> owner vertex, as a read-only int64 array of length 2m."""
-        import numpy as np  # the one numpy use here; a dry run never reaches it
-
-        owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        owner.setflags(write=False)
-        return owner
-
-    @cached_property
     def core(self) -> np.ndarray:
         """Point -> label of its owner among the core, the vertices of degree
         >= 2 numbered 0, 1, ... in vertex order, or -1 for the point of a
@@ -149,10 +140,10 @@ class DegreeSequence:
         return self.n - self.histogram.get(1, 0)
 
     def __getstate__(self) -> dict:
-        # the point maps: up to 12 bytes a point that the receiver rebuilds
+        # the point maps: up to 8 bytes a point that the receiver rebuilds
         # on first use
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("owner", "core", "core_degrees")}
+                if k not in ("core", "core_degrees")}
 
     @property
     def max_degree(self) -> int:

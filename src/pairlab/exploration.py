@@ -81,10 +81,13 @@ class ExplorationState:
     """Mutable chain state; supports one root at a time, reusable for a full
     decomposition that completes a single uniform pairing across roots.
 
-    Set-up copies only the degree histogram; everything else grows with the
-    pairs matched.  The unmatched points form a swap-remove pool that starts
-    as the identity on [0, 2m): ``_slot`` (pool index -> point) and
-    ``_index`` (point -> pool index) record only the entries that moved.
+    Set-up copies the degree histogram and zero-fills two flag arrays, one
+    byte a point (``is_active``) and one a vertex (``visited``); everything
+    else grows with the pairs matched.  ``pairs`` holds the matched pairs
+    ``(s1, s2)`` in match order.  The unmatched points form a swap-remove
+    pool that starts as the identity on [0, 2m): ``_slot`` (pool index ->
+    point) and ``_index`` (point -> pool index) record only the entries that
+    moved, and ``_size`` is the pool's size, 2m - 2t.
 
     Every transition goes through ``_advance(x)``, which consumes one uniform
     ``x``.  ``step`` feeds it one ``rng.random()`` and returns the partner's
@@ -99,7 +102,7 @@ class ExplorationState:
         self.offsets = seq.offsets
         self.two_m = seq.two_m
         self.n = seq.n
-        self.mate: dict[int, int] = {}
+        self.pairs: list[tuple[int, int]] = []
         self._slot: dict[int, int] = {}
         self._index: dict[int, int] = {}
         self._size = self.two_m  # unmatched points left in the pool
@@ -109,9 +112,18 @@ class ExplorationState:
         self.active = 0
         self.inactive_counts = dict(seq.histogram)
         self.inactive_points = self.two_m
-        self.t_global = 0  # pairs matched overall
-        self.t = 0  # steps since the current root was activated
+        self._t_begin = 0  # pairs matched before the current root
         self.cluster_size = 0
+
+    @property
+    def t_global(self) -> int:
+        """Pairs matched overall."""
+        return len(self.pairs)
+
+    @property
+    def t(self) -> int:
+        """Steps since the current root was activated."""
+        return len(self.pairs) - self._t_begin
 
     def points_of(self, v: int) -> range:
         return range(self.offsets[v], self.offsets[v + 1])
@@ -130,15 +142,15 @@ class ExplorationState:
             self.queue.append(s)
             self.is_active[s] = 1
         self.active = d_v
-        self.t = 0
+        self._t_begin = len(self.pairs)
         self.cluster_size = 1
         self._check_conservation()
 
     def _check_conservation(self) -> None:
-        if self.active + self.inactive_points != self.two_m - 2 * self.t_global:
+        if self.active + self.inactive_points != self._size:
             raise ConservationError(
                 f"A + I = {self.active + self.inactive_points} != "
-                f"2m - 2t = {self.two_m - 2 * self.t_global}"
+                f"2m - 2t = {self._size}"
             )
 
     def snapshot(self) -> StateSnapshot:
@@ -164,11 +176,11 @@ class ExplorationState:
         The caller ensures A > 0.  Each of ``s1`` and ``s2`` is swap-removed:
         the last pool slot moves into its slot and the pool shrinks by one.
         """
-        mate = self.mate
         queue = self.queue
+        is_active = self.is_active
         s1 = queue.popleft()
-        while s1 in mate:  # lazy deletion: skip entries matched while waiting
-            s1 = queue.popleft()
+        while not is_active[s1]:  # lazy deletion: matched as a partner while
+            s1 = queue.popleft()  # it waited
         slot = self._slot
         index = self._index
         size = self._size - 1
@@ -186,9 +198,7 @@ class ExplorationState:
             slot[j] = last
             index[last] = j
         self._size = size
-        mate[s1] = s2
-        mate[s2] = s1
-        is_active = self.is_active
+        self.pairs.append((s1, s2))
         is_active[s1] = 0
 
         if is_active[s2]:
@@ -212,18 +222,15 @@ class ExplorationState:
                     queue.append(s)
                     is_active[s] = 1
             self.active += degree - 2
-        self.t += 1
-        self.t_global += 1
-        if self.active + self.inactive_points != self.two_m - 2 * self.t_global:
+        if self.active + self.inactive_points != size:
             self._check_conservation()  # raises, naming both sides
         return degree
 
     def finished_pairing(self) -> Pairing:
         """The completed pairing after a full decomposition."""
-        if len(self.mate) != self.two_m:
+        if self._size:
             raise RuntimeError("pairing incomplete")
-        lower = sorted(s for s, t in self.mate.items() if s < t)
-        pairs = np.array([(s, self.mate[s]) for s in lower], dtype=np.int64)
+        pairs = np.array(sorted(map(sorted, self.pairs)), dtype=np.int64)
         return Pairing(pairs=pairs.reshape(-1, 2),
                        space=PointSpace.from_degree_sequence(self.seq))
 

@@ -46,11 +46,6 @@ class PointSpace:
         return cls(seq)
 
     @property
-    def owner(self) -> np.ndarray:
-        """Point index -> vertex index."""
-        return self.seq.owner
-
-    @property
     def n(self) -> int:
         return self.seq.n
 

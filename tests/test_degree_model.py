@@ -73,25 +73,13 @@ class TestDegreeSequence:
         assert other == seq and hash(other) == hash(seq)
         assert other.offsets == seq.offsets
 
-    def test_owner_is_cached_and_read_only(self):
-        seq = DegreeSequence((2, 1, 3, 2))
-        owner = seq.owner
-        assert owner.dtype == np.int64
-        assert np.array_equal(owner, np.repeat(np.arange(seq.n), seq.degrees))
-        assert not owner.flags.writeable
-        with pytest.raises(ValueError):
-            owner[0] = 1
-        assert seq.owner is owner
-
-    def test_owner_stays_out_of_pickles(self):
+    def test_point_maps_stay_out_of_pickles(self):
         seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
         size = len(pickle.dumps(seq))
-        seq.owner, seq.core, seq.core_degrees  # populate the caches
+        seq.core, seq.core_degrees  # populate the caches
         assert len(pickle.dumps(seq)) == size
         other = pickle.loads(pickle.dumps(seq))
-        assert not {"owner", "core", "core_degrees"} & set(vars(other))
-        assert np.array_equal(other.owner, seq.owner)
-        assert not other.owner.flags.writeable
+        assert not {"core", "core_degrees"} & set(vars(other))
         assert np.array_equal(other.core, seq.core)
         assert not other.core.flags.writeable
         assert np.array_equal(other.core_degrees, seq.core_degrees)
@@ -110,7 +98,6 @@ class TestDegreeSequence:
         assert seq.n_core == sum(d > 1 for d in degrees)
         assert seq.core_degrees.tolist() == [d for d in degrees if d > 1]
         assert not seq.core_degrees.flags.writeable
-        assert "owner" not in vars(seq)  # built from the degrees alone
 
 
 class TestEmpiricalDistribution:

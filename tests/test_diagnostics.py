@@ -163,6 +163,7 @@ class TestDrift:
         seq = DegreeSequence((3, 2, 2, 1))
         state = start_exploration(seq, 0)
         snap = state.snapshot()
+        owner = np.repeat(np.arange(seq.n), seq.degrees)
         deltas = []
         for s in _pool(state):
             if s in set(state.points_of(0)):
@@ -170,10 +171,10 @@ class TestDrift:
             if state.is_active[s]:
                 deltas.append(-2)
             else:
-                deltas.append(seq.degrees[int(seq.owner[s])] - 2)
+                deltas.append(seq.degrees[int(owner[s])] - 2)
         # pool minus the point being matched: 2 other actives + 5 inactive
         by_hand = (2 * (-2) + sum(
-            seq.degrees[int(seq.owner[s])] - 2
+            seq.degrees[int(owner[s])] - 2
             for s in _pool(state)
             if not state.is_active[s]
         )) / (snap.active + snap.inactive_points - 1)

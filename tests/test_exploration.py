@@ -133,17 +133,17 @@ class TestSparsePool:
                 continue
             state.begin(v)
             while state.active > 0:
-                s1 = next(s for s in state.queue if s not in state.mate)
+                s1 = next(s for s in state.queue if state.is_active[s])
                 x = rng.random()
                 swap_remove(s1)
                 s2 = dense[int(x * len(dense))]
                 swap_remove(s2)
                 state._advance(x)
-                assert state.mate[s1] == s2
+                assert state.pairs[-1] == (s1, s2)
                 assert _pool(state) == dense
                 assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
                 assert len(state._slot) == len(state._index)
-        assert dense == [] and len(state.mate) == seq.two_m
+        assert dense == [] and len(state.pairs) == seq.two_m // 2
 
     @pytest.mark.parametrize("seq,steps", [
         (DegreeSequence((3,) * 100_000), 2000),  # giant component: stop early
@@ -152,13 +152,13 @@ class TestSparsePool:
     def test_state_grows_with_the_component(self, seq, steps):
         root = max(range(seq.n), key=seq.degrees.__getitem__)
         state = start_exploration(seq, root)
-        assert state.mate == state._slot == state._index == {}
+        assert state.pairs == [] and state._slot == state._index == {}
         rng = substream(13)
         while state.active > 0 and state.t_global != steps:
             state.step(rng)
         t = state.t_global
         assert 0 < 4 * t < seq.two_m // 10
-        assert len(state.mate) == 2 * t
+        assert len(state.pairs) == t
         assert len(state._slot) == len(state._index) <= 2 * t  # <= 4t together
 
 
@@ -231,13 +231,15 @@ class TestBlockDraws:
         assert rng.random() == ref_rng.random()
 
     def test_corrupt_state_raises_in_step_and_driver(self):
+        # drift on either side of A + I = 2m - 2t is caught
         seq = DegreeSequence((3,) * 20)
-        for run in (lambda state, rng: state.step(rng),
-                    lambda state, rng: list(_walk(state, rng))):
-            state = start_exploration(seq, 0)
-            state.inactive_points -= 1
-            with pytest.raises(ConservationError):
-                run(state, substream(14))
+        for side in ("inactive_points", "active"):
+            for run in (lambda state, rng: state.step(rng),
+                        lambda state, rng: list(_walk(state, rng))):
+                state = start_exploration(seq, 0)
+                setattr(state, side, getattr(state, side) - 1)
+                with pytest.raises(ConservationError):
+                    run(state, substream(14))
 
 
 class TestGoldenDigests:
@@ -333,8 +335,12 @@ class TestFullDecomposition:
         )
         assert abs(hits / 6000 - 1 / 3) < 3 * np.sqrt((1 / 3) * (2 / 3) / 6000)
 
-    def test_completes_a_uniform_pairing(self):
-        seq = DegreeSequence((3,) * 10)
+    @pytest.mark.parametrize("seq", [
+        DegreeSequence((3,) * 10),
+        build_subpower_sequence(2000, 3.5, 1.0, 0.9),  # mostly degree 1
+        DegreeSequence((4, 2, 1, 1)),
+    ], ids=["regular", "subpower", "mixed"])
+    def test_completes_a_uniform_pairing(self, seq):
         state = ExplorationState(seq)
         rng = substream(11)
         sizes = []
@@ -345,6 +351,7 @@ class TestFullDecomposition:
             while state.active > 0:
                 state.step(rng)
             sizes.append(state.cluster_size)
+        assert state.t_global == len(state.pairs) == seq.two_m // 2
         pairing = state.finished_pairing()
         pairing.validate()
         report = project_components(pairing)
