@@ -36,8 +36,6 @@ _LAZY = {
     "ComponentReport": "pairing",
     "Pairing": "pairing",
     "PointSpace": "pairing",
-    "count_loops": "pairing",
-    "count_parallel_pairs": "pairing",
     "enumerate_pairings": "pairing",
     "project_components": "pairing",
     "sample_pairing": "pairing",

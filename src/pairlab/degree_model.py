@@ -220,15 +220,16 @@ def offspring_law(dist: EmpiricalDistribution) -> OffspringLaw:
 
 
 def molloy_reed_sum_exact(dist: EmpiricalDistribution) -> Fraction:
-    """sum_j j(j-2) p_j, exact; equals d_bar * (nu - 1) identically."""
-    return Fraction(
-        sum(j * (j - 2) * k for j, k in dist.counts.items()), dist.n
-    )
+    """sum_j j(j-2) p_j = (s2 - s1)/n, exact; equals d_bar * (nu - 1)
+    identically."""
+    s1, s2 = _factorial_sums(dist)
+    return Fraction(s2 - s1, dist.n)
 
 
 def molloy_reed_sum(dist: EmpiricalDistribution) -> float:
     """sum_j j(j-2) p_j; negative in the subcritical phase."""
-    return sum(j * (j - 2) * k for j, k in dist.counts.items()) / dist.n
+    s1, s2 = _factorial_sums(dist)
+    return (s2 - s1) / dist.n
 
 
 def predicted_simple_probability(nu_value: float) -> float:

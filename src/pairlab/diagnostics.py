@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree_model import EmpiricalDistribution
+from .degree_model import EmpiricalDistribution, predicted_simple_probability
 from .exploration import ExplorationTrace, StateSnapshot
 from .pairing import ComponentReport
 
@@ -170,6 +170,6 @@ def poisson_limit_check(
         corr=corr,
         target_loops=nu_value / 2,
         target_parallel=(nu_value / 2) ** 2,
-        target_simple=math.exp(-nu_value / 2 - nu_value**2 / 4),
+        target_simple=predicted_simple_probability(nu_value),
         z_corr=corr * math.sqrt(len(reports)),
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree_model import DegreeSequence
-from .pairing import Pairing, PointSpace
+from .pairing import Pairing
 
 
 class ConservationError(AssertionError):
@@ -100,18 +100,16 @@ class ExplorationState:
         self.seq = seq
         self.degrees = seq.degrees
         self.offsets = seq.offsets
-        self.two_m = seq.two_m
-        self.n = seq.n
         self.pairs: list[tuple[int, int]] = []
         self._slot: dict[int, int] = {}
         self._index: dict[int, int] = {}
-        self._size = self.two_m  # unmatched points left in the pool
-        self.is_active = bytearray(self.two_m)
-        self.visited = bytearray(self.n)
+        self._size = seq.two_m  # unmatched points left in the pool
+        self.is_active = bytearray(seq.two_m)
+        self.visited = bytearray(seq.n)
         self.queue: deque[int] = deque()
         self.active = 0
         self.inactive_counts = dict(seq.histogram)
-        self.inactive_points = self.two_m
+        self.inactive_points = seq.two_m
         self._t_begin = 0  # pairs matched before the current root
         self.cluster_size = 0
 
@@ -158,7 +156,7 @@ class ExplorationState:
             t=self.t,
             active=self.active,
             inactive_counts=dict(self.inactive_counts),
-            total_points=self.two_m,
+            total_points=self.seq.two_m,
         )
 
     def step(self, rng: np.random.Generator) -> int:
@@ -231,8 +229,7 @@ class ExplorationState:
         if self._size:
             raise RuntimeError("pairing incomplete")
         pairs = np.array(sorted(map(sorted, self.pairs)), dtype=np.int64)
-        return Pairing(pairs=pairs.reshape(-1, 2),
-                       space=PointSpace.from_degree_sequence(self.seq))
+        return Pairing(pairs=pairs.reshape(-1, 2), seq=self.seq)
 
 
 def _walk(state: ExplorationState, rng: np.random.Generator) -> Iterator[int]:

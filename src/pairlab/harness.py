@@ -575,6 +575,9 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
                           enumerate_pairings, is_simple)
 
     seq = resolve_degrees(config.degrees)
+    if seq.two_m < 4:  # one pairing: the chi-square has no degree of freedom
+        raise ConfigError(f"degrees: {config.mode} needs m >= 2 pairs, "
+                          f"got m = {seq.two_m // 2}")
     tol = config.tolerances
     cap = tol["enumeration_cap"]
     try:  # streamed: no pairing outlives its simplicity check

@@ -4,10 +4,10 @@ Each vertex i owns d_i points; a pairing is a uniform perfect matching on all
 2m points, and projecting matched points to their owner vertices yields a
 multigraph with the prescribed degrees.  Alongside the sampler there is an
 exhaustive enumerator for small instances (the exact oracle used by the
-tests), loop / parallel-edge counters, a component projector, and rejection
-sampling of simple graphs.  The counters and the projector read only the
-pairs of two core points, those of vertices of degree >= 2; the degree-1
-vertices join components by counting.
+tests), a projector that reports loops, parallel pairs and component sizes,
+and rejection sampling of simple graphs.  The projector reads only the pairs
+of two core points, those of vertices of degree >= 2; the degree-1 vertices
+join components by counting.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class AttemptsExhaustedError(RuntimeError):
 @dataclass(frozen=True)
 class PointSpace:
     """The 2m half-edge points of a degree sequence, grouped contiguously by
-    owner vertex; the point maps are the sequence's, built on first read."""
+    owner vertex.  ``sample_pairing`` accepts one in place of its sequence."""
 
     seq: DegreeSequence
 
@@ -46,23 +46,19 @@ class PointSpace:
         return cls(seq)
 
     @property
-    def n(self) -> int:
-        return self.seq.n
-
-    @property
     def total_points(self) -> int:
         return self.seq.two_m
 
 
 @dataclass(frozen=True)
 class Pairing:
-    """A perfect matching of the point space, as an (m, 2) array of pairs."""
+    """A perfect matching of seq's 2m points, as an (m, 2) array of pairs."""
 
     pairs: np.ndarray  # row k = the two points of matching-pair k
-    space: PointSpace
+    seq: DegreeSequence
 
     def validate(self) -> None:
-        total = self.space.total_points
+        total = self.seq.two_m
         flat = self.pairs.ravel()
         if self.pairs.shape != (total // 2, 2) or np.any((flat < 0) | (flat >= total)):
             raise ValueError(f"expected {total // 2} pairs of points in [0, {total})")
@@ -75,10 +71,10 @@ class Pairing:
         """This pairing's position in ``enumerate_pairings``' order: a
         mixed-radix number, radices 2m-1, 2m-3, ..., 1, whose digits are the
         positions of each lowest free point's partner among the others."""
-        partner = [0] * self.space.total_points
+        partner = [0] * self.seq.two_m
         for s, t in self.pairs.tolist():
             partner[s], partner[t] = t, s
-        free = list(range(self.space.total_points))
+        free = list(range(self.seq.two_m))
         index = 0
         while free:
             i = free.index(partner[free.pop(0)])
@@ -108,12 +104,6 @@ class ComponentReport:
         return self.loops == 0 and self.parallel_pairs == 0
 
 
-def _as_space(seq: DegreeSequence | PointSpace) -> PointSpace:
-    if isinstance(seq, PointSpace):
-        return seq
-    return PointSpace.from_degree_sequence(seq)
-
-
 def sample_pairing(
     seq: DegreeSequence | PointSpace, rng: np.random.Generator
 ) -> Pairing:
@@ -122,9 +112,10 @@ def sample_pairing(
     A uniform permutation of the points is folded into consecutive pairs,
     which induces the uniform matching; deterministic given the rng state.
     """
-    space = _as_space(seq)
-    perm = rng.permutation(space.total_points)
-    return Pairing(pairs=perm.reshape(-1, 2), space=space)
+    if isinstance(seq, PointSpace):
+        seq = seq.seq
+    perm = rng.permutation(seq.two_m)
+    return Pairing(pairs=perm.reshape(-1, 2), seq=seq)
 
 
 def double_factorial_odd(m: int) -> int:
@@ -135,15 +126,12 @@ def double_factorial_odd(m: int) -> int:
     return out
 
 
-def enumerate_pairings(
-    seq: DegreeSequence | PointSpace, max_pairs: int = 6
-) -> Iterator[Pairing]:
+def enumerate_pairings(seq: DegreeSequence, max_pairs: int = 6) -> Iterator[Pairing]:
     """Yield all (2m-1)!! pairings once each, the k-th with ``index()`` k.
 
     Capped by default at m = 6 (10395 pairings) to keep oracle runs fast.
     """
-    space = _as_space(seq)
-    total = space.total_points
+    total = seq.two_m
     if total // 2 > max_pairs:
         raise InstanceTooLargeError(
             f"m = {total // 2} exceeds enumeration cap {max_pairs}"
@@ -153,7 +141,7 @@ def enumerate_pairings(
 
     def rec(points: list[int]) -> Iterator[Pairing]:
         if not points:
-            yield Pairing(pairs=np.array(pairs, dtype=np.int64), space=space)
+            yield Pairing(pairs=np.array(pairs, dtype=np.int64), seq=seq)
             return
         first = points[0]
         rest = points[1:]
@@ -191,7 +179,7 @@ def _core_pairs(p: Pairing) -> tuple[np.ndarray, np.ndarray, int]:
     A degree-1 vertex has one point, so it has no loop and no parallel pair.
     With no degree-1 vertex the core is every vertex and every pair is kept.
     """
-    seq = p.space.seq
+    seq = p.seq
     # one contiguous gather per column: the rows of core[p.pairs.T] are strided
     u, v = seq.core[p.pairs[:, 0]], seq.core[p.pairs[:, 1]]
     if seq.n_core < seq.n:
@@ -209,7 +197,7 @@ def _core_components(p: Pairing, u: np.ndarray, v: np.ndarray,
     whose vertex joins that component.  The m pairs are the u.size core
     pairs, one pair per such partner, and the pairs of two degree-1 points.
     """
-    seq = p.space.seq
+    seq = p.seq
     roots = _component_roots(u, v, n_core)
     if u.size == seq.two_m // 2:  # every pair is a core pair
         return np.bincount(roots), 0
@@ -219,24 +207,9 @@ def _core_components(p: Pairing, u: np.ndarray, v: np.ndarray,
     return counts.astype(np.int64), seq.n - n_core - seq.two_m // 2 + u.size
 
 
-def _pair_stats(p: Pairing) -> tuple[int, int]:
-    """(loops, parallel_pairs) of the multigraph that p projects to."""
-    return _loops_and_parallel(*_core_pairs(p))
-
-
-def count_loops(p: Pairing) -> int:
-    """Matching-pairs whose two points share an owner vertex."""
-    return _pair_stats(p)[0]
-
-
-def count_parallel_pairs(p: Pairing) -> int:
-    """Sum over distinct vertex pairs of C(multiplicity, 2); loops excluded."""
-    return _pair_stats(p)[1]
-
-
 def is_simple(p: Pairing) -> bool:
     """No loops and every vertex-pair multiplicity at most 1."""
-    return _pair_stats(p) == (0, 0)
+    return _loops_and_parallel(*_core_pairs(p)) == (0, 0)
 
 
 def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -300,9 +273,7 @@ def largest_component(p: Pairing) -> int:
 
 
 def sample_simple_graph(
-    seq: DegreeSequence | PointSpace,
-    rng: np.random.Generator,
-    max_attempts: int,
+    seq: DegreeSequence, rng: np.random.Generator, max_attempts: int
 ) -> tuple[Pairing, int]:
     """Rejection-sample pairings until simple; returns (pairing, attempts).
 
@@ -311,9 +282,8 @@ def sample_simple_graph(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    space = _as_space(seq)
     for attempt in range(1, max_attempts + 1):
-        p = sample_pairing(space, rng)
+        p = sample_pairing(seq, rng)
         if is_simple(p):
             return p, attempt
     raise AttemptsExhaustedError(max_attempts)

@@ -36,8 +36,6 @@ from pairlab.exploration import (
 from pairlab.harness import ExperimentConfig, run
 from pairlab.pairing import (
     PointSpace,
-    count_loops,
-    count_parallel_pairs,
     enumerate_pairings,
     project_components,
     sample_pairing,
@@ -57,11 +55,10 @@ def test_criterion_1_exact_oracle_equivalence():
     t0 = time.monotonic()
     seq = DegreeSequence((2, 2))
     pairings = list(enumerate_pairings(seq))
-    x_dist = Counter(count_loops(p) for p in pairings)
-    y_dist = Counter(count_parallel_pairs(p) for p in pairings)
-    simple = sum(
-        count_loops(p) == 0 and count_parallel_pairs(p) == 0 for p in pairings
-    )
+    reports = [project_components(p) for p in pairings]
+    x_dist = Counter(r.loops for r in reports)
+    y_dist = Counter(r.parallel_pairs for r in reports)
+    simple = sum(r.loops == 0 and r.parallel_pairs == 0 for r in reports)
     oracle_ok = (
         len(pairings) == 3
         and x_dist[2] == 1  # P(X=2) = 1/3

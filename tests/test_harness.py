@@ -630,6 +630,21 @@ def test_oracle_memory_does_not_grow_with_pairing_count(tmp_path):
     assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_oracle_refuses_a_single_pairing(tmp_path, capsys):
+    # m = 1 has one pairing: its chi-square has no degree of freedom and a
+    # NaN p-value, which no verdict can come from
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "oracle_validation", "replicates": 50, "seed": 3,
+        "output_dir": str(tmp_path / "out"),
+        "degrees": {"kind": "explicit", "degrees": [1, 1]},
+    }))
+    assert cli_main(["run", "-c", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: degrees:") and "m >= 2" in err
+    assert not any((tmp_path / "out").glob("*"))
+
+
 # Arbitrary JSON merged into a small valid config must give exit 0, 1 or 2,
 # never a traceback.  Integers stay small so that no draw enumerates or
 # samples a large instance; tolerance values stay at most 6 so that an

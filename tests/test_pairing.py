@@ -13,8 +13,6 @@ from pairlab.pairing import (
     InstanceTooLargeError,
     Pairing,
     PointSpace,
-    count_loops,
-    count_parallel_pairs,
     double_factorial_odd,
     enumerate_pairings,
     is_simple,
@@ -112,25 +110,23 @@ class TestEnumeration:
 class TestLoopAndParallelCounts:
     def test_unique_pairing_no_loops(self):
         (p,) = enumerate_pairings(D11)
-        assert count_loops(p) == 0
+        assert project_components(p).loops == 0
 
     def test_both_internal(self):
-        p = pairing_by_pairs(D22, [(0, 1), (2, 3)])
-        assert count_loops(p) == 2
-        assert count_parallel_pairs(p) == 0
+        report = project_components(pairing_by_pairs(D22, [(0, 1), (2, 3)]))
+        assert (report.loops, report.parallel_pairs) == (2, 0)
 
     def test_double_edge(self):
-        p = pairing_by_pairs(D22, [(0, 2), (1, 3)])
-        assert count_loops(p) == 0
-        assert count_parallel_pairs(p) == 1
+        report = project_components(pairing_by_pairs(D22, [(0, 2), (1, 3)]))
+        assert (report.loops, report.parallel_pairs) == (0, 1)
 
     def test_degree_one_never_parallel(self):
         for p in enumerate_pairings(D1111):
-            assert count_parallel_pairs(p) == 0
+            assert project_components(p).parallel_pairs == 0
 
     def test_triple_edge(self):
         p = pairing_by_pairs(DegreeSequence((3, 3)), [(0, 3), (1, 4), (2, 5)])
-        assert count_parallel_pairs(p) == math.comb(3, 2) == 3
+        assert project_components(p).parallel_pairs == math.comb(3, 2) == 3
 
     @given(even_degree_lists(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
@@ -139,8 +135,9 @@ class TestLoopAndParallelCounts:
         m = seq.two_m // 2
         p = sample_pairing(seq, substream(seed))
         p.validate()
-        assert 0 <= count_loops(p) <= m
-        assert 0 <= count_parallel_pairs(p) <= math.comb(m, 2)
+        report = project_components(p)
+        assert 0 <= report.loops <= m
+        assert 0 <= report.parallel_pairs <= math.comb(m, 2)
 
 
 class TestProjection:
@@ -191,7 +188,7 @@ class TestProjection:
 def assert_counts_by_hand(p) -> int:
     """Check loops, parallel pairs and simplicity of ``p`` against a count
     by hand; returns the largest vertex-pair multiplicity."""
-    owner = np.repeat(np.arange(p.space.n), p.space.seq.degrees)
+    owner = np.repeat(np.arange(p.seq.n), p.seq.degrees)
     edges = Counter()
     loops = 0
     for a, b in p.pairs:
@@ -202,8 +199,9 @@ def assert_counts_by_hand(p) -> int:
             loops += 1
     by_hand = loops == 0 and all(k <= 1 for k in edges.values())
     assert is_simple(p) == by_hand
-    assert count_loops(p) == loops
-    assert count_parallel_pairs(p) == sum(math.comb(k, 2) for k in edges.values())
+    report = project_components(p)
+    assert report.loops == loops
+    assert report.parallel_pairs == sum(math.comb(k, 2) for k in edges.values())
     return max(edges.values(), default=0)
 
 
@@ -260,9 +258,9 @@ class TestComponentRoots:
 def full_multigraph_report(p):
     """(component sizes descending, loops, parallel pairs) of the multigraph
     on every vertex that ``p`` projects to, by union-find over owners."""
-    owner = np.repeat(np.arange(p.space.n), p.space.seq.degrees)
+    owner = np.repeat(np.arange(p.seq.n), p.seq.degrees)
     edges = [(int(owner[a]), int(owner[b])) for a, b in p.pairs]
-    sizes = Counter(union_find_roots(p.space.n, edges)).values()
+    sizes = Counter(union_find_roots(p.seq.n, edges)).values()
     multiplicity = Counter((min(e), max(e)) for e in edges if e[0] != e[1])
     return (tuple(sorted(sizes, reverse=True)),
             sum(a == b for a, b in edges),
@@ -275,7 +273,6 @@ def assert_core_projection_exact(p):
     assert report.component_sizes == sizes
     assert report.largest == sizes[0] == largest_component(p)
     assert (report.loops, report.parallel_pairs) == (loops, parallel)
-    assert (count_loops(p), count_parallel_pairs(p)) == (loops, parallel)
     assert is_simple(p) == (loops == parallel == 0)
 
 
@@ -322,11 +319,11 @@ class TestCoreProjection:
         seq = DegreeSequence((2,) * n)
         pairs = np.arange(2 * n).reshape(-1, 2)  # every vertex a loop
         pairs[[0, 2**15, 40000]] = [[0, 80000], [1, 2**16], [2**16 + 1, 80001]]
-        p = Pairing(pairs=pairs, space=PointSpace.from_degree_sequence(seq))
+        p = Pairing(pairs=pairs, seq=seq)
         p.validate()
         report = project_components(p)
         assert (report.loops, report.parallel_pairs) == (n - 3, 0)
-        assert count_parallel_pairs(p) == 0 and report.largest == 3
+        assert report.largest == 3
 
 
 class TestSamplingUniformity:
@@ -389,7 +386,6 @@ class TestValidate:
         ([[0, 1]], "expected 2 pairs"),  # points 2 and 3 missing
     ])
     def test_rejects_non_matching(self, pairs, message):
-        p = Pairing(pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
-                    space=PointSpace.from_degree_sequence(D22))
+        p = Pairing(pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2), seq=D22)
         with pytest.raises(ValueError, match=message):
             p.validate()
