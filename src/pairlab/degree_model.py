@@ -204,9 +204,8 @@ def nu_exact(dist: EmpiricalDistribution) -> Fraction:
 
 
 def nu(dist: EmpiricalDistribution) -> float:
-    """Branching ratio as a float: integer sums, one final division."""
-    s1, s2 = _factorial_sums(dist)
-    return s2 / s1
+    """Branching ratio as a float, ``nu_exact`` correctly rounded."""
+    return float(nu_exact(dist))
 
 
 def offspring_law(dist: EmpiricalDistribution) -> OffspringLaw:
@@ -227,9 +226,8 @@ def molloy_reed_sum_exact(dist: EmpiricalDistribution) -> Fraction:
 
 
 def molloy_reed_sum(dist: EmpiricalDistribution) -> float:
-    """sum_j j(j-2) p_j; negative in the subcritical phase."""
-    s1, s2 = _factorial_sums(dist)
-    return (s2 - s1) / dist.n
+    """sum_j j(j-2) p_j, correctly rounded; negative in the subcritical phase."""
+    return float(molloy_reed_sum_exact(dist))
 
 
 def predicted_simple_probability(nu_value: float) -> float:

@@ -24,7 +24,6 @@ import math
 import os
 import statistics
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -104,7 +103,7 @@ _GRID_FIELDS = {
 # tolerances that count something, with their floor; every other one is any
 # finite number >= 0
 _INT_TOLERANCES = {"enumeration_cap": 1, "trajectory_j_max": 1}
-# the oracle checks every (2m-1)!! pairing for simplicity: 135,135 at m = 7
+# the oracle's chi-square over 2,027,025 pairings at m = 8 needs ~10M draws
 MAX_ENUMERATION_CAP = 7
 
 
@@ -571,24 +570,23 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
     import numpy as np
     from scipy import stats  # deferred: the only scipy.stats user, ~0.5 s import
 
-    from .pairing import (InstanceTooLargeError, double_factorial_odd,
-                          enumerate_pairings, is_simple)
+    from .pairing import double_factorial_odd, pairing_blocks, simple_mask
 
     seq = resolve_degrees(config.degrees)
-    if seq.two_m < 4:  # one pairing: the chi-square has no degree of freedom
-        raise ConfigError(f"degrees: {config.mode} needs m >= 2 pairs, "
-                          f"got m = {seq.two_m // 2}")
-    tol = config.tolerances
-    cap = tol["enumeration_cap"]
-    try:  # streamed: no pairing outlives its simplicity check
-        simple = Counter(map(is_simple, enumerate_pairings(seq, max_pairs=cap)))
-    except InstanceTooLargeError as exc:
-        raise InstanceTooLargeError(f"tolerances.enumeration_cap: {exc}") from exc
-    count = simple.total()
+    tol, m = config.tolerances, seq.two_m // 2
+    if m < 2:  # one pairing: the chi-square has no degree of freedom
+        raise ConfigError(f"degrees: {config.mode} needs m >= 2 pairs, got m = {m}")
+    if m > tol["enumeration_cap"]:
+        raise ConfigError(f"tolerances.enumeration_cap: m = {m} exceeds "
+                          f"enumeration cap {tol['enumeration_cap']}")
+    count = simple = 0
+    for block in pairing_blocks(seq):  # no block outlives its simplicity mask
+        count += len(block)
+        simple += int(np.count_nonzero(simple_mask(seq, block)))
     exact = {
         "count": count,
-        "double_factorial": double_factorial_odd(seq.two_m // 2),
-        "p_simple_exact": simple[True] / count,
+        "double_factorial": double_factorial_odd(m),
+        "p_simple_exact": simple / count,
     }
     (drawn,) = _replicates(_pairing_index, [(0, seq)], config.seed,
                            config.replicates, config.workers)
@@ -634,11 +632,12 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 
 def run(config: ExperimentConfig) -> RunSummary:
     """Execute the configured experiment and write records.csv + summary.json."""
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     rows, cells, verdicts = _MODE_RUNNERS[config.mode](config)
     log.info("mode=%s wall_clock=%.3fs", config.mode, time.monotonic() - t0)
+    # made only now, so that a run its runner refuses leaves no directory
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     tag = f"{config.mode}_{config.hash()}_seed{config.seed}"
     csv_path = out / f"{tag}.csv"

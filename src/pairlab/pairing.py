@@ -3,11 +3,11 @@
 Each vertex i owns d_i points; a pairing is a uniform perfect matching on all
 2m points, and projecting matched points to their owner vertices yields a
 multigraph with the prescribed degrees.  Alongside the sampler there is an
-exhaustive enumerator for small instances (the exact oracle used by the
-tests), a projector that reports loops, parallel pairs and component sizes,
-and rejection sampling of simple graphs.  The projector reads only the pairs
-of two core points, those of vertices of degree >= 2; the degree-1 vertices
-join components by counting.
+exhaustive enumerator for small instances (the exact oracle), which decodes
+pairings from their positions in blocks, a projector that reports loops,
+parallel pairs and component sizes, and rejection sampling of simple graphs.
+The projector reads only the pairs of two core points, those of vertices of
+degree >= 2; the degree-1 vertices join components by counting.
 """
 
 from __future__ import annotations
@@ -126,31 +126,37 @@ def double_factorial_odd(m: int) -> int:
     return out
 
 
+_BLOCK = 2**12  # positions decoded at once: 0.4 MiB of pairs at m = 6
+
+
+def pairing_blocks(seq: DegreeSequence) -> Iterator[np.ndarray]:
+    """All (2m-1)!! pairings in enumeration order, as (N, m, 2) arrays of at
+    most ``_BLOCK`` rows: the inverse of ``Pairing.index()``, whose digits
+    each pick the lowest free point's partner among the other free points."""
+    m = seq.two_m // 2
+    total = double_factorial_odd(m)
+    for start in range(0, total, _BLOCK):
+        rest = np.arange(start, min(start + _BLOCK, total))
+        free = np.broadcast_to(np.arange(seq.two_m), (rest.size, seq.two_m))
+        pairs = np.empty((rest.size, m, 2), dtype=np.int64)
+        for k in range(m):  # digit k has radix 2(m-k)-1; free stays sorted
+            digit, rest = np.divmod(rest, double_factorial_odd(m - 1 - k))
+            keep = np.arange(free.shape[1] - 1) != digit[:, None]
+            pairs[:, k, 0], pairs[:, k, 1] = free[:, 0], free[:, 1:][~keep]
+            free = free[:, 1:][keep].reshape(len(rest), -1)
+        yield pairs
+
+
 def enumerate_pairings(seq: DegreeSequence, max_pairs: int = 6) -> Iterator[Pairing]:
     """Yield all (2m-1)!! pairings once each, the k-th with ``index()`` k.
 
-    Capped by default at m = 6 (10395 pairings) to keep oracle runs fast.
+    Capped by default at m = 6 (10395 pairings): each is a Python object.
     """
-    total = seq.two_m
-    if total // 2 > max_pairs:
-        raise InstanceTooLargeError(
-            f"m = {total // 2} exceeds enumeration cap {max_pairs}"
-        )
-
-    pairs: list[tuple[int, int]] = []
-
-    def rec(points: list[int]) -> Iterator[Pairing]:
-        if not points:
-            yield Pairing(pairs=np.array(pairs, dtype=np.int64), seq=seq)
-            return
-        first = points[0]
-        rest = points[1:]
-        for i, partner in enumerate(rest):
-            pairs.append((first, partner))
-            yield from rec(rest[:i] + rest[i + 1 :])
-            pairs.pop()
-
-    yield from rec(list(range(total)))
+    if (m := seq.two_m // 2) > max_pairs:
+        raise InstanceTooLargeError(f"m = {m} exceeds enumeration cap {max_pairs}")
+    for block in pairing_blocks(seq):
+        for pairs in block:
+            yield Pairing(pairs=pairs, seq=seq)
 
 
 def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]:
@@ -207,9 +213,21 @@ def _core_components(p: Pairing, u: np.ndarray, v: np.ndarray,
     return counts.astype(np.int64), seq.n - n_core - seq.two_m // 2 + u.size
 
 
+def simple_mask(seq: DegreeSequence, block: np.ndarray) -> np.ndarray:
+    """Whether each pairing of an (N, m, 2) block of seq's points is simple."""
+    u, v = seq.core[block[..., 0]], seq.core[block[..., 1]]
+    low = np.minimum(u, v, dtype=np.int64)
+    loops = np.any((u == v) & (low >= 0), axis=1)
+    # a pair with a degree-1 end (label -1) gets a negative key of its own
+    keys = np.where(low >= 0, low * seq.n_core + np.maximum(u, v),
+                    -1 - np.arange(block.shape[1]))
+    keys.sort(axis=1)
+    return ~(loops | np.any(keys[:, 1:] == keys[:, :-1], axis=1))
+
+
 def is_simple(p: Pairing) -> bool:
     """No loops and every vertex-pair multiplicity at most 1."""
-    return _loops_and_parallel(*_core_pairs(p)) == (0, 0)
+    return bool(simple_mask(p.seq, p.pairs[None])[0])
 
 
 def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

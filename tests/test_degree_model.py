@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from pairlab.degree_model import (
     DegreeSequence,
     DegreeSequenceError,
+    EmpiricalDistribution,
     InfeasibleTargetError,
     _assemble,
     _counts_for_scale,
@@ -173,6 +174,19 @@ class TestMolloyReed:
     def test_identity_with_nu(self, degrees):
         dist = empirical_distribution(DegreeSequence(tuple(degrees)))
         assert molloy_reed_sum_exact(dist) == dist.d_bar * (nu_exact(dist) - 1)
+
+
+@given(st.dictionaries(st.integers(1, 10**4), st.integers(1, 10**6),
+                       min_size=1, max_size=30))
+def test_float_functionals_round_their_exact_values(counts):
+    # Fraction.__float__ divides its reduced integers, and int / int is
+    # correctly rounded: the same float as one division of the raw sums
+    dist = EmpiricalDistribution(counts=counts, n=sum(counts.values()))
+    s1 = sum(j * k for j, k in counts.items())
+    s2 = sum(j * (j - 1) * k for j, k in counts.items())
+    assert nu(dist) == float(nu_exact(dist)) == s2 / s1
+    assert (molloy_reed_sum(dist) == float(molloy_reed_sum_exact(dist))
+            == (s2 - s1) / dist.n)
 
 
 class TestBuildSubpower:

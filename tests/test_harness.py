@@ -645,6 +645,24 @@ def test_oracle_refuses_a_single_pairing(tmp_path, capsys):
     assert not any((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("degrees,tolerances,field", [
+    ([1, 1], {}, "degrees:"),  # m = 1: one pairing
+    ([2, 2, 2, 2], {"enumeration_cap": 3}, "tolerances.enumeration_cap:"),
+])
+def test_refused_oracle_run_leaves_no_output_dir(tmp_path, capsys, degrees,
+                                                 tolerances, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "oracle_validation", "replicates": 50, "seed": 3,
+        "output_dir": str(tmp_path / "out" / "nested"),
+        "degrees": {"kind": "explicit", "degrees": degrees},
+        "tolerances": tolerances,
+    }))
+    assert cli_main(["run", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+    assert not (tmp_path / "out").exists()
+
+
 # Arbitrary JSON merged into a small valid config must give exit 0, 1 or 2,
 # never a traceback.  Integers stay small so that no draw enumerates or
 # samples a large instance; tolerance values stay at most 6 so that an

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats
 
 from pairlab.degree_model import DegreeSequence, predicted_simple_probability
 from pairlab.pairing import (
+    _BLOCK,
     _component_roots,
     AttemptsExhaustedError,
     InstanceTooLargeError,
@@ -17,9 +19,11 @@ from pairlab.pairing import (
     enumerate_pairings,
     is_simple,
     largest_component,
+    pairing_blocks,
     project_components,
     sample_pairing,
     sample_simple_graph,
+    simple_mask,
 )
 from pairlab.rng import substream
 
@@ -105,6 +109,48 @@ class TestEnumeration:
 
     def test_cap_configurable(self):
         assert len(list(enumerate_pairings(DegreeSequence((2,) * 7), max_pairs=7)))
+
+
+class TestPairingBlocks:
+    def test_order_is_pinned(self):
+        # round trips cannot see the encoder and the decoder move together
+        rows = [p.pairs.tolist()
+                for p in enumerate_pairings(DegreeSequence((2, 2, 2)))]
+        assert rows[0] == [[0, 1], [2, 3], [4, 5]]
+        assert rows[1] == [[0, 1], [2, 4], [3, 5]]
+        assert rows[2] == [[0, 1], [2, 5], [3, 4]]
+        assert rows[14] == [[0, 5], [1, 4], [2, 3]]
+
+    def test_positions_and_masks_across_block_boundaries(self):
+        # m = 6 with degree-1 vertices: 10,395 pairings in two full blocks
+        # and a partial third
+        seq = DegreeSequence((3, 3, 1, 1, 1, 1, 2))
+        blocks = list(pairing_blocks(seq))
+        assert [len(b) for b in blocks] == [_BLOCK, _BLOCK, 10_395 - 2 * _BLOCK]
+        position = 0
+        for block in blocks:
+            mask = simple_mask(seq, block)
+            assert mask.shape == (len(block),)
+            for pairs, simple in zip(block, mask):
+                p = Pairing(pairs=pairs, seq=seq)
+                p.validate()
+                assert p.index() == position
+                assert simple == project_components(p).simple
+                position += 1
+
+    @pytest.mark.parametrize("degrees,simple", [
+        ((2,) * 7, 59_520), ((3, 3, 2, 2, 2, 2), 31_104),
+        ((3, 3, 1, 1, 1, 1, 2, 2), 44_784),
+    ])
+    def test_exact_pass_at_the_largest_cap(self, degrees, simple):
+        # the oracle's exact pass over all 135,135 pairings at m = 7
+        seq = DegreeSequence(degrees)
+        t0 = time.perf_counter()
+        counted = [(len(b), int(np.count_nonzero(simple_mask(seq, b))))
+                   for b in pairing_blocks(seq)]
+        elapsed = time.perf_counter() - t0
+        assert tuple(map(sum, zip(*counted))) == (135_135, simple)
+        assert elapsed < 0.5, f"exact pass took {elapsed:.2f} s"
 
 
 class TestLoopAndParallelCounts:
