@@ -7,9 +7,10 @@ separates the subcritical and supercritical phases.  All functionals are
 computed from integer sums, with at most one final division, so the algebraic
 identities between them hold exactly.
 
-Nothing here but the point maps of ``DegreeSequence`` (``core`` and
-``core_degrees``) needs numpy, which they import on first use: ``describe``,
-``validate`` and config checks never load it.
+Nothing here but the point maps of ``DegreeSequence`` (``core``,
+``core_degrees``, ``core_first`` and ``core_labels``) needs numpy, which they
+import on first use: ``describe``, ``validate`` and config checks never load
+it.
 """
 
 from __future__ import annotations
@@ -55,13 +56,18 @@ def degree_cap(n: int, gamma: float, c: float) -> int:
     return math.floor(root)
 
 
+# cached arrays that a pickle leaves out and its receiver rebuilds on first use
+_POINT_MAPS = ("core", "core_degrees", "core_first", "core_labels")
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Fixed tuple of positive vertex degrees with an even sum.
 
     ``gamma``/``c`` are optional subpower metadata: when present, the maximum
     degree must respect the corresponding cap.  The point layout
-    (``two_m``, ``offsets``, ``histogram``, ``core``, ``core_degrees``) is
+    (``two_m``, ``offsets``, ``histogram`` and the point maps ``core``,
+    ``core_degrees``, ``core_first`` and ``core_labels``) is
     computed on first use and cached, so every chain or sampler built on the
     sequence shares it.
     """
@@ -134,16 +140,38 @@ class DegreeSequence:
         degrees.setflags(write=False)
         return degrees
 
+    @cached_property
+    def core_first(self) -> np.ndarray:
+        """The points of the core, ascending, then the points of the degree-1
+        vertices, ascending; a read-only int64 array of length 2m."""
+        import numpy as np
+
+        points = np.concatenate((np.flatnonzero(self.core >= 0),
+                                 np.flatnonzero(self.core < 0)))
+        points.setflags(write=False)
+        return points
+
+    @cached_property
+    def core_labels(self) -> np.ndarray:
+        """The core points in point order -> their owners' core labels; a
+        read-only int32 array of length ``n_core_points``."""
+        labels = self.core[self.core >= 0]
+        labels.setflags(write=False)
+        return labels
+
     @property
     def n_core(self) -> int:
         """Number of vertices of degree >= 2."""
         return self.n - self.histogram.get(1, 0)
 
+    @property
+    def n_core_points(self) -> int:
+        """Number of points of the vertices of degree >= 2."""
+        return self.two_m - self.histogram.get(1, 0)
+
     def __getstate__(self) -> dict:
-        # the point maps: up to 8 bytes a point that the receiver rebuilds
-        # on first use
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("core", "core_degrees")}
+        # the point maps: up to 20 bytes a point
+        return {k: v for k, v in self.__dict__.items() if k not in _POINT_MAPS}
 
     @property
     def max_degree(self) -> int:

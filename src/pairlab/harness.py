@@ -382,13 +382,18 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
     if not left:
         log.info("replicates: %d in the parent, serial", done)
         return results
-    from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+    import multiprocessing  # a serial run never loads it
+    from concurrent.futures import ProcessPoolExecutor
 
+    # the start method that ``_POOL_START_S`` was measured with, where the
+    # platform has it
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
     pool_workers = min(workers, len(left))
     log.info("replicates: %d in the parent, %d tasks to a pool of %d workers",
              done, len(left), pool_workers)
-    with ProcessPoolExecutor(pool_workers, initializer=_init_worker,
-                             initargs=work) as pool:
+    with ProcessPoolExecutor(pool_workers, mp_context=context,
+                             initializer=_init_worker, initargs=work) as pool:
         for (position, _), chunk in zip(left, pool.map(_chunk, *zip(*left))):
             results[position] += chunk
     return results
@@ -396,18 +401,19 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
 
 def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, int, int]:
     """Loops, parallel pairs, simple (0 or 1) and largest component of one
-    uniform pairing."""
-    from .pairing import project_components, sample_pairing
+    uniform pairing: ``project_components(sample_pairing(seq, rng))``, from
+    the core pairs alone."""
+    from .pairing import core_report, sample_core_pairs
 
-    report = project_components(sample_pairing(seq, rng))
+    report = core_report(seq, *sample_core_pairs(seq, rng))
     return report.loops, report.parallel_pairs, int(report.simple), report.largest
 
 
 def _largest(seq: DegreeSequence, rng: np.random.Generator) -> int:
-    """Largest component of one uniform pairing."""
-    from .pairing import largest_component, sample_pairing
+    """Largest component of one uniform pairing, from its core pairs alone."""
+    from .pairing import core_largest, sample_core_pairs
 
-    return largest_component(sample_pairing(seq, rng))
+    return core_largest(seq, *sample_core_pairs(seq, rng))
 
 
 def _deviations(seq: DegreeSequence, rng: np.random.Generator, root: int,
@@ -580,9 +586,12 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
         raise ConfigError(f"tolerances.enumeration_cap: m = {m} exceeds "
                           f"enumeration cap {tol['enumeration_cap']}")
     count = simple = 0
+    points = np.arange(seq.two_m)
     for block in pairing_blocks(seq):  # no block outlives its simplicity mask
-        count += len(block)
-        simple += int(np.count_nonzero(simple_mask(seq, block)))
+        # only a row that holds each point once is a pairing
+        matching = np.all(np.sort(block.reshape(len(block), -1)) == points, axis=1)
+        count += int(np.count_nonzero(matching))
+        simple += int(np.count_nonzero(simple_mask(seq, block) & matching))
     exact = {
         "count": count,
         "double_factorial": double_factorial_odd(m),
@@ -690,9 +699,12 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "molloy_reed_sum": molloy_reed_sum(dist),
         "predicted_p_simple": p_simple,
         "predicted_attempts": math.inf if p_simple == 0 else 1.0 / p_simple,
-        # lower bound: the per-point arrays of one projected pairing, namely
-        # the int64 pairs, the int32 core map the projection reads and the
-        # int32 labels it gathers through it; ignores temporaries and objects
+        # lower bound: the per-point arrays of one replicate, namely the int32
+        # core map, the int32 labels gathered through it or placed by slot,
+        # and int64 points: a Pairing's pairs, the permutation of a sequence
+        # with no degree-1 vertex, or the slot range rng.choice shuffles to
+        # place a core of over about 2m/50 points (a smaller core needs
+        # none); ignores other temporaries and objects
         "memory_estimate_bytes": seq.two_m * 16,
     }
     if seq.gamma is not None:

@@ -7,7 +7,9 @@ exhaustive enumerator for small instances (the exact oracle), which decodes
 pairings from their positions in blocks, a projector that reports loops,
 parallel pairs and component sizes, and rejection sampling of simple graphs.
 The projector reads only the pairs of two core points, those of vertices of
-degree >= 2; the degree-1 vertices join components by counting.
+degree >= 2; the degree-1 vertices join components by counting.  The sampler
+places the core points first, so ``sample_core_pairs`` draws those pairs
+alone, with the same random numbers that begin ``sample_pairing``'s draw.
 """
 
 from __future__ import annotations
@@ -104,18 +106,58 @@ class ComponentReport:
         return self.loops == 0 and self.parallel_pairs == 0
 
 
+def _core_slots(seq: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
+    """The first stage of ``sample_pairing`` on a sequence with a degree-1
+    vertex: the slots of the core points, in point order."""
+    return rng.choice(seq.two_m, seq.n_core_points, replace=False)
+
+
 def sample_pairing(
     seq: DegreeSequence | PointSpace, rng: np.random.Generator
 ) -> Pairing:
     """Draw a uniform pairing: all (2m-1)!! matchings are equally likely.
 
-    A uniform permutation of the points is folded into consecutive pairs,
-    which induces the uniform matching; deterministic given the rng state.
+    The points are laid out over 2m slots, and slots 2k and 2k + 1 hold pair
+    k; a uniform layout induces the uniform matching.  With no degree-1
+    vertex the layout is one ``rng.permutation(2m)``.  Otherwise it takes two
+    stages: ``rng.choice(2m, P, replace=False)``, a uniform ordered draw of
+    distinct slots, places the P core points in point order, and a uniform
+    permutation of the 2m - P degree-1 points fills the free slots in
+    ascending order.  The first stage alone fixes every pair of two core
+    points, which is all that ``sample_core_pairs`` draws.  Deterministic
+    given the rng state.
     """
     if isinstance(seq, PointSpace):
         seq = seq.seq
-    perm = rng.permutation(seq.two_m)
-    return Pairing(pairs=perm.reshape(-1, 2), seq=seq)
+    if seq.n_core == seq.n:
+        return Pairing(pairs=rng.permutation(seq.two_m).reshape(-1, 2), seq=seq)
+    slots = _core_slots(seq, rng)
+    core, leaves = np.split(seq.core_first, [seq.n_core_points])
+    points = np.empty(seq.two_m, dtype=np.int64)
+    points[slots] = core
+    free = np.ones(seq.two_m, dtype=bool)
+    free[slots] = False
+    # leaves shuffled as rng.permutation(2m - P) would order them; assigning
+    # through the free slots' indices is faster than through the mask
+    points[np.flatnonzero(free)] = rng.permutation(leaves)
+    return Pairing(pairs=points.reshape(-1, 2), seq=seq)
+
+
+def sample_core_pairs(
+    seq: DegreeSequence, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The core pairs (u, v) of ``sample_pairing(seq, rng)``, as
+    ``project_components`` reads them, from the sampler's first stage alone.
+
+    ``core_report`` or ``core_largest`` project them; the degree-1 points
+    are never placed and no ``Pairing`` is built.
+    """
+    if seq.n_core == seq.n:
+        perm = rng.permutation(seq.two_m)
+        return seq.core[perm[0::2]], seq.core[perm[1::2]]
+    labels = np.full(seq.two_m, -1, dtype=np.int32)  # slot -> its core label
+    labels[_core_slots(seq, rng)] = seq.core_labels
+    return _both_in_core(labels[0::2], labels[1::2])
 
 
 def double_factorial_odd(m: int) -> int:
@@ -178,9 +220,15 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]
     return int(np.count_nonzero(loop)), int(np.sum(repeated * (repeated + 1) // 2))
 
 
-def _core_pairs(p: Pairing) -> tuple[np.ndarray, np.ndarray, int]:
+def _both_in_core(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs whose ends' core labels u and v are both >= 0."""
+    both = np.minimum(u, v) >= 0
+    return u[both], v[both]
+
+
+def _core_pairs(p: Pairing) -> tuple[np.ndarray, np.ndarray]:
     """p projected on its core, the vertices of degree >= 2: the core labels
-    u, v of the two ends of each pair of two core points, and the core size.
+    u, v of the two ends of each pair of two core points.
 
     A degree-1 vertex has one point, so it has no loop and no parallel pair.
     With no degree-1 vertex the core is every vertex and every pair is kept.
@@ -188,22 +236,19 @@ def _core_pairs(p: Pairing) -> tuple[np.ndarray, np.ndarray, int]:
     seq = p.seq
     # one contiguous gather per column: the rows of core[p.pairs.T] are strided
     u, v = seq.core[p.pairs[:, 0]], seq.core[p.pairs[:, 1]]
-    if seq.n_core < seq.n:
-        both = np.minimum(u, v) >= 0
-        u, v = u[both], v[both]
-    return u, v, seq.n_core
+    return (u, v) if seq.n_core == seq.n else _both_in_core(u, v)
 
 
-def _core_components(p: Pairing, u: np.ndarray, v: np.ndarray,
-                     n_core: int) -> tuple[np.ndarray, int]:
+def _core_components(seq: DegreeSequence, u: np.ndarray,
+                     v: np.ndarray) -> tuple[np.ndarray, int]:
     """Core vertex -> size of the component it roots (0 for a non-root), and
-    the number of components of two degree-1 vertices, from ``_core_pairs``.
+    the number of components of two degree-1 vertices, from the core pairs.
 
     A point of a core vertex that is in no core pair has a degree-1 partner,
     whose vertex joins that component.  The m pairs are the u.size core
     pairs, one pair per such partner, and the pairs of two degree-1 points.
     """
-    seq = p.seq
+    n_core = seq.n_core
     roots = _component_roots(u, v, n_core)
     if u.size == seq.two_m // 2:  # every pair is a core pair
         return np.bincount(roots), 0
@@ -267,11 +312,12 @@ def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
         parent = grand
 
 
-def project_components(p: Pairing) -> ComponentReport:
-    """Connected components of the projected multigraph, plus loop stats."""
-    u, v, n_core = _core_pairs(p)
-    loops, parallel = _loops_and_parallel(u, v, n_core)
-    counts, twos = _core_components(p, u, v, n_core)
+def core_report(seq: DegreeSequence, u: np.ndarray,
+                v: np.ndarray) -> ComponentReport:
+    """Components and loop stats of a pairing of seq, from its core pairs:
+    those of ``_core_pairs`` or ``sample_core_pairs``."""
+    loops, parallel = _loops_and_parallel(u, v, seq.n_core)
+    counts, twos = _core_components(seq, u, v)
     if twos:
         counts = np.concatenate((counts, np.full(twos, 2, dtype=counts.dtype)))
     return ComponentReport(
@@ -282,12 +328,17 @@ def project_components(p: Pairing) -> ComponentReport:
     )
 
 
-def largest_component(p: Pairing) -> int:
-    """``project_components(p).largest``, without the loop and parallel-pair
+def core_largest(seq: DegreeSequence, u: np.ndarray, v: np.ndarray) -> int:
+    """``core_report(seq, u, v).largest``, without the loop and parallel-pair
     counts or the sizes of the components of two degree-1 vertices."""
-    counts, twos = _core_components(p, *_core_pairs(p))
+    counts, twos = _core_components(seq, u, v)
     largest = int(counts.max(initial=0))
     return max(largest, 2) if twos else largest
+
+
+def project_components(p: Pairing) -> ComponentReport:
+    """Connected components of the projected multigraph, plus loop stats."""
+    return core_report(p.seq, *_core_pairs(p))
 
 
 def sample_simple_graph(

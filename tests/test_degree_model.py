@@ -77,13 +77,14 @@ class TestDegreeSequence:
     def test_point_maps_stay_out_of_pickles(self):
         seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
         size = len(pickle.dumps(seq))
-        seq.core, seq.core_degrees  # populate the caches
+        seq.core, seq.core_degrees, seq.core_first, seq.core_labels  # populate
         assert len(pickle.dumps(seq)) == size
         other = pickle.loads(pickle.dumps(seq))
-        assert not {"core", "core_degrees"} & set(vars(other))
-        assert np.array_equal(other.core, seq.core)
-        assert not other.core.flags.writeable
-        assert np.array_equal(other.core_degrees, seq.core_degrees)
+        maps = {"core", "core_degrees", "core_first", "core_labels"}
+        assert not maps & set(vars(other))
+        for name in sorted(maps):
+            assert np.array_equal(getattr(other, name), getattr(seq, name))
+            assert not getattr(other, name).flags.writeable
 
     @pytest.mark.parametrize("degrees,core", [
         ((2, 1, 3, 1, 1), [0, 0, -1, 1, 1, 1, -1, -1]),
@@ -98,6 +99,21 @@ class TestDegreeSequence:
         assert seq.core is layout
         assert seq.n_core == sum(d > 1 for d in degrees)
         assert seq.core_degrees.tolist() == [d for d in degrees if d > 1]
+
+    @pytest.mark.parametrize("degrees,first,labels", [
+        ((2, 1, 3, 1, 1), [0, 1, 3, 4, 5, 2, 6, 7], [0, 0, 1, 1, 1]),
+        ((1, 1, 1, 1), [0, 1, 2, 3], []),
+        ((3, 3), [0, 1, 2, 3, 4, 5], [0, 0, 0, 1, 1, 1]),
+    ])
+    def test_core_points_come_first(self, degrees, first, labels):
+        seq = DegreeSequence(degrees)
+        assert seq.n_core_points == len(labels)
+        assert seq.core_first.dtype == np.int64
+        assert seq.core_first.tolist() == first
+        assert seq.core_labels.dtype == np.int32
+        assert seq.core_labels.tolist() == labels
+        assert not seq.core_first.flags.writeable
+        assert not seq.core_labels.flags.writeable
         assert not seq.core_degrees.flags.writeable
 
 

@@ -185,6 +185,22 @@ class TestRunModes:
             warnings.simplefilter("error")
             run(make_config(tmp_path, replicates=replicates))
 
+    @pytest.mark.parametrize("n", [2000, 100_000])
+    def test_poisson_kernel_is_the_public_projection(self, n):
+        # on a sequence with degree-1 vertices the kernel draws only the
+        # core's slots; all four columns must match the public path
+        from pairlab.harness import _project
+        from pairlab.pairing import project_components, sample_pairing
+        from pairlab.rng import substream
+
+        seq = build_subpower_sequence(n, 3.5, 1.0, 0.9)
+        assert seq.n_core < seq.n
+        reports = [project_components(sample_pairing(seq, substream(6, 0, rep)))
+                   for rep in range(20)]
+        assert [_project(seq, substream(6, 0, rep)) for rep in range(20)] == [
+            (r.loops, r.parallel_pairs, int(r.simple), r.largest) for r in reports]
+        assert any(r.loops or r.parallel_pairs for r in reports)
+
     def test_oracle_validation_two_two(self, tmp_path):
         config = make_config(
             tmp_path,
@@ -277,9 +293,10 @@ class TestScalingMode:
         assert len(caps) == 3 and caps == sorted(caps)
 
     @pytest.mark.parametrize("gamma,n", [(3.5, 1000), (3.5, 10_000),
-                                         (4.5, 1000), (4.5, 10_000)])
+                                         (3.5, 100_000), (4.5, 1000),
+                                         (4.5, 10_000), (4.5, 100_000)])
     def test_kernel_is_the_largest_of_the_public_projection(self, gamma, n):
-        # the scaling kernel reads only the core layout; the replay through
+        # the scaling kernel draws only the core's slots; the replay through
         # ``sample_pairing`` and ``project_components`` must agree with it
         from pairlab.harness import _largest
         from pairlab.pairing import project_components, sample_pairing
@@ -291,6 +308,28 @@ class TestScalingMode:
             project_components(sample_pairing(seq, substream(5, 1, rep))).largest
             for rep in range(20)
         ]
+
+    def test_rows_replay_through_the_public_sampler(self, tmp_path):
+        # the rows as a replay rebuilds them: each cell's sequence through
+        # ``PointSpace``, ``sample_pairing`` and ``project_components``
+        from pairlab.pairing import PointSpace, project_components, sample_pairing
+        from pairlab.rng import substream
+
+        summary, records = scaling_run(tmp_path, [4.5, 3.5], [300, 1000], 6, seed=17)
+        cells = [(g, n) for g in (3.5, 4.5) for n in (300, 1000)]
+        assert [(c["gamma"], c["n"]) for c in summary.cells] == cells
+        replayed = []
+        for cell_index, (gamma, n) in enumerate(cells):
+            space = PointSpace.from_degree_sequence(
+                build_subpower_sequence(n, gamma, 1.0, 0.9))
+            scale = n ** (1.0 / gamma) * math.log(n)
+            for rep in range(6):
+                largest = project_components(sample_pairing(
+                    space, substream(17, cell_index, rep))).largest
+                replayed.append([gamma, n, rep, largest, largest / scale])
+        assert [[float(r["gamma"]), int(r["n"]), int(r["replicate"]),
+                 int(r["largest"]), float(r["normalized"])]
+                for r in records] == replayed
 
     @pytest.mark.usefixtures("two_cpus")
     def test_pool_tasks_carry_no_sequence(self, tmp_path, monkeypatch):
@@ -630,6 +669,29 @@ def test_oracle_memory_does_not_grow_with_pairing_count(tmp_path):
     assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_oracle_counts_only_perfect_matchings(tmp_path, monkeypatch):
+    # a decoder that repeats a point in one row yields a row that is no
+    # pairing; the pairing_count verdict must see it
+    import pairlab.pairing
+
+    decode = pairlab.pairing.pairing_blocks
+
+    def broken(seq):
+        for block in decode(seq):
+            block = block.copy()
+            block[0, 0, 1] = block[0, 0, 0]
+            yield block
+
+    config = make_config(tmp_path, mode="oracle_validation", replicates=300,
+                         degrees={"kind": "explicit", "degrees": [2, 2, 1, 1]})
+    assert run(config).passed
+    monkeypatch.setattr(pairlab.pairing, "pairing_blocks", broken)
+    summary = run(config)
+    (count,) = [v for v in summary.verdicts if v.name == "pairing_count"]
+    assert not count.passed and (count.value, count.target) == (14, 15)
+    assert summary.cells[0]["count"] == 14 and not summary.passed
+
+
 def test_oracle_refuses_a_single_pairing(tmp_path, capsys):
     # m = 1 has one pairing: its chi-square has no degree of freedom and a
     # NaN p-value, which no verdict can come from
@@ -766,17 +828,17 @@ ARTIFACT_DIGESTS = {
     "poisson_check_cb27c520cb2807c2_seed21.json":
         "c8fccc915bd40fe1e6d890977c4c8957c932d11918e4a3038c7827bc269c424a",
     "scaling_f4acd952c550c449_seed22.csv":
-        "24ade44417e87a69d92022924689686dd8eba8bba97ba1da28907969fc176b23",
+        "f1da57c1a4b3f1569d4712658632c7873daa2ce467ae51bd9b880f4adb5ae06d",
     "scaling_f4acd952c550c449_seed22.json":
-        "d2587d6741d54e57fe69b8c72fea3d565bf618e62f57a9b66e1c322a5f6fd7eb",
+        "645f3866c24ee233b41da393c4668ad1dbb530976a69edf8585aa43a2429525e",
     "trajectory_9ff77a47a9d7b58a_seed23.csv":
         "53537b5efcb40a2fb2c19ae6ffbee030626d5c592f6171073b3715e953f59a34",
     "trajectory_9ff77a47a9d7b58a_seed23.json":
         "912ff5757798d63012e9eec2bd80bb261f5d1985b0b82b5928be420ebdaf0987",
     "oracle_validation_2f84702608edf8db_seed24.csv":
-        "b545463a2dbcbacec8a667266f2089d00b9f5c0bd3dc62fc5610d69bcb24ac76",
+        "73ace885b8a3a858fb8fa8c245cd7263b6cd7be120fa61c5473bdeb667016624",
     "oracle_validation_2f84702608edf8db_seed24.json":
-        "7d13d9404db938b93d29ee86cab6c6e43ce6afd9278723530d428440674e9496",
+        "848543f6d1fe6c92883963d3176559f8f5b1143bbf2e3bc793ade4f0c1dd46cd",
 }
 
 
@@ -859,7 +921,7 @@ def test_pool_asks_for_no_more_processes_than_cpus(tmp_path, monkeypatch,
     asked = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             asked.append(max_workers)
             initializer(*initargs)
 
@@ -890,6 +952,25 @@ def test_pool_asks_for_no_more_processes_than_cpus(tmp_path, monkeypatch,
         blobs.append(sorted(path.read_bytes() for path in out.iterdir()))
     assert asked == [3]
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux's pool")
+@pytest.mark.usefixtures("two_cpus")
+def test_pool_starts_with_fork(tmp_path, monkeypatch):
+    # ``_POOL_START_S`` was measured for a fork pool, so the pool must use
+    # fork whatever the interpreter's default start method is
+    contexts = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            contexts.append(mp_context)
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
+    run(ExperimentConfig.from_dict(
+        {**_SMALL_POISSON, "workers": 2, "output_dir": str(tmp_path)}))
+    assert [c.get_start_method() for c in contexts] == ["fork"]
 
 
 @pytest.mark.usefixtures("two_cpus")

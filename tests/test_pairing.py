@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from collections import Counter
@@ -11,16 +12,18 @@ from pairlab.degree_model import DegreeSequence, predicted_simple_probability
 from pairlab.pairing import (
     _BLOCK,
     _component_roots,
+    _core_pairs,
     AttemptsExhaustedError,
     InstanceTooLargeError,
     Pairing,
     PointSpace,
     double_factorial_odd,
     enumerate_pairings,
+    core_largest,
     is_simple,
-    largest_component,
     pairing_blocks,
     project_components,
+    sample_core_pairs,
     sample_pairing,
     sample_simple_graph,
     simple_mask,
@@ -317,7 +320,7 @@ def assert_core_projection_exact(p):
     sizes, loops, parallel = full_multigraph_report(p)
     report = project_components(p)
     assert report.component_sizes == sizes
-    assert report.largest == sizes[0] == largest_component(p)
+    assert report.largest == sizes[0] == core_largest(p.seq, *_core_pairs(p))
     assert (report.loops, report.parallel_pairs) == (loops, parallel)
     assert is_simple(p) == (loops == parallel == 0)
 
@@ -395,6 +398,73 @@ class TestSamplingUniformity:
         a = sample_pairing(D22, substream(5, 0, 0))
         b = sample_pairing(D22, substream(5, 0, 0))
         assert np.array_equal(a.pairs, b.pairs)
+
+
+class _ScriptedRng:
+    """Stands in for a Generator: ``choice`` returns the given slots, and
+    ``permutation(x)`` orders x by the given order, as a Generator's
+    ``permutation(x)`` orders it by ``permutation(len(x))``."""
+
+    def __init__(self, seq, slots, order):
+        self.seq, self.slots, self.order = seq, slots, order
+
+    def choice(self, a, size, replace):
+        assert (a, size, replace) == (self.seq.two_m, self.seq.n_core_points, False)
+        return np.array(self.slots, dtype=np.int64)
+
+    def permutation(self, x):
+        return np.asarray(x)[list(self.order)]
+
+
+class TestTwoStageSampler:
+    """With a degree-1 vertex, the core points take their slots first and
+    the degree-1 points fill the rest; ``sample_core_pairs`` is the first
+    stage alone."""
+
+    @pytest.mark.parametrize("degrees", [(2, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1),
+                                         (1, 1, 1, 1)])
+    def test_exact_law_over_both_stages(self, degrees):
+        # every ordered injection of the core points into the slots, and
+        # every order of the degree-1 points, each once: as a uniform draw
+        # of both stages gives them, every pairing must get equal weight
+        seq = DegreeSequence(degrees)
+        core, leaves = seq.n_core_points, seq.two_m - seq.n_core_points
+        weights = Counter(
+            sample_pairing(seq, _ScriptedRng(seq, slots, order)).index()
+            for slots in itertools.permutations(range(seq.two_m), core)
+            for order in itertools.permutations(range(leaves))
+        )
+        assert sorted(weights) == list(range(double_factorial_odd(seq.two_m // 2)))
+        assert len(set(weights.values())) == 1
+
+    def test_permuting_an_array_orders_it_by_a_permutation_of_its_length(self):
+        # what ``_ScriptedRng`` assumes of a Generator
+        points = np.arange(7, 1007)
+        got = np.random.default_rng(3).permutation(points)
+        assert np.array_equal(got, points[np.random.default_rng(3).permutation(1000)])
+
+    def test_chi_square_with_degree_one_vertices(self):
+        seq = DegreeSequence((2, 2, 1, 1))
+        rng = substream(20_261_019)
+        counts = np.bincount([sample_pairing(seq, rng).index()
+                              for _ in range(30_000)], minlength=15)
+        assert counts.size == 15
+        _, p_value = stats.chisquare(counts)
+        assert p_value >= 1e-3
+
+    def test_no_degree_one_vertex_keeps_one_permutation(self):
+        seq = DegreeSequence((3, 2, 3, 2, 2))
+        got = sample_pairing(seq, substream(41)).pairs
+        assert np.array_equal(got, substream(41).permutation(12).reshape(-1, 2))
+
+    @given(even_degree_lists(max_n=12), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_core_pairs_are_the_first_stage(self, degrees, seed):
+        seq = DegreeSequence(tuple(degrees))
+        p = sample_pairing(seq, substream(seed))
+        p.validate()
+        for got, want in zip(sample_core_pairs(seq, substream(seed)), _core_pairs(p)):
+            assert np.array_equal(got, want)
 
 
 class TestSimpleGraphSampling:
