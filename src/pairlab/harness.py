@@ -24,10 +24,10 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple
 
 from . import __version__
 from .degree_model import (
@@ -87,6 +87,18 @@ _NUMBER_LIST = (
     "a non-empty list of finite numbers",
 )
 _STRING = (lambda x: isinstance(x, str), "a string")
+_OBJECT = (lambda x: isinstance(x, dict), "an object")
+_POSITIVE_INT = (lambda x: _is_int(x) and x >= 1, "a positive integer")
+_CONFIG_FIELDS = {
+    "mode": (lambda x: x in MODES, f"one of {MODES}"),
+    "replicates": _POSITIVE_INT,
+    "seed": (lambda x: _is_int(x) and 0 <= x < 2**64, "a 64-bit unsigned integer"),
+    "workers": _POSITIVE_INT,
+    "output_dir": _STRING,
+    "degrees": _OBJECT,
+    "grid": _OBJECT,
+    "tolerances": _OBJECT,
+}
 _DEGREE_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
     "regular": {"n": _INT, "d": _INT},
     "subpower": {"n": _INT, "gamma": _NUMBER, "target_nu": _NUMBER, "c": _NUMBER},
@@ -100,113 +112,80 @@ _GRID_FIELDS = {
     "c": _NUMBER,
     "target_nu": _NUMBER,
 }
-# tolerances that count something, with their floor; every other one is any
-# finite number >= 0
-_INT_TOLERANCES = {"enumeration_cap": 1, "trajectory_j_max": 1}
 # the oracle's chi-square over 2,027,025 pairings at m = 8 needs ~10M draws
 MAX_ENUMERATION_CAP = 7
+# a tolerance that counts something is an integer >= 1, since with 0 no
+# pairing or degree could be checked; every other one is a bound >= 0
+_TOLERANCE_FIELDS = {
+    **dict.fromkeys(DEFAULT_TOLERANCES, (lambda x: _is_number(x) and x >= 0,
+                                         "a finite number >= 0")),
+    "enumeration_cap": (lambda x: _is_int(x) and 1 <= x <= MAX_ENUMERATION_CAP,
+                        f"an integer from 1 to {MAX_ENUMERATION_CAP}"),
+    "trajectory_j_max": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
+}
 
 
 def _check_fields(
-    where: str, spec: dict[str, Any], fields: dict, optional: set[str]
+    where: str, spec: dict[str, Any], fields: dict, optional: Collection[str]
 ) -> None:
-    """Raise ConfigError naming ``where.<field>`` for the first unknown,
-    missing or ill-typed field of ``spec``."""
+    """Raise ConfigError naming the dotted path (``where.<field>``, or the
+    bare field at the top level) of the first unknown, missing or ill-typed
+    field of ``spec``."""
+    def path(name: str) -> str:
+        return f"{where}.{name}" if where else name
+
     unknown = sorted(set(spec) - set(fields))
     if unknown:
-        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+        raise ConfigError(
+            f"{path(unknown[0])}: unknown field; known: {', '.join(fields)}")
     for name, (ok, what) in fields.items():
         if name not in spec and name not in optional:
-            raise ConfigError(f"{where}.{name}: required")
+            raise ConfigError(f"{path(name)}: required")
         if name in spec and not ok(spec[name]):
-            raise ConfigError(f"{where}.{name}: must be {what}, got {spec[name]!r}")
+            raise ConfigError(f"{path(name)}: must be {what}, got {spec[name]!r}")
 
 
-def _check_degrees(spec: Any) -> None:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("degrees: object with 'kind' required")
-    kind = spec["kind"]
+def _check_degrees(spec: dict[str, Any]) -> None:
+    """The fields of a degrees object are those of its kind."""
+    kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _DEGREE_FIELDS:
         raise ConfigError(
-            f"degrees.kind: expected one of {tuple(_DEGREE_FIELDS)}, got {kind!r}"
+            f"degrees.kind: must be one of {tuple(_DEGREE_FIELDS)}, got {kind!r}"
         )
-    rest = {k: v for k, v in spec.items() if k != "kind"}
-    _check_fields("degrees", rest, _DEGREE_FIELDS[kind], optional={"c"})
+    _check_fields("degrees", spec, {"kind": _STRING, **_DEGREE_FIELDS[kind]},
+                  optional={"c"})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
-    replicates: int
-    seed: int
-    workers: int
-    output_dir: str
-    degrees: dict[str, Any] | None
-    grid: dict[str, Any] | None
-    tolerances: dict[str, Any]
+    replicates: int = 1
+    seed: int = 0
+    workers: int = 1
+    output_dir: str = "out"
+    degrees: dict[str, Any] | None = None
+    grid: dict[str, Any] | None = None
+    tolerances: dict[str, Any] = field(default_factory=DEFAULT_TOLERANCES.copy)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
+        """Check every field of ``data`` and fill in the defaults of the
+        ones it leaves out; the mode decides whether ``degrees`` or ``grid``
+        is required, and either one that is present is checked."""
         if not isinstance(data, dict):
             raise ConfigError("config root must be an object")
-        mode = data.get("mode")
-        if mode not in MODES:
-            raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
-        replicates = data.get("replicates", 1)
-        if not _is_int(replicates) or replicates < 1:
-            raise ConfigError("replicates: must be a positive integer")
-        seed = data.get("seed", 0)
-        if not _is_int(seed) or not 0 <= seed < 2**64:
-            raise ConfigError("seed: must be a 64-bit unsigned integer")
-        workers = data.get("workers", 1)
-        if not _is_int(workers) or workers < 1:
-            raise ConfigError("workers: must be a positive integer")
-        output_dir = data.get("output_dir", "out")
-        if not isinstance(output_dir, str):
-            raise ConfigError("output_dir: must be a string")
-        degrees = data.get("degrees")
-        grid = data.get("grid")
-        if mode == "scaling":
-            if not isinstance(grid, dict):
-                raise ConfigError("grid: required for scaling mode")
-            _check_fields("grid", grid, _GRID_FIELDS, optional={"c", "target_nu"})
-        else:
-            _check_degrees(degrees)
-        tolerances = dict(DEFAULT_TOLERANCES)
-        extra = data.get("tolerances", {})
-        if not isinstance(extra, dict):
-            raise ConfigError("tolerances: must be an object")
-        for key, value in extra.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(
-                    f"tolerances.{key}: unknown tolerance; "
-                    f"known: {', '.join(DEFAULT_TOLERANCES)}"
-                )
-            if key in _INT_TOLERANCES and not _is_int(value):
-                raise ConfigError(f"tolerances.{key}: must be an integer")
-            if not _is_number(value):
-                raise ConfigError(f"tolerances.{key}: must be a finite number")
-            floor = _INT_TOLERANCES.get(key, 0)
-            if value < floor:
-                raise ConfigError(
-                    f"tolerances.{key}: must be at least {floor}, got {value}"
-                )
-            if key == "enumeration_cap" and value > MAX_ENUMERATION_CAP:
-                raise ConfigError(
-                    f"tolerances.enumeration_cap: must be at most "
-                    f"{MAX_ENUMERATION_CAP}, got {value}"
-                )
-        tolerances.update(extra)
-        return cls(
-            mode=mode,
-            replicates=replicates,
-            seed=seed,
-            workers=workers,
-            output_dir=output_dir,
-            degrees=degrees,
-            grid=grid,
-            tolerances=tolerances,
-        )
+        section = "grid" if data.get("mode") == "scaling" else "degrees"
+        _check_fields("", data, _CONFIG_FIELDS,
+                      optional=set(_CONFIG_FIELDS) - {"mode", section})
+        if "degrees" in data:
+            _check_degrees(data["degrees"])
+        if "grid" in data:
+            _check_fields("grid", data["grid"], _GRID_FIELDS,
+                          optional={"c", "target_nu"})
+        tolerances = data.get("tolerances", {})
+        _check_fields("tolerances", tolerances, _TOLERANCE_FIELDS,
+                      optional=_TOLERANCE_FIELDS)
+        return cls(**{**data, "tolerances": {**DEFAULT_TOLERANCES, **tolerances}})
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "ExperimentConfig":

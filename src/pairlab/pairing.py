@@ -210,14 +210,12 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]
     keys *= n
     keys += np.maximum(u, v)
     keys = np.sort(keys[~loop])
-    # a run of r equal keys is one vertex pair of multiplicity r and adds
-    # C(r, 2); it repeats its key at r - 1 consecutive positions, and a
-    # pairing has only a handful of repeats.  ``ends`` holds the last repeat
-    # of every run but the final one, and ``repeated`` each run's r - 1.
-    repeats = np.flatnonzero(keys[1:] == keys[:-1])
-    ends = np.flatnonzero(np.diff(repeats) != 1)
-    repeated = np.diff(np.concatenate(([-1], ends, [repeats.size - 1])))
-    return int(np.count_nonzero(loop)), int(np.sum(repeated * (repeated + 1) // 2))
+    # a run of r equal keys is one vertex pair of multiplicity r; each repeat
+    # of a key adds the number of equal keys before it, so the run adds
+    # 1 + 2 + ... + (r - 1) = C(r, 2).  A pairing has only a handful of repeats.
+    repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    parallel = np.sum(repeat - np.searchsorted(keys, keys[repeat]))
+    return int(np.count_nonzero(loop)), int(parallel)
 
 
 def _both_in_core(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -25,7 +26,11 @@ from hypothesis import given, settings, strategies as st
 import pairlab
 import pairlab.harness
 from pairlab.cli import main as cli_main
-from pairlab.degree_model import build_subpower_sequence, write_degree_file
+from pairlab.degree_model import (
+    DegreeSequence,
+    build_subpower_sequence,
+    write_degree_file,
+)
 from pairlab.harness import (
     DEFAULT_TOLERANCES,
     MODES,
@@ -89,6 +94,10 @@ class TestConfigParsing:
         path.write_text('{"mode": }')
         with pytest.raises(ConfigError, match="bad.json:1"):
             ExperimentConfig.from_file(path)
+
+    def test_every_field_has_a_check(self):
+        assert list(pairlab.harness._CONFIG_FIELDS) == [
+            f.name for f in dataclasses.fields(ExperimentConfig)]
 
     def test_hash_ignores_environment(self, tmp_path):
         a = make_config(tmp_path, workers=1)
@@ -552,6 +561,12 @@ class TestCli:
         ({"mode": "oracle_validation",
           "degrees": {"kind": "explicit", "degrees": [2, 2, 2, 2]},
           "tolerances": {"enumeration_cap": 3}}, "tolerances.enumeration_cap"),
+        # a typo of a top-level field would otherwise run with its default
+        ({"replicate": 100}, "replicate"),
+        # a section the mode does not read is still echoed and hashed
+        ({"mode": "scaling", "grid": {"gammas": [3.5], "sizes": [100]},
+          "degrees": 5}, "degrees"),
+        ({"grid": 5}, "grid"),
     ])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
         cfg = tmp_path / "cfg.json"
@@ -973,6 +988,28 @@ def test_pool_starts_with_fork(tmp_path, monkeypatch):
     assert [c.get_start_method() for c in contexts] == ["fork"]
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux's pool")
+@pytest.mark.usefixtures("two_cpus")
+def test_fork_pool_pickles_no_sequence(tmp_path, monkeypatch, caplog):
+    # fork workers inherit the cells, point maps included; only the spawn
+    # and forkserver start methods pickle them, through ``__getstate__``
+    pickled = []
+    getstate = DegreeSequence.__getstate__
+    monkeypatch.setattr(DegreeSequence, "__getstate__",
+                        lambda self: pickled.append(self.n) or getstate(self))
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    run(ExperimentConfig.from_dict({
+        "mode": "scaling", "replicates": 4, "seed": 3, "workers": 2,
+        "output_dir": str(tmp_path),
+        "grid": {"gammas": [3.5], "sizes": [1_000, 100_000], "target_nu": 0.9},
+    }))
+    assert any("tasks to a pool" in r.getMessage() for r in caplog.records)
+    assert pickled == []
+    pickle.dumps(DegreeSequence((1, 1)))
+    assert pickled == [2]  # the count sees a pickle
+
+
 @pytest.mark.usefixtures("two_cpus")
 @pytest.mark.parametrize("budget, message", [
     (None, "replicates: 4 in the parent, serial"),
@@ -1018,8 +1055,12 @@ def test_validate_loads_no_numpy(tmp_path, flags):
 def test_malformed_config_loads_no_numpy(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"mode": "poisson_check", "degrees": {"kind": "regular", "n": 10}}))
-    codes, mods = _cli_modules(tmp_path, [["run", "-c", str(tmp_path / "cfg.json")]])
-    assert codes == [2]  # degrees.d: required
+    (tmp_path / "typo.json").write_text(json.dumps(
+        {"mode": "poisson_check", "replicate": 100,
+         "degrees": {"kind": "regular", "n": 10, "d": 3}}))
+    codes, mods = _cli_modules(tmp_path, [["run", "-c", str(tmp_path / "cfg.json")],
+                                          ["describe", "-c", str(tmp_path / "typo.json")]])
+    assert codes == [2, 2]  # degrees.d: required; replicate: unknown field
     assert "numpy" not in mods
 
 
