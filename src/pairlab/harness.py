@@ -219,23 +219,35 @@ class ExperimentConfig:
 
 
 def resolve_degrees(spec: dict[str, Any]) -> DegreeSequence:
-    """Materialize a degree spec: explicit list, file, subpower, or regular."""
+    """Materialize a degree spec: explicit list, file, subpower, or regular.
+
+    The degree model's errors are re-raised as ConfigError naming
+    ``degrees.<field>``: the kind's one field, or the field that the message
+    opens with (``gamma must exceed 3``); else they name ``degrees``.
+    """
     kind = spec.get("kind")
-    if kind == "file":
-        return read_degree_file(spec["path"])
-    if kind == "explicit":
-        return DegreeSequence(tuple(int(d) for d in spec["degrees"]))
-    if kind == "subpower":
-        return build_subpower_sequence(
-            int(spec["n"]),
-            float(spec["gamma"]),
-            float(spec.get("c", 1.0)),
-            float(spec["target_nu"]),
-        )
-    if kind == "regular":
+    if kind not in _DEGREE_FIELDS:
+        raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
+    try:
+        if kind == "file":
+            return read_degree_file(spec["path"])
+        if kind == "explicit":
+            return DegreeSequence(tuple(int(d) for d in spec["degrees"]))
+        if kind == "subpower":
+            return build_subpower_sequence(
+                int(spec["n"]),
+                float(spec["gamma"]),
+                float(spec.get("c", 1.0)),
+                float(spec["target_nu"]),
+            )
         n, d = int(spec["n"]), int(spec["d"])
         return DegreeSequence(tuple([d] * n))
-    raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
+    except (ValueError, OSError) as exc:
+        fields = _DEGREE_FIELDS[kind]
+        name = (next(iter(fields)) if len(fields) == 1
+                else str(exc).partition(" ")[0].rstrip(":"))
+        where = f"degrees.{name}" if name in fields else "degrees"
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)

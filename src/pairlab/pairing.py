@@ -275,39 +275,28 @@ def is_simple(p: Pairing) -> bool:
 
 def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Vertex -> root of its component in the multigraph on n vertices with
-    edges (u, v); two vertices are connected iff they share a root.
+    edges (u, v): the component's smallest vertex, as intp.
 
-    Hook and shortcut: each round hooks the larger root of every pair whose
-    ends lie in different trees under the smallest root paired with it,
-    pointer-jumps the hooked roots to their new roots, and drops the pairs
-    now inside one tree.  Each round hooks at least one root of every
-    unfinished component and roots only decrease, so the rounds end.
-    Hooking under the minimum, rather than under whichever write lands last,
-    keeps a star whose centre has the largest label to two rounds.
+    Hook and shortcut: each round hooks the larger root of every pair under
+    the smallest root paired with it, pointer-jumps the whole parent array
+    until every vertex points at its root, and re-gathers each pair's roots.
+    Each round hooks at least one root of every unfinished component and
+    roots only decrease, so the rounds end when every pair lies in one tree.
+    Hooking under the minimum keeps a star whose centre has the largest
+    label to two rounds.  The labels are cast to intp once: numpy casts any
+    other index to intp on every gather.  A pair inside one tree hooks its
+    root under itself, a no-op, so the pairs are never filtered, and one
+    gather of all n parents costs less than tracking the hooked roots.
     """
-    # in the labels' dtype: minimum.at across dtypes is far slower
-    parent = np.arange(n, dtype=u.dtype)
+    u, v = u.astype(np.intp, copy=False), v.astype(np.intp, copy=False)
+    parent = np.arange(n, dtype=np.intp)
     while True:  # u, v hold the current roots of each pair's two ends
-        cross = u != v
-        u, v = u[cross], v[cross]
-        if not u.size:
-            break
-        hooked = np.maximum(u, v)
-        np.minimum.at(parent, hooked, np.minimum(u, v))
-        up = parent[hooked]
-        while True:
-            upup = parent[up]
-            moving = upup != up
-            if not moving.any():
-                break
-            hooked, up = hooked[moving], upup[moving]
-            parent[hooked] = up
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
         u, v = parent[u], parent[v]
-    while True:  # shortcut every vertex to its root
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
+        if np.array_equal(u, v):
             return parent
-        parent = grand
 
 
 def core_report(seq: DegreeSequence, u: np.ndarray,

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from pairlab.degree_model import DegreeSequence, predicted_simple_probability
+from pairlab.degree_model import (
+    DegreeSequence,
+    build_subpower_sequence,
+    predicted_simple_probability,
+)
 from pairlab.pairing import (
     _BLOCK,
     _component_roots,
@@ -276,14 +280,26 @@ class TestComponentRoots:
                  max_size=20),
     )))
     @settings(max_examples=200, deadline=None)
-    def test_matches_union_find(self, case):
-        # loops, repeated pairs and isolated vertices all occur in the draws
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_matches_union_find(self, dtype, case):
+        # loops, repeated pairs and isolated vertices all occur in the draws;
+        # the kernels pass int32 core labels
         n, edges = case
-        u = np.array([a for a, _ in edges], dtype=np.int64)
-        v = np.array([b for _, b in edges], dtype=np.int64)
+        u = np.array([a for a, _ in edges], dtype=dtype)
+        v = np.array([b for _, b in edges], dtype=dtype)
         roots = _component_roots(u, v, n)
         # each component's root is its smallest vertex
         assert roots.tolist() == union_find_roots(n, edges)
+
+    @pytest.mark.parametrize("seq", [
+        DegreeSequence((3,) * 10_000),
+        build_subpower_sequence(100_000, 3.5, 1.0, 0.9),
+    ], ids=["regular-3-n1e4", "subpower-n1e5"])
+    def test_matches_union_find_on_a_workload_draw(self, seq):
+        u, v = sample_core_pairs(seq, substream(101, 0, 0))
+        roots = _component_roots(u, v, seq.n_core)
+        assert roots.tolist() == union_find_roots(
+            seq.n_core, list(zip(u.tolist(), v.tolist())))
 
     @pytest.mark.parametrize("labels", ["random", "ascending", "descending"])
     def test_long_path(self, labels):
