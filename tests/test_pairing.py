@@ -280,16 +280,16 @@ class TestComponentRoots:
                  max_size=20),
     )))
     @settings(max_examples=200, deadline=None)
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_matches_union_find(self, dtype, case):
+    def test_matches_union_find(self, case):
         # loops, repeated pairs and isolated vertices all occur in the draws;
         # the kernels pass int32 core labels
         n, edges = case
-        u = np.array([a for a, _ in edges], dtype=dtype)
-        v = np.array([b for _, b in edges], dtype=dtype)
-        roots = _component_roots(u, v, n)
-        # each component's root is its smallest vertex
-        assert roots.tolist() == union_find_roots(n, edges)
+        for dtype in (np.int32, np.int64):
+            u = np.array([a for a, _ in edges], dtype=dtype)
+            v = np.array([b for _, b in edges], dtype=dtype)
+            roots = _component_roots(u, v, n)
+            # each component's root is its smallest vertex
+            assert roots.tolist() == union_find_roots(n, edges)
 
     @pytest.mark.parametrize("seq", [
         DegreeSequence((3,) * 10_000),
