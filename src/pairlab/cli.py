@@ -7,14 +7,7 @@ import json
 import logging
 import sys
 
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    RunSummary,
-    describe,
-    run,
-    validate_degree_file,
-)
+from .harness import ConfigError, ExperimentConfig, describe, run, validate_degree_file
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,8 +26,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_run.add_argument("--workers", type=int, default=argparse.SUPPRESS)
     p_run.add_argument("-o", "--output", dest="output_dir", default=argparse.SUPPRESS)
-    p_run.add_argument("--profile", metavar="PATH",
-                       help="write cProfile stats of the run to PATH")
 
     p_desc = sub.add_parser("describe", help="dry-run report, no sampling")
     p_desc.add_argument("-c", "--config", required=True)
@@ -63,8 +54,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(describe(config), sys.stdout, indent=2, sort_keys=True)
             print()
             return 0
-        summary = (run(config) if args.profile is None
-                   else _profiled(config, args.profile))
+        summary = run(config)
         json.dump(
             summary.deterministic_dict(), sys.stdout, indent=2, sort_keys=True
         )
@@ -73,18 +63,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _profiled(config: ExperimentConfig, path: str) -> RunSummary:
-    """``run(config)`` under cProfile, its stats written to ``path``; only
-    the parent process is profiled, not the workers of a pool."""
-    import cProfile  # an unprofiled run never loads it
-
-    profiler = cProfile.Profile()
-    try:
-        return profiler.runcall(run, config)
-    finally:
-        profiler.dump_stats(path)
 
 
 if __name__ == "__main__":

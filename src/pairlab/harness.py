@@ -221,13 +221,9 @@ class ExperimentConfig:
 def resolve_degrees(spec: dict[str, Any]) -> DegreeSequence:
     """Materialize a degree spec: explicit list, file, subpower, or regular.
 
-    The degree model's errors are re-raised as ConfigError naming
-    ``degrees.<field>``: the kind's one field, or the field that the message
-    opens with (``gamma must exceed 3``); else they name ``degrees``.
+    The degree model's errors are re-raised as ConfigError naming ``degrees``.
     """
     kind = spec.get("kind")
-    if kind not in _DEGREE_FIELDS:
-        raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
     try:
         if kind == "file":
             return read_degree_file(spec["path"])
@@ -240,14 +236,12 @@ def resolve_degrees(spec: dict[str, Any]) -> DegreeSequence:
                 float(spec.get("c", 1.0)),
                 float(spec["target_nu"]),
             )
-        n, d = int(spec["n"]), int(spec["d"])
-        return DegreeSequence(tuple([d] * n))
+        if kind == "regular":
+            n, d = int(spec["n"]), int(spec["d"])
+            return DegreeSequence(tuple([d] * n))
     except (ValueError, OSError) as exc:
-        fields = _DEGREE_FIELDS[kind]
-        name = (next(iter(fields)) if len(fields) == 1
-                else str(exc).partition(" ")[0].rstrip(":"))
-        where = f"degrees.{name}" if name in fields else "degrees"
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"degrees: {exc}") from exc
+    raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -283,10 +283,9 @@ def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     Each round hooks at least one root of every unfinished component and
     roots only decrease, so the rounds end when every pair lies in one tree.
     Hooking under the minimum keeps a star whose centre has the largest
-    label to two rounds.  The labels are cast to intp once: numpy casts any
-    other index to intp on every gather.  A pair inside one tree hooks its
-    root under itself, a no-op, so the pairs are never filtered, and one
-    gather of all n parents costs less than tracking the hooked roots.
+    label to two rounds.  A pair inside one tree hooks its root under
+    itself, a no-op.  The labels are cast to intp once: numpy casts any
+    other index to intp on every gather.
     """
     u, v = u.astype(np.intp, copy=False), v.astype(np.intp, copy=False)
     parent = np.arange(n, dtype=np.intp)

@@ -10,7 +10,6 @@ import logging
 import math
 import os
 import pickle
-import pstats
 import statistics
 import subprocess
 import sys
@@ -569,10 +568,10 @@ class TestCli:
           "degrees": 5}, "degrees"),
         ({"grid": 5}, "grid"),
         # well-typed degrees that the degree model refuses
-        ({"degrees": {"kind": "explicit", "degrees": []}}, "degrees.degrees"),
+        ({"degrees": {"kind": "explicit", "degrees": []}}, "degrees"),
         ({"degrees": {"kind": "regular", "n": 3, "d": 3}}, "degrees"),
         ({"degrees": {"kind": "subpower", "n": 100, "gamma": 2.5,
-                      "target_nu": 0.9}}, "degrees.gamma"),
+                      "target_nu": 0.9}}, "degrees"),
         ({"degrees": {"kind": "regular", "n": -5, "d": 3}}, "degrees"),
     ])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
@@ -644,24 +643,6 @@ def test_projection_runs_load_no_scipy(tmp_path):
     ])
     assert all(code in (0, 1) for code in codes)  # both ran to verdicts
     assert [m for m in mods if m.split(".")[0] == "scipy"] == []
-
-
-def test_profile_writes_stats_and_leaves_artifacts_alone(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mode": "poisson_check", "replicates": 5, "seed": 1,
-                               "degrees": {"kind": "regular", "n": 50, "d": 3}}))
-    plain, profiled = tmp_path / "plain", tmp_path / "profiled"
-    stats = tmp_path / "run.prof"
-    codes, mods = _cli_modules(tmp_path, [["run", "-c", str(cfg), "-o", str(plain)]])
-    assert "cProfile" not in mods  # an unprofiled run never loads it
-    assert _exit_code(["run", "-c", str(cfg), "-o", str(profiled),
-                       "--profile", str(stats)]) == codes[0]
-    want = sorted(plain.iterdir())
-    got = sorted(profiled.iterdir())
-    assert [p.name for p in got] == [p.name for p in want] and len(got) == 2
-    assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
-    functions = {name for _, _, name in pstats.Stats(str(stats)).stats}
-    assert "_component_roots" in functions
 
 
 def test_serial_trajectory_run_loads_no_pool_and_no_numpy_ma(tmp_path):
