@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -27,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterator, NamedTuple
 
 from . import __version__
 from .degree_model import (
@@ -99,11 +100,20 @@ _CONFIG_FIELDS = {
     "grid": _OBJECT,
     "tolerances": _OBJECT,
 }
-_DEGREE_FIELDS: dict[str, dict[str, tuple[Callable[[Any], bool], str]]] = {
-    "regular": {"n": _INT, "d": _INT},
-    "subpower": {"n": _INT, "gamma": _NUMBER, "target_nu": _NUMBER, "c": _NUMBER},
-    "explicit": {"degrees": _INT_LIST},
-    "file": {"path": _STRING},
+# each degree kind's fields and builder; the builders coerce for callers of
+# ``resolve_degrees`` that skip the checks, and look ``build_subpower_sequence``
+# up in this module at each call, so that patching it here sees every build
+_DEGREE_KINDS: dict[str, tuple[dict, Callable[[dict[str, Any]], DegreeSequence]]] = {
+    "regular": ({"n": _INT, "d": _INT},
+                lambda spec: DegreeSequence(int(spec["n"]) * (int(spec["d"]),))),
+    "subpower": (
+        {"n": _INT, "gamma": _NUMBER, "target_nu": _NUMBER, "c": _NUMBER},
+        lambda spec: build_subpower_sequence(
+            int(spec["n"]), float(spec["gamma"]), float(spec.get("c", 1.0)),
+            float(spec["target_nu"]))),
+    "explicit": ({"degrees": _INT_LIST},
+                 lambda spec: DegreeSequence(tuple(int(d) for d in spec["degrees"]))),
+    "file": ({"path": _STRING}, lambda spec: read_degree_file(spec["path"])),
 }
 _GRID_FIELDS = {
     "gammas": _NUMBER_LIST,
@@ -148,11 +158,11 @@ def _check_fields(
 def _check_degrees(spec: dict[str, Any]) -> None:
     """The fields of a degrees object are those of its kind."""
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _DEGREE_FIELDS:
+    if not isinstance(kind, str) or kind not in _DEGREE_KINDS:
         raise ConfigError(
-            f"degrees.kind: must be one of {tuple(_DEGREE_FIELDS)}, got {kind!r}"
+            f"degrees.kind: must be one of {tuple(_DEGREE_KINDS)}, got {kind!r}"
         )
-    _check_fields("degrees", spec, {"kind": _STRING, **_DEGREE_FIELDS[kind]},
+    _check_fields("degrees", spec, {"kind": _STRING, **_DEGREE_KINDS[kind][0]},
                   optional={"c"})
 
 
@@ -204,14 +214,8 @@ class ExperimentConfig:
         Worker count and output directory are execution environment, not
         experiment identity, so they stay out of the echo and the hash.
         """
-        return {
-            "mode": self.mode,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "degrees": self.degrees,
-            "grid": self.grid,
-            "tolerances": self.tolerances,
-        }
+        return {name: getattr(self, name) for name in _CONFIG_FIELDS
+                if name not in ("workers", "output_dir")}
 
     def hash(self) -> str:
         blob = json.dumps(self.echo(), sort_keys=True).encode()
@@ -219,29 +223,17 @@ class ExperimentConfig:
 
 
 def resolve_degrees(spec: dict[str, Any]) -> DegreeSequence:
-    """Materialize a degree spec: explicit list, file, subpower, or regular.
+    """Materialize a degree spec with its kind's builder.
 
     The degree model's errors are re-raised as ConfigError naming ``degrees``.
     """
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _DEGREE_KINDS:
+        raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
     try:
-        if kind == "file":
-            return read_degree_file(spec["path"])
-        if kind == "explicit":
-            return DegreeSequence(tuple(int(d) for d in spec["degrees"]))
-        if kind == "subpower":
-            return build_subpower_sequence(
-                int(spec["n"]),
-                float(spec["gamma"]),
-                float(spec.get("c", 1.0)),
-                float(spec["target_nu"]),
-            )
-        if kind == "regular":
-            n, d = int(spec["n"]), int(spec["d"])
-            return DegreeSequence(tuple([d] * n))
+        return _DEGREE_KINDS[kind][1](spec)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"degrees: {exc}") from exc
-    raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -307,15 +299,20 @@ def _init_worker(*work) -> None:
     _WORK = work
 
 
-def _chunk(position: int, reps: range) -> list:
-    """In a pool worker, kernel results for replicates ``reps`` of cell
-    ``position``; replicate r of the cell with index k draws from
-    ``substream(seed, k, r)``."""
+def _replicate(work: tuple, position: int, rep: int) -> Any:
+    """The kernel result of replicate ``rep`` of cell ``position``; replicate
+    r of the cell with index k draws from ``substream(seed, k, r)``."""
     from .rng import substream
 
-    kernel, cells, seed = _WORK
+    kernel, cells, seed = work
     cell_index, seq = cells[position]
-    return [kernel(seq, substream(seed, cell_index, rep)) for rep in reps]
+    return kernel(seq, substream(seed, cell_index, rep))
+
+
+def _chunk(position: int, reps: range) -> list:
+    """In a pool worker, kernel results for replicates ``reps`` of cell
+    ``position``."""
+    return [_replicate(_WORK, position, rep) for rep in reps]
 
 
 def _in_parent(work: tuple, tasks: list[tuple[int, range]], results: list[list],
@@ -324,17 +321,13 @@ def _in_parent(work: tuple, tasks: list[tuple[int, range]], results: list[list],
     passed since the first replicate ended, while more than one task is
     left.  Returns the replicates run and the tasks left, a task cut short
     as its remainder."""
-    from .rng import substream
-
-    kernel, cells, seed = work
     deadline = math.inf
     done = 0
     for i, (position, reps) in enumerate(tasks):
-        cell_index, seq = cells[position]
         for j, rep in enumerate(reps):
             if i < len(tasks) - 1 and time.perf_counter() >= deadline:
                 return done, [(position, reps[j:])] + tasks[i + 1:]
-            results[position].append(kernel(seq, substream(seed, cell_index, rep)))
+            results[position].append(_replicate(work, position, rep))
             done += 1
             if done == 1:
                 deadline = time.perf_counter() + budget
@@ -466,23 +459,28 @@ def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
     return [list(_PoissonRow._fields)] + [list(r) for r in rows], [cell], verdicts
 
 
-def _grid(grid: dict[str, Any]) -> tuple[list[float], list[int], float, float]:
-    """A scaling grid's sorted gammas and sizes, its c and its target_nu."""
-    return (sorted(float(g) for g in grid["gammas"]), sorted(grid["sizes"]),
-            float(grid.get("c", 1.0)), float(grid.get("target_nu", 0.9)))
+def _grid_cells(grid: dict[str, Any], order: Callable | None = None
+                ) -> Iterator[tuple[float, int, DegreeSequence | ValueError]]:
+    """Each (gamma, n) cell of a scaling grid, built when it is reached, with
+    its ``subpower`` sequence or the ValueError that refused it; gamma-major
+    over the sorted gammas and sizes, or stably sorted by the key ``order``."""
+    _, build = _DEGREE_KINDS["subpower"]
+    cells = itertools.product(sorted(float(g) for g in grid["gammas"]),
+                              sorted(grid["sizes"]))
+    for gamma, n in sorted(cells, key=order) if order else cells:
+        try:
+            yield gamma, n, build({**grid, "n": n, "gamma": gamma,
+                                   "target_nu": grid.get("target_nu", 0.9)})
+        except ValueError as exc:
+            yield gamma, n, exc
 
 
 def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     import numpy as np
 
-    gammas, sizes, c, target_nu = _grid(config.grid)
     tol = config.tolerances
-    built: list[tuple[float, int, DegreeSequence | ValueError]] = []
-    for gamma, n in ((g, n) for g in gammas for n in sizes):
-        try:
-            built.append((gamma, n, build_subpower_sequence(n, gamma, c, target_nu)))
-        except ValueError as exc:  # build failure: record, keep the grid going
-            built.append((gamma, n, exc))
+    # a cell that does not build is recorded with its error; the grid goes on
+    built = list(_grid_cells(config.grid))
     sampled = [(cell_index, seq) for cell_index, (_, _, seq) in enumerate(built)
                if not isinstance(seq, ValueError)]
     results = iter(_replicates(_largest, sampled, config.seed,
@@ -513,7 +511,7 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
             f"max_degree_ratio[gamma={gamma},n={n}]",
             low <= ratio <= high, ratio, (low + high) / 2, (high - low) / 2,
         ))
-    for gamma in gammas:
+    for gamma in sorted(float(g) for g in config.grid["gammas"]):
         q95s = [c_["q95"] for c_ in cells
                 if c_.get("gamma") == gamma and "q95" in c_]
         if len(q95s) >= 2:
@@ -652,29 +650,23 @@ def run(config: ExperimentConfig) -> RunSummary:
     return summary
 
 
-def _first_buildable(gammas: list[float], sizes: list[int], c: float,
-                     target_nu: float) -> DegreeSequence:
-    """The grid's first cell that builds, trying the largest n first and
-    within each n the smallest gamma first; with none, the first cell's error."""
-    errors = []
-    for n in reversed(sizes):
-        for gamma in gammas:
-            try:
-                return build_subpower_sequence(n, gamma, c, target_nu)
-            except ValueError as exc:
-                errors.append(exc)
-    raise errors[0]
-
-
 def describe(config: ExperimentConfig) -> dict[str, Any]:
     """Dry-run report: scalar functionals and predictions, no sampling."""
-    if config.mode == "scaling":
-        seq = _first_buildable(*_grid(config.grid))
+    if config.mode == "scaling":  # first cell that builds: largest n, smallest gamma
+        refused = None
+        for _, _, seq in _grid_cells(config.grid, lambda cell: (-cell[1], cell[0])):
+            if not isinstance(seq, ValueError):
+                break
+            refused = refused or seq
+        else:
+            raise ConfigError(f"grid: {refused}")
     else:
         seq = resolve_degrees(config.degrees)
     dist = empirical_distribution(seq)
     nu_value = nu(dist)
     p_simple = predicted_simple_probability(nu_value)
+    # null where 1 / P(simple) overflows, as when P(simple) underflows to 0
+    attempts = 1.0 / p_simple if p_simple else math.inf
     report = {
         "n": seq.n,
         "two_m": seq.two_m,
@@ -683,7 +675,7 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "nu": nu_value,
         "molloy_reed_sum": molloy_reed_sum(dist),
         "predicted_p_simple": p_simple,
-        "predicted_attempts": math.inf if p_simple == 0 else 1.0 / p_simple,
+        "predicted_attempts": attempts if math.isfinite(attempts) else None,
         # lower bound: the per-point arrays of one replicate, namely the int32
         # core map, the int32 labels gathered through it or placed by slot,
         # and int64 points: a Pairing's pairs, the permutation of a sequence

@@ -52,7 +52,7 @@ class PointSpace:
         return self.seq.two_m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pairing:
     """A perfect matching of seq's 2m points, as an (m, 2) array of pairs."""
 

@@ -166,7 +166,23 @@ class TestDescribe:
             "grid": {"gammas": [3.5], "sizes": [300, 1000], "target_nu": 0.2},
         }))
         assert cli_main(["describe", "-c", str(cfg)]) == 2
-        assert "error: no scale" in capsys.readouterr().err
+        assert "error: grid: no scale" in capsys.readouterr().err
+
+    def test_underflowing_p_simple_prints_strict_json(self, tmp_path, capsys):
+        # nu = 999: P(simple) underflows to 0, and 1 / 0 has no JSON form
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "poisson_check",
+            "degrees": {"kind": "explicit", "degrees": [1000, 1000]},
+        }))
+        assert cli_main(["describe", "-c", str(cfg)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["predicted_p_simple"] == 0.0
+        assert report["predicted_attempts"] is None
 
     def test_subpower_reports_negative_molloy_reed(self, tmp_path):
         report = describe(make_config(
@@ -573,6 +589,8 @@ class TestCli:
         ({"degrees": {"kind": "subpower", "n": 100, "gamma": 2.5,
                       "target_nu": 0.9}}, "degrees"),
         ({"degrees": {"kind": "regular", "n": -5, "d": 3}}, "degrees"),
+        # a grid none of whose cells builds
+        ({"mode": "scaling", "grid": {"gammas": [2.5], "sizes": [100]}}, "grid"),
     ])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
         cfg = tmp_path / "cfg.json"
@@ -583,9 +601,13 @@ class TestCli:
             "degrees": {"kind": "regular", "n": 10, "d": 3},
             **overrides,
         }))
-        # the oracle's runner, not the parser, refuses an m over its cap
-        oracle = overrides.get("mode") == "oracle_validation"
-        for command in ["run"] if oracle else ["run", "describe"]:
+        # the oracle's runner, not the parser, refuses an m over its cap; a
+        # scaling run records each cell that does not build and exits 1
+        mode = overrides.get("mode")
+        commands = (["run"] if mode == "oracle_validation"
+                    else ["describe"] if (mode, field) == ("scaling", "grid")
+                    else ["run", "describe"])
+        for command in commands:
             assert cli_main([command, "-c", str(cfg)]) == 2
             # the message opens with the field
             assert f"error: {field}: " in capsys.readouterr().err
@@ -1172,3 +1194,10 @@ def test_unknown_package_name_raises_attribute_error(tmp_path):
         pairlab.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         from pairlab import no_such_name  # noqa: F401
+
+
+def test_readme_names_every_mode_and_degree_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [m for m in MODES if f"- `{m}` — " not in readme] == []
+    assert [k for k in pairlab.harness._DEGREE_KINDS
+            if f'{{"kind": "{k}", ' not in readme] == []

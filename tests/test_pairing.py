@@ -509,6 +509,17 @@ class TestSimpleGraphSampling:
 
 
 
+def test_pairings_compare_by_identity():
+    # a generated __eq__ would compare the pairs arrays, whose truth value
+    # is ambiguous
+    space = PointSpace.from_degree_sequence(DegreeSequence((3,) * 10))
+    rng = substream(5)
+    p, q = sample_pairing(space, rng), sample_pairing(space, rng)
+    assert (p == q) is False and (p == p) is True
+    assert p not in [q]
+    assert hash(p) == hash(p)
+
+
 class TestValidate:
     @pytest.mark.parametrize("pairs,message", [
         ([[0, 1], [2, 4]], r"expected 2 pairs of points in \[0, 4\)"),  # beyond 2m
