@@ -311,6 +311,16 @@ class TestScalingMode:
         assert a[1] == b[1] and len(a[1]) == 5
         assert a[0].cells == b[0].cells
 
+    def test_repeated_grid_values_repeat_their_cells(self, tmp_path):
+        # gamma-major over the sorted lists with each repeat in place, so a
+        # cell's index, and with it its substreams, follows the grid as given
+        summary, _ = scaling_run(tmp_path, [4.5, 3.5, 4.5], [1000, 300, 1000], 2,
+                                 seed=5)
+        assert [(c["gamma"], c["n"]) for c in summary.cells] == [
+            (g, n) for g in (3.5, 4.5, 4.5) for n in (300, 1000, 1000)]
+        assert [v.name for v in summary.verdicts if v.name.startswith("q95")] == [
+            "q95_factor[gamma=3.5]", "q95_factor[gamma=4.5]", "q95_factor[gamma=4.5]"]
+
     def test_max_degree_monotone_in_n(self, tmp_path):
         summary, _ = scaling_run(tmp_path, [4.0], [500, 2000, 8000], 3, seed=1)
         caps = [c["max_degree_ratio"] * c["n"] ** (1 / c["gamma"])
