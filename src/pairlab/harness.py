@@ -204,6 +204,8 @@ class ExperimentConfig:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except RecursionError as exc:  # the decoder recurses once per level
+            raise ConfigError(f"{path}: nested too deeply") from exc
         if isinstance(data, dict):
             data.update(overrides)
         return cls.from_dict(data)
@@ -225,14 +227,15 @@ class ExperimentConfig:
 def resolve_degrees(spec: dict[str, Any]) -> DegreeSequence:
     """Materialize a degree spec with its kind's builder.
 
-    The degree model's errors are re-raised as ConfigError naming ``degrees``.
+    The degree model's errors, and the OverflowError of a size too large to
+    index, are re-raised as ConfigError naming ``degrees``.
     """
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _DEGREE_KINDS:
         raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
     try:
         return _DEGREE_KINDS[kind][1](spec)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"degrees: {exc}") from exc
 
 

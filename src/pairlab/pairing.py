@@ -23,10 +23,6 @@ import numpy as np
 from .degree_model import DegreeSequence
 
 
-class InstanceTooLargeError(ValueError):
-    """Instance exceeds the exhaustive-enumeration cap."""
-
-
 class AttemptsExhaustedError(RuntimeError):
     """Rejection sampling failed to produce a simple graph."""
 
@@ -58,16 +54,6 @@ class Pairing:
 
     pairs: np.ndarray  # row k = the two points of matching-pair k
     seq: DegreeSequence
-
-    def validate(self) -> None:
-        total = self.seq.two_m
-        flat = self.pairs.ravel()
-        if self.pairs.shape != (total // 2, 2) or np.any((flat < 0) | (flat >= total)):
-            raise ValueError(f"expected {total // 2} pairs of points in [0, {total})")
-        times = np.bincount(flat, minlength=total)
-        if np.any(times != 1):
-            s = int(np.flatnonzero(times != 1)[0])
-            raise ValueError(f"point {s} is matched {times[s]} times, not once")
 
     def index(self) -> int:
         """This pairing's position in ``enumerate_pairings``' order: a
@@ -189,13 +175,8 @@ def pairing_blocks(seq: DegreeSequence) -> Iterator[np.ndarray]:
         yield pairs
 
 
-def enumerate_pairings(seq: DegreeSequence, max_pairs: int = 6) -> Iterator[Pairing]:
-    """Yield all (2m-1)!! pairings once each, the k-th with ``index()`` k.
-
-    Capped by default at m = 6 (10395 pairings): each is a Python object.
-    """
-    if (m := seq.two_m // 2) > max_pairs:
-        raise InstanceTooLargeError(f"m = {m} exceeds enumeration cap {max_pairs}")
+def enumerate_pairings(seq: DegreeSequence) -> Iterator[Pairing]:
+    """Yield all (2m-1)!! pairings once each, the k-th with ``index()`` k."""
     for block in pairing_blocks(seq):
         for pairs in block:
             yield Pairing(pairs=pairs, seq=seq)
@@ -268,11 +249,6 @@ def simple_mask(seq: DegreeSequence, block: np.ndarray) -> np.ndarray:
     return ~(loops | np.any(keys[:, 1:] == keys[:, :-1], axis=1))
 
 
-def is_simple(p: Pairing) -> bool:
-    """No loops and every vertex-pair multiplicity at most 1."""
-    return bool(simple_mask(p.seq, p.pairs[None])[0])
-
-
 def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Vertex -> root of its component in the multigraph on n vertices with
     edges (u, v): the component's smallest vertex, as intp.
@@ -339,7 +315,7 @@ def sample_simple_graph(
         raise ValueError("max_attempts must be >= 1")
     for attempt in range(1, max_attempts + 1):
         p = sample_pairing(seq, rng)
-        if is_simple(p):
+        if simple_mask(seq, p.pairs[None])[0]:
             return p, attempt
     raise AttemptsExhaustedError(max_attempts)
 

@@ -5,7 +5,6 @@ as pilot-fixed were frozen from a seeded pilot run (seeds recorded next to
 the constants).
 """
 
-import json
 import math
 import time
 from collections import Counter
@@ -24,8 +23,6 @@ from pairlab.diagnostics import (
     drift_estimate,
     exact_initial_drift,
     martingale_one_step_error,
-    poisson_limit_check,
-    trajectory_deviation,
 )
 from pairlab.exploration import (
     ExplorationState,
@@ -34,12 +31,7 @@ from pairlab.exploration import (
     start_exploration,
 )
 from pairlab.harness import ExperimentConfig, run
-from pairlab.pairing import (
-    PointSpace,
-    enumerate_pairings,
-    project_components,
-    sample_pairing,
-)
+from pairlab.pairing import enumerate_pairings, project_components, sample_pairing
 from pairlab.rng import substream
 
 
@@ -68,10 +60,9 @@ def test_criterion_1_exact_oracle_equivalence():
 
     draws = 100_000
     rng = substream(101)
-    space = PointSpace.from_degree_sequence(seq)
     counts = np.zeros(3, dtype=np.int64)
     for _ in range(draws):
-        counts[sample_pairing(space, rng).index()] += 1
+        counts[sample_pairing(seq, rng).index()] += 1
     sigma = math.sqrt((1 / 3) * (2 / 3) / draws)
     worst = np.max(np.abs(counts / draws - 1 / 3))
     elapsed = time.monotonic() - t0
@@ -83,30 +74,29 @@ def test_criterion_1_exact_oracle_equivalence():
     )
 
 
-def test_criterion_2_poisson_lemma():
+def test_criterion_2_poisson_lemma(tmp_path):
     """3-regular n=1e4, 1e4 replicates: mean X = 1.00 +/- 0.03,
-    mean Y = 1.00 +/- 0.04, P{X=0,Y=0} = exp(-2) +/- 0.010; under 2 min."""
+    mean Y = 1.00 +/- 0.04, P{X=0,Y=0} = exp(-2) +/- 0.010; under 2 min.
+
+    Runs the ``poisson_check`` config (seed 202, 2 workers) whose default
+    tolerances are these bounds, so it also needs the mode's fourth verdict,
+    ``corr_z``: the loops/parallel-pairs correlation within 3 sigma of 0."""
     t0 = time.monotonic()
-    seq = DegreeSequence((3,) * 10_000)
-    space = PointSpace.from_degree_sequence(seq)
-    reports = [
-        project_components(sample_pairing(space, substream(202, rep)))
-        for rep in range(10_000)
-    ]
-    check = poisson_limit_check(reports, nu_value=2.0)
+    summary = run(ExperimentConfig.from_dict({
+        "mode": "poisson_check",
+        "replicates": 10_000,
+        "seed": 202,
+        "workers": 2,
+        "output_dir": str(tmp_path),
+        "degrees": {"kind": "regular", "n": 10_000, "d": 3},
+    }))
     elapsed = time.monotonic() - t0
-    ok = (
-        abs(check.mean_loops - 1.0) <= 0.03
-        and abs(check.mean_parallel - 1.0) <= 0.04
-        and abs(check.p_simple - math.exp(-2)) <= 0.010
-        and elapsed < 120.0
-    )
     verdict(
         2,
-        ok,
-        f"mean X = {check.mean_loops:.4f}, mean Y = {check.mean_parallel:.4f}, "
-        f"P(simple) = {check.p_simple:.4f} vs {math.exp(-2):.4f}, "
-        f"runtime {elapsed:.1f}s < 120s",
+        summary.passed and elapsed < 120.0,
+        ", ".join(f"{v.name} = {v.value:.4f} (target {v.target:.4f} +/- "
+                  f"{v.tolerance})" for v in summary.verdicts)
+        + f", runtime {elapsed:.1f}s < 120s",
     )
 
 
@@ -189,30 +179,29 @@ def test_criterion_5_drift():
     )
 
 
-def test_criterion_6_trajectory():
+def test_criterion_6_trajectory(tmp_path):
     """gamma=3.5, n=1e5, max-degree roots, 100 replicates: for j <= 5 the
     median max_t |I_j(t) - prediction|/n is at most 0.01; under 5 min.
 
-    Threshold 0.01 fixed by the pilot run with seed 606 (medians there were
-    below 2e-3 for every j)."""
+    Runs the ``trajectory`` config (seed 606, 1 worker) whose default
+    ``trajectory_threshold`` and ``trajectory_j_max`` are 0.01 and 5; the
+    mode explores from the first max-degree vertex.  Threshold 0.01 fixed by
+    the pilot run with seed 606 (medians there were below 2e-3 for every j)."""
     t0 = time.monotonic()
-    seq = build_subpower_sequence(100_000, 3.5, 1.0, 0.9)
-    dist = empirical_distribution(seq)
-    root = int(np.argmax(seq.degrees))
-    track = [j for j in range(1, 6) if j in dist.counts]
-    devs: dict[int, list[float]] = {j: [] for j in track}
-    for rep in range(100):
-        trace = explore_component(
-            seq, root, substream(606, rep), record_trace=True
-        )
-        for j in track:
-            devs[j].append(trajectory_deviation(trace, dist, j))
-    medians = {j: float(np.median(v)) for j, v in devs.items()}
+    summary = run(ExperimentConfig.from_dict({
+        "mode": "trajectory",
+        "replicates": 100,
+        "seed": 606,
+        "workers": 1,
+        "output_dir": str(tmp_path),
+        "degrees": {"kind": "subpower", "n": 100_000, "gamma": 3.5, "c": 1.0,
+                    "target_nu": 0.9},
+    }))
+    medians = {cell["j"]: cell["median_deviation"] for cell in summary.cells}
     elapsed = time.monotonic() - t0
-    ok = all(m <= 0.01 for m in medians.values()) and elapsed < 300.0
     verdict(
         6,
-        ok,
+        summary.passed and elapsed < 300.0,
         f"median deviation by j: "
         f"{ {j: '%.2e' % m for j, m in medians.items()} }, "
         f"runtime {elapsed:.1f}s < 300s",

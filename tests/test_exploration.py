@@ -353,7 +353,7 @@ class TestFullDecomposition:
             sizes.append(state.cluster_size)
         assert state.t_global == len(state.pairs) == seq.two_m // 2
         pairing = state.finished_pairing()
-        pairing.validate()
+        assert np.array_equal(np.sort(pairing.pairs.ravel()), np.arange(seq.two_m))
         report = project_components(pairing)
         assert sorted(report.component_sizes) == sorted(sizes)
 

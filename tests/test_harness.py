@@ -601,6 +601,8 @@ class TestCli:
         ({"degrees": {"kind": "regular", "n": -5, "d": 3}}, "degrees"),
         # a grid none of whose cells builds
         ({"mode": "scaling", "grid": {"gammas": [2.5], "sizes": [100]}}, "grid"),
+        # too many vertices to index: an OverflowError, not a ValueError
+        ({"degrees": {"kind": "regular", "n": 10**20, "d": 2}}, "degrees"),
     ])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
         cfg = tmp_path / "cfg.json"
@@ -621,6 +623,15 @@ class TestCli:
             assert cli_main([command, "-c", str(cfg)]) == 2
             # the message opens with the field
             assert f"error: {field}: " in capsys.readouterr().err
+
+    def test_deeply_nested_config_names_the_file(self, tmp_path, capsys):
+        # deeper than the JSON decoder can recurse
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mode": "poisson_check", "degrees": '
+                       + "[" * 100_000 + "]" * 100_000 + "}")
+        for command in ("run", "describe"):
+            assert cli_main([command, "-c", str(cfg)]) == 2
+            assert f"error: {cfg}: " in capsys.readouterr().err
 
 
 def _exit_code(argv: list[str]) -> int:

@@ -18,13 +18,11 @@ from pairlab.pairing import (
     _component_roots,
     _core_pairs,
     AttemptsExhaustedError,
-    InstanceTooLargeError,
     Pairing,
     PointSpace,
     double_factorial_odd,
     enumerate_pairings,
     core_largest,
-    is_simple,
     pairing_blocks,
     project_components,
     sample_core_pairs,
@@ -110,13 +108,6 @@ class TestEnumeration:
             want = pairing_by_pairs(seq, drawn.pairs.tolist())
             assert drawn.index() == want.index()
 
-    def test_cap_enforced(self):
-        with pytest.raises(InstanceTooLargeError):
-            list(enumerate_pairings(DegreeSequence((2,) * 8)))
-
-    def test_cap_configurable(self):
-        assert len(list(enumerate_pairings(DegreeSequence((2,) * 7), max_pairs=7)))
-
 
 class TestPairingBlocks:
     def test_order_is_pinned(self):
@@ -140,7 +131,7 @@ class TestPairingBlocks:
             assert mask.shape == (len(block),)
             for pairs, simple in zip(block, mask):
                 p = Pairing(pairs=pairs, seq=seq)
-                p.validate()
+                assert np.array_equal(np.sort(p.pairs.ravel()), np.arange(seq.two_m))
                 assert p.index() == position
                 assert simple == project_components(p).simple
                 position += 1
@@ -187,7 +178,7 @@ class TestLoopAndParallelCounts:
         seq = DegreeSequence(tuple(degrees))
         m = seq.two_m // 2
         p = sample_pairing(seq, substream(seed))
-        p.validate()
+        assert np.array_equal(np.sort(p.pairs.ravel()), np.arange(seq.two_m))
         report = project_components(p)
         assert 0 <= report.loops <= m
         assert 0 <= report.parallel_pairs <= math.comb(m, 2)
@@ -251,7 +242,7 @@ def assert_counts_by_hand(p) -> int:
         else:
             loops += 1
     by_hand = loops == 0 and all(k <= 1 for k in edges.values())
-    assert is_simple(p) == by_hand
+    assert simple_mask(p.seq, p.pairs[None])[0] == by_hand
     report = project_components(p)
     assert report.loops == loops
     assert report.parallel_pairs == sum(math.comb(k, 2) for k in edges.values())
@@ -338,7 +329,7 @@ def assert_core_projection_exact(p):
     assert report.component_sizes == sizes
     assert report.largest == sizes[0] == core_largest(p.seq, *_core_pairs(p))
     assert (report.loops, report.parallel_pairs) == (loops, parallel)
-    assert is_simple(p) == (loops == parallel == 0)
+    assert simple_mask(p.seq, p.pairs[None])[0] == (loops == parallel == 0)
 
 
 class TestCoreProjection:
@@ -385,7 +376,7 @@ class TestCoreProjection:
         pairs = np.arange(2 * n).reshape(-1, 2)  # every vertex a loop
         pairs[[0, 2**15, 40000]] = [[0, 80000], [1, 2**16], [2**16 + 1, 80001]]
         p = Pairing(pairs=pairs, seq=seq)
-        p.validate()
+        assert np.array_equal(np.sort(p.pairs.ravel()), np.arange(seq.two_m))
         report = project_components(p)
         assert (report.loops, report.parallel_pairs) == (n - 3, 0)
         assert report.largest == 3
@@ -478,7 +469,7 @@ class TestTwoStageSampler:
     def test_core_pairs_are_the_first_stage(self, degrees, seed):
         seq = DegreeSequence(tuple(degrees))
         p = sample_pairing(seq, substream(seed))
-        p.validate()
+        assert np.array_equal(np.sort(p.pairs.ravel()), np.arange(seq.two_m))
         for got, want in zip(sample_core_pairs(seq, substream(seed)), _core_pairs(p)):
             assert np.array_equal(got, want)
 
@@ -496,7 +487,7 @@ class TestSimpleGraphSampling:
     def test_accepted_graph_is_simple(self):
         seq = DegreeSequence((3,) * 20)
         p, attempts = sample_simple_graph(seq, substream(8), max_attempts=500)
-        assert is_simple(p)
+        assert project_components(p).simple
         assert attempts >= 1
 
     def test_three_regular_acceptance_rate(self):
@@ -504,7 +495,8 @@ class TestSimpleGraphSampling:
         seq = DegreeSequence((3,) * 1000)
         space = PointSpace.from_degree_sequence(seq)
         rng = substream(9)
-        hits = sum(is_simple(sample_pairing(space, rng)) for _ in range(3000))
+        hits = sum(project_components(sample_pairing(space, rng)).simple
+                   for _ in range(3000))
         assert abs(hits / 3000 - predicted_simple_probability(2.0)) < 0.02
 
 
@@ -518,17 +510,3 @@ def test_pairings_compare_by_identity():
     assert (p == q) is False and (p == p) is True
     assert p not in [q]
     assert hash(p) == hash(p)
-
-
-class TestValidate:
-    @pytest.mark.parametrize("pairs,message", [
-        ([[0, 1], [2, 4]], r"expected 2 pairs of points in \[0, 4\)"),  # beyond 2m
-        ([[0, 1], [2, -1]], r"expected 2 pairs of points in \[0, 4\)"),  # negative
-        ([[0, 0], [1, 1]], "point 0 is matched 2 times"),  # self-pair
-        ([[0, 1], [1, 2]], "point 1 is matched 2 times"),  # repeated point
-        ([[0, 1]], "expected 2 pairs"),  # points 2 and 3 missing
-    ])
-    def test_rejects_non_matching(self, pairs, message):
-        p = Pairing(pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2), seq=D22)
-        with pytest.raises(ValueError, match=message):
-            p.validate()
