@@ -2,7 +2,7 @@
 
 A config (JSON file) picks a mode, a degree specification, a replicate count
 and a seed; ``run`` executes the replicates (in the parent, handing the rest
-to a process pool when they outlast the pool's start-up cost),
+to a process pool only when the pool would save more than it costs),
 writes a records CSV plus a summary JSON, and returns pass/fail verdicts with
 the tolerances that produced them.  Replicate streams come from
 ``substream(seed, cell_index, replicate_index)``, so artifacts are
@@ -290,9 +290,17 @@ class RunSummary:
 # position and a range of its replicates; the kernel, the cells and the seed
 # reach each pool worker once, through the pool's initializer.
 
-# Measured cost of starting a 2-worker fork pool on a 2-core VM: replicates
-# that finish within it are cheaper run in the parent than sent to a pool.
-_POOL_START_S = 0.03
+# What a replicate pool costs, measured on a 2-core VM (Python 3.11, fork;
+# medians of two series of 11 and 21 fresh processes that had imported numpy
+# and the samplers and built scaling's six cells): importing multiprocessing
+# and concurrent.futures, which only the pool path does, 17-21 ms, then
+# starting 2 workers with the cells in their initializer, running 4 trivial
+# tasks and shutting the pool down, 16-18 ms.  Rounded up from those
+# 32-39 ms, because a pool of real tasks pays more: each worker builds the
+# point maps of the cells it runs, and the tasks' messages contend with them
+# for the 2 cores.  The parent also runs replicates this long before it
+# weighs the work left against a pool.
+_POOL_START_S = 0.045
 
 _WORK: tuple = ()  # (kernel, cells, seed) inside a pool worker
 
@@ -319,22 +327,42 @@ def _chunk(position: int, reps: range) -> list:
 
 
 def _in_parent(work: tuple, tasks: list[tuple[int, range]], results: list[list],
-               budget: float) -> tuple[int, list[tuple[int, range]]]:
+               budget: float) -> tuple[int, float, list[tuple[int, range]]]:
     """Run ``tasks`` in order into ``results`` until ``budget`` seconds have
     passed since the first replicate ended, while more than one task is
-    left.  Returns the replicates run and the tasks left, a task cut short
-    as its remainder."""
-    deadline = math.inf
+    left.  Returns the replicates run, the ``time.perf_counter()`` at which
+    the first of them ended, and the tasks left, a task cut short as its
+    remainder."""
+    first_end = deadline = math.inf
     done = 0
     for i, (position, reps) in enumerate(tasks):
         for j, rep in enumerate(reps):
             if i < len(tasks) - 1 and time.perf_counter() >= deadline:
-                return done, [(position, reps[j:])] + tasks[i + 1:]
+                return done, first_end, [(position, reps[j:])] + tasks[i + 1:]
             results[position].append(_replicate(work, position, rep))
             done += 1
             if done == 1:
-                deadline = time.perf_counter() + budget
-    return done, []
+                first_end = time.perf_counter()
+                deadline = first_end + budget
+    return done, first_end, []
+
+
+def _seconds_left(elapsed: float, cells: list[tuple[int, DegreeSequence]],
+                  tasks: list[tuple[int, range]],
+                  left: list[tuple[int, range]]) -> float:
+    """Seconds the replicates of ``left`` would take in the parent, which has
+    run the rest of ``tasks`` and spent ``elapsed`` seconds on them after its
+    first replicate (that one pays the one-time imports): ``elapsed`` scaled
+    by the core points left over the core points timed, a replicate of a cell
+    counting its sequence's ``n_core_points`` (at least 1: a replicate with
+    no core still costs a call).  Infinite when no replicate was timed."""
+    weight = [max(seq.n_core_points, 1) for _, seq in cells]
+
+    def points(tasks: list[tuple[int, range]]) -> int:
+        return sum(len(reps) * weight[position] for position, reps in tasks)
+
+    timed = points(tasks) - points(left) - weight[tasks[0][0]]
+    return elapsed * points(left) / timed if timed else math.inf
 
 
 def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
@@ -345,10 +373,12 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
     ``(cell_index, sequence)`` cell.  The parent runs them itself until
     ``_POOL_START_S`` has passed since its first replicate ended (that one
     pays the one-time imports of numpy and the samplers, which the workers
-    then inherit);
-    only if more than one task is left does a pool of at most ``workers``
-    processes take the rest.  ``workers`` is first capped at the CPUs this
-    process may run on: a fork pool starts all its processes at once.
+    then inherit).  If more than one task is left, it estimates the seconds
+    they would still take it (``_seconds_left``), and a pool of at most
+    ``workers`` processes takes them only if it would save more than
+    ``_POOL_START_S``: ``left × (1 − 1/pool workers)``.  Otherwise the parent
+    finishes them.  ``workers`` is first capped at the CPUs this process may
+    run on: a fork pool starts all its processes at once.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -358,11 +388,32 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
              for position in range(len(cells)) for lo in range(0, replicates, size)]
     work = (kernel, cells, seed)
     results: list[list] = [[] for _ in cells]
-    done, left = _in_parent(work, tasks, results,
-                            _POOL_START_S if workers > 1 else math.inf)
+    done, first_end, left = _in_parent(work, tasks, results,
+                                       _POOL_START_S if workers > 1 else math.inf)
     if not left:
         log.info("replicates: %d in the parent, serial", done)
         return results
+    pool_workers = min(workers, len(left))
+    left_s = _seconds_left(time.perf_counter() - first_end, cells, tasks, left)
+    saving = left_s * (1 - 1 / pool_workers)
+    pooled = saving > _POOL_START_S
+    if pooled:
+        log.info("replicates: %d in the parent, %d tasks to a pool of %d workers",
+                 done, len(left), pool_workers)
+    else:
+        log.info("replicates: %d in the parent, serial", replicates * len(cells))
+    log.info("pool: ~%.0f ms left, a pool of %d saves ~%.0f ms, costs %.0f ms",
+             1e3 * left_s, pool_workers, 1e3 * saving, 1e3 * _POOL_START_S)
+    if pooled:
+        _in_pool(work, left, results, pool_workers)
+    else:
+        _in_parent(work, left, results, math.inf)
+    return results
+
+
+def _in_pool(work: tuple, tasks: list[tuple[int, range]], results: list[list],
+             workers: int) -> None:
+    """Run ``tasks`` on a pool of ``workers`` processes into ``results``."""
     import multiprocessing  # a serial run never loads it
     from concurrent.futures import ProcessPoolExecutor
 
@@ -370,14 +421,10 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
     # platform has it
     context = (multiprocessing.get_context("fork")
                if "fork" in multiprocessing.get_all_start_methods() else None)
-    pool_workers = min(workers, len(left))
-    log.info("replicates: %d in the parent, %d tasks to a pool of %d workers",
-             done, len(left), pool_workers)
-    with ProcessPoolExecutor(pool_workers, mp_context=context,
+    with ProcessPoolExecutor(workers, mp_context=context,
                              initializer=_init_worker, initargs=work) as pool:
-        for (position, _), chunk in zip(left, pool.map(_chunk, *zip(*left))):
+        for (position, _), chunk in zip(tasks, pool.map(_chunk, *zip(*tasks))):
             results[position] += chunk
-    return results
 
 
 def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, int, int]:

@@ -1077,6 +1077,85 @@ def test_dispatch_path_is_logged(tmp_path, monkeypatch, caplog, budget, message)
     assert message in [r.getMessage() for r in caplog.records]
 
 
+def _run_on_ticking_clock(tmp_path, monkeypatch, caplog, cost: float) -> list[str]:
+    """Run 8 one-replicate poisson tasks at 2 workers on a clock that ticks
+    once a read, with a pool cost of ``cost`` ticks; the log, and artifacts
+    that must equal a 1-worker run's."""
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", cost)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    blobs = []
+    for workers in (1, 2):
+        caplog.clear()
+        summary = run(ExperimentConfig.from_dict(
+            {**_SMALL_POISSON, "replicates": 8, "workers": workers,
+             "output_dir": str(tmp_path / f"w{workers}")}))
+        blobs.append([Path(a).read_bytes() for a in summary.artifacts])
+    assert blobs[0] == blobs[1]
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith(("replicates:", "pool:"))]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_saving_below_cost_starts_no_pool(tmp_path, monkeypatch, caplog):
+    # the window ends after 6 replicates and 7 ticks: the 2 left would take
+    # 2.8 ticks, and a pool of 2 saves 1.4 of them, less than its 5.5
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    assert _run_on_ticking_clock(tmp_path, monkeypatch, caplog, 5.5) == [
+        "replicates: 8 in the parent, serial",
+        "pool: ~2800 ms left, a pool of 2 saves ~1400 ms, costs 5500 ms",
+    ]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_saving_above_cost_starts_a_pool(tmp_path, monkeypatch, caplog):
+    # the window ends after 3 replicates, 2 of them timed over 4 ticks: the
+    # 5 left would take 10, and a pool of 2 saves 5, more than its 2.5
+    assert _run_on_ticking_clock(tmp_path, monkeypatch, caplog, 2.5) == [
+        "replicates: 3 in the parent, 5 tasks to a pool of 2 workers",
+        "pool: ~10000 ms left, a pool of 2 saves ~5000 ms, costs 2500 ms",
+    ]
+
+
+def test_seconds_left_scales_with_core_points():
+    # the parent has run the small cell of a two-cell grid; the big cell's
+    # replicates weigh their core points, not a replicate each
+    small, big = (build_subpower_sequence(n, 3.5, 1.0, 0.9)
+                  for n in (1_000, 100_000))
+    cells = [(0, small), (1, big)]
+    tasks = [(position, range(lo, lo + 4)) for position in (0, 1) for lo in (0, 4)]
+    ratio = big.n_core_points / small.n_core_points
+    assert ratio > 50
+    left = pairlab.harness._seconds_left(0.007, cells, tasks, tasks[2:])
+    assert left == pytest.approx(0.007 * 8 * ratio / 7)
+    # a task cut short: 5 small replicates timed, 3 small and 8 big left
+    left = pairlab.harness._seconds_left(
+        0.005, cells, tasks, [(0, range(6, 8))] + tasks[2:])
+    assert left == pytest.approx(0.005 * (2 + 8 * ratio) / 5)
+    # one cell, with a core or without: replicates left over replicates timed
+    for seq in (small, DegreeSequence((1,) * 20_000)):
+        assert pairlab.harness._seconds_left(
+            0.004, [(0, seq)], tasks[:2], [(0, range(5, 8))]
+        ) == pytest.approx(0.004 * 3 / 4)
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_zero_cost_pools_though_no_replicate_was_timed(tmp_path, monkeypatch,
+                                                       caplog):
+    # a clock that never moves: the window ends at once after the first
+    # replicate, which is never timed, so the estimate is unknown, not 0 / 0
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    run(ExperimentConfig.from_dict(
+        {**_SMALL_POISSON, "workers": 2, "output_dir": str(tmp_path)}))
+    assert [r.getMessage() for r in caplog.records][:2] == [
+        "replicates: 1 in the parent, 3 tasks to a pool of 2 workers",
+        "pool: ~inf ms left, a pool of 2 saves ~inf ms, costs 0 ms",
+    ]
+
+
 # The import rule: a path that samples nothing loads no numpy.  Config
 # checks, describe and validate read only the degree model; the samplers and
 # numpy load on a run's first replicate, on first access to their names, or
