@@ -16,7 +16,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Monte Carlo lab for the uniform pairing model with a "
         "fixed subpower-law degree sequence.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute an experiment config")
@@ -36,10 +35,8 @@ def main(argv: list[str] | None = None) -> int:
     p_val.add_argument("--c", type=float, default=None)
 
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
 
     try:
         if args.command == "validate":

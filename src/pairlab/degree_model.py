@@ -391,15 +391,9 @@ def build_subpower_sequence(
     return DegreeSequence(degrees, gamma=gamma, c=c)
 
 
-def write_degree_file(seq: DegreeSequence, path: str | Path) -> None:
-    """Plain text: first line n, second line the n degrees space-separated."""
-    Path(path).write_text(
-        f"{seq.n}\n{' '.join(str(d) for d in seq.degrees)}\n"
-    )
-
-
 def read_degree_file(path: str | Path) -> DegreeSequence:
-    """Load and validate a degree file written by :func:`write_degree_file`.
+    """Load and validate a degree file: plain text, the vertex count n on
+    the first line and the n degrees, separated by spaces, on the second.
 
     Only blank lines may follow the degrees.
     """

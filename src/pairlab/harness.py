@@ -25,7 +25,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Collection, Iterator, NamedTuple
@@ -100,19 +100,19 @@ _CONFIG_FIELDS = {
     "grid": _OBJECT,
     "tolerances": _OBJECT,
 }
-# each degree kind's fields and builder; the builders coerce for callers of
-# ``resolve_degrees`` that skip the checks, and look ``build_subpower_sequence``
-# up in this module at each call, so that patching it here sees every build
+# each degree kind's fields and builder; the builders look
+# ``build_subpower_sequence`` up in this module at each call, so that patching
+# it here sees every build, and pass it floats, as its error messages print them
 _DEGREE_KINDS: dict[str, tuple[dict, Callable[[dict[str, Any]], DegreeSequence]]] = {
     "regular": ({"n": _INT, "d": _INT},
-                lambda spec: DegreeSequence(int(spec["n"]) * (int(spec["d"]),))),
+                lambda spec: DegreeSequence(spec["n"] * (spec["d"],))),
     "subpower": (
         {"n": _INT, "gamma": _NUMBER, "target_nu": _NUMBER, "c": _NUMBER},
         lambda spec: build_subpower_sequence(
-            int(spec["n"]), float(spec["gamma"]), float(spec.get("c", 1.0)),
+            spec["n"], float(spec["gamma"]), float(spec.get("c", 1.0)),
             float(spec["target_nu"]))),
     "explicit": ({"degrees": _INT_LIST},
-                 lambda spec: DegreeSequence(tuple(int(d) for d in spec["degrees"]))),
+                 lambda spec: DegreeSequence(tuple(spec["degrees"]))),
     "file": ({"path": _STRING}, lambda spec: read_degree_file(spec["path"])),
 }
 _GRID_FIELDS = {
@@ -225,18 +225,19 @@ class ExperimentConfig:
 
 
 def resolve_degrees(spec: dict[str, Any]) -> DegreeSequence:
-    """Materialize a degree spec with its kind's builder.
+    """Materialize a degree spec with its kind's builder, once it passes the
+    checks of a config's ``degrees``, whose errors name ``degrees.<field>``.
 
-    The degree model's errors, and the OverflowError of a size too large to
-    index, are re-raised as ConfigError naming ``degrees``.
+    The degree model's errors, and a size too large to index (OverflowError)
+    or to hold (MemoryError), are re-raised as ConfigError naming ``degrees``.
     """
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _DEGREE_KINDS:
-        raise ConfigError(f"degrees.kind: unknown kind {kind!r}")
+    _check_degrees(spec)
     try:
-        return _DEGREE_KINDS[kind][1](spec)
+        return _DEGREE_KINDS[spec["kind"]][1](spec)
     except (ValueError, OverflowError, OSError) as exc:
         raise ConfigError(f"degrees: {exc}") from exc
+    except MemoryError as exc:  # a failed tuple repeat has no message
+        raise ConfigError("degrees: too large to hold in memory") from exc
 
 
 @dataclass(frozen=True)
@@ -247,14 +248,11 @@ class Verdict:
     target: float
     tolerance: float
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "target": self.target,
-            "tolerance": self.tolerance,
-        }
+
+def _within(name: str, value: float, target: float, tolerance: float) -> Verdict:
+    """The verdict that ``value`` lies within ``tolerance`` of ``target``."""
+    return Verdict(name, bool(abs(value - target) <= tolerance), value, target,
+                   tolerance)
 
 
 @dataclass
@@ -272,15 +270,11 @@ class RunSummary:
         return bool(self.verdicts) and all(v.passed for v in self.verdicts)
 
     def deterministic_dict(self) -> dict[str, Any]:
-        """Everything but the artifact paths, which depend on the output directory."""
-        return {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "cells": self.cells,
-            "verdicts": [v.as_dict() for v in self.verdicts],
-            "passed": self.passed,
-        }
+        """The fields but the artifact paths, which depend on the output
+        directory, plus ``passed``."""
+        summary = asdict(self)
+        del summary["artifacts"]
+        return {**summary, "passed": self.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +290,8 @@ class RunSummary:
 # and concurrent.futures, which only the pool path does, 17-21 ms, then
 # starting 2 workers with the cells in their initializer, running 4 trivial
 # tasks and shutting the pool down, 16-18 ms.  Rounded up from those
-# 32-39 ms, because a pool of real tasks pays more: each worker builds the
-# point maps of the cells it runs, and the tasks' messages contend with them
-# for the 2 cores.  The parent also runs replicates this long before it
-# weighs the work left against a pool.
+# 32-39 ms, because a pool of scaling's real tasks took 77-146 ms (median
+# 121, 8 runs) for tasks the parent alone finished in 30-70 ms (median 48).
 _POOL_START_S = 0.045
 
 _WORK: tuple = ()  # (kernel, cells, seed) inside a pool worker
@@ -485,17 +477,13 @@ def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
     check = poisson_limit_check(rows, nu_value, min_reports=1)
     tol = config.tolerances
     verdicts = [
-        Verdict("mean_loops", abs(check.mean_loops - check.target_loops)
-                <= tol["abs_tol_loops"], check.mean_loops,
-                check.target_loops, tol["abs_tol_loops"]),
-        Verdict("mean_parallel", abs(check.mean_parallel - check.target_parallel)
-                <= tol["abs_tol_parallel"], check.mean_parallel,
-                check.target_parallel, tol["abs_tol_parallel"]),
-        Verdict("p_simple", abs(check.p_simple - check.target_simple)
-                <= tol["abs_tol_simple"], check.p_simple,
-                check.target_simple, tol["abs_tol_simple"]),
-        Verdict("corr_z", abs(check.z_corr) <= tol["sigma"],
-                check.z_corr, 0.0, tol["sigma"]),
+        _within("mean_loops", check.mean_loops, check.target_loops,
+                tol["abs_tol_loops"]),
+        _within("mean_parallel", check.mean_parallel, check.target_parallel,
+                tol["abs_tol_parallel"]),
+        _within("p_simple", check.p_simple, check.target_simple,
+                tol["abs_tol_simple"]),
+        _within("corr_z", check.z_corr, 0.0, tol["sigma"]),
     ]
     cell = {
         "nu": nu_value,
@@ -595,11 +583,8 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
             "median_deviation": med,
             "max_deviation": max(column),
         })
-        verdicts.append(Verdict(
-            f"median_deviation[j={j}]",
-            med <= tol["trajectory_threshold"],
-            med, 0.0, tol["trajectory_threshold"],
-        ))
+        verdicts.append(_within(f"median_deviation[j={j}]", med, 0.0,
+                                tol["trajectory_threshold"]))
     rows = [[rep, j, dev] for rep, row in enumerate(results)
             for j, dev in zip(track, row)]
     return [["replicate", "j", "deviation"]] + rows, cells, verdicts
@@ -642,9 +627,8 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
         **exact,
     }]
     verdicts = [
-        Verdict("pairing_count", count == exact["double_factorial"],
-                count, exact["double_factorial"], 0.0),
-        Verdict("uniformity_chi2_p", p_value >= tol["chi2_alpha"],
+        _within("pairing_count", count, exact["double_factorial"], 0.0),
+        Verdict("uniformity_chi2_p", float(p_value) >= tol["chi2_alpha"],
                 float(p_value), 1.0, tol["chi2_alpha"]),
     ]
     out_rows = [["pairing_index", "count", "expected"]]

@@ -24,8 +24,9 @@ from pairlab.degree_model import (
     offspring_law,
     read_degree_file,
     validate_subpower,
-    write_degree_file,
 )
+
+from degree_files import write_degree_file
 
 
 def even_degree_lists(max_n=40, max_d=6):

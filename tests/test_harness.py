@@ -26,11 +26,7 @@ from hypothesis import given, settings, strategies as st
 import pairlab
 import pairlab.harness
 from pairlab.cli import main as cli_main
-from pairlab.degree_model import (
-    DegreeSequence,
-    build_subpower_sequence,
-    write_degree_file,
-)
+from pairlab.degree_model import DegreeSequence, build_subpower_sequence
 from pairlab.harness import (
     DEFAULT_TOLERANCES,
     MODES,
@@ -41,6 +37,8 @@ from pairlab.harness import (
     run,
     validate_degree_file,
 )
+
+from degree_files import write_degree_file
 
 
 @pytest.fixture
@@ -125,6 +123,26 @@ class TestResolveDegrees:
             {"kind": "subpower", "n": 1000, "gamma": 3.5, "c": 1.0, "target_nu": 0.9}
         )
         assert seq.n == 1000
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "regular", "n": 6}, r"degrees\.d: required$"),
+        ({"kind": "regular", "n": 6.7, "d": 3}, r"degrees\.n: must be an integer"),
+        ({"kind": "explicit", "degrees": [2.9, 2]}, r"degrees\.degrees: "),
+        # 8e18 bytes of tuple: the allocation fails before memory is touched
+        ({"kind": "regular", "n": 10**18, "d": 3},
+         r"degrees: too large to hold in memory$"),
+    ])
+    def test_refused_spec_names_field(self, spec, message):
+        with pytest.raises(ConfigError, match="^" + message):
+            resolve_degrees(spec)
+
+    def test_integer_c_prints_as_float_in_grid_errors(self, tmp_path):
+        # the degree model prints c, and a grid cell's error is an artifact
+        summary = run(make_config(tmp_path, mode="scaling", grid={
+            "gammas": [3.5], "sizes": [300, 1000], "target_nu": 0.2, "c": 1}))
+        assert len(summary.cells) == 2
+        for cell in summary.cells:
+            assert cell["error"].startswith("no scale in (0, 1.0] ")
 
 
 class TestDescribe:
@@ -603,6 +621,8 @@ class TestCli:
         ({"mode": "scaling", "grid": {"gammas": [2.5], "sizes": [100]}}, "grid"),
         # too many vertices to index: an OverflowError, not a ValueError
         ({"degrees": {"kind": "regular", "n": 10**20, "d": 2}}, "degrees"),
+        # too large to hold: a MemoryError, whose message is empty
+        ({"degrees": {"kind": "regular", "n": 10**18, "d": 3}}, "degrees"),
     ])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, field):
         cfg = tmp_path / "cfg.json"
@@ -623,6 +643,7 @@ class TestCli:
             assert cli_main([command, "-c", str(cfg)]) == 2
             # the message opens with the field
             assert f"error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
     def test_deeply_nested_config_names_the_file(self, tmp_path, capsys):
         # deeper than the JSON decoder can recurse
