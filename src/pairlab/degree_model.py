@@ -33,7 +33,8 @@ class DegreeSequenceError(ValueError):
 
 
 class InfeasibleTargetError(ValueError):
-    """No positive scale factor meets the branching-ratio target."""
+    """No positive scale factor meets the branching-ratio target within the
+    subpower envelope."""
 
 
 def degree_cap(n: int, gamma: float, c: float) -> int:
@@ -64,21 +65,16 @@ _POINT_MAPS = ("core", "core_degrees", "core_first", "core_labels")
 class DegreeSequence:
     """Fixed tuple of positive vertex degrees with an even sum.
 
-    ``gamma``/``c`` are optional subpower metadata: when present, the maximum
-    degree must respect the corresponding cap.  The point layout
-    (``two_m``, ``offsets``, ``histogram`` and the point maps ``core``,
-    ``core_degrees``, ``core_first`` and ``core_labels``) is
+    The point layout (``two_m``, ``offsets``, ``histogram`` and the point
+    maps ``core``, ``core_degrees``, ``core_first`` and ``core_labels``) is
     computed on first use and cached, so every chain or sampler built on the
     sequence shares it.
     """
 
     degrees: tuple[int, ...]
-    gamma: float | None = None
-    c: float | None = None
 
     def __post_init__(self):
-        n = len(self.degrees)
-        if n < 2:
+        if len(self.degrees) < 2:
             raise DegreeSequenceError("need at least 2 vertices")
         # multigraph instances like (2, 2) or (3, 3) are legal: the pairing
         # model needs only positivity and parity, not d_i < n; both are read
@@ -87,14 +83,6 @@ class DegreeSequence:
             raise DegreeSequenceError(f"degree {min(self.histogram)} < 1")
         if self.two_m % 2 != 0:
             raise DegreeSequenceError("sum of degrees is odd")
-        if (self.gamma is None) != (self.c is None):
-            raise DegreeSequenceError("gamma and c must be given together")
-        if self.gamma is not None:
-            cap = degree_cap(n, self.gamma, self.c)
-            if self.max_degree > cap:
-                raise DegreeSequenceError(
-                    f"max degree {self.max_degree} exceeds cap {cap}"
-                )
 
     @property
     def n(self) -> int:
@@ -278,9 +266,10 @@ class SubpowerReport:
 
 
 def validate_subpower(seq: DegreeSequence, gamma: float, c: float) -> SubpowerReport:
-    """Check n*p_j <= c*n*j**-gamma + 1 per degree, plus the degree cap.
+    """Check the subpower envelope: n_j <= c*n*j**-gamma + 1 vertices of each
+    degree j >= 1, and a max degree <= cap + 1 (``degree_cap``).
 
-    The +1 slack absorbs the single vertex moved by parity repair.
+    The +1 slacks absorb the single vertex moved by parity repair.
     """
     counts = seq.histogram
     n = seq.n
@@ -331,14 +320,15 @@ def build_subpower_sequence(
     Counts are floor(c' * n * j**-gamma) for j from the cap down to 2, with
     c' <= c the largest scale (bisected) keeping nu within target; remaining
     vertices get degree 1, and parity is repaired by promoting one of them to
-    degree 2.  Identical inputs always produce the identical sequence.
+    degree 2.  The sequence must keep a vertex at the cap and obey the
+    subpower envelope, n_j <= c*n*j**-gamma + 1 for every degree j >= 1 and
+    max degree <= cap + 1: the builder refuses what ``validate_subpower``
+    refuses.  Identical inputs always produce the identical sequence.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if gamma <= 3:
         raise ValueError("gamma must exceed 3")
-    if c <= 0:
-        raise ValueError("c must be positive")
     if not 0 < target_nu <= 1:
         raise ValueError("target_nu must lie in (0, 1]")
 
@@ -359,20 +349,11 @@ def build_subpower_sequence(
         s1 = sum(j * k for j, k in counts.items()) + filler
         s2 = sum(j * (j - 1) * k for j, k in counts.items())
         repair = s1 % 2
-        if filler < repair or max(counts, default=1 + repair) >= n:
+        if filler < repair:
             return None  # too many heavy vertices, or no filler to repair
         if Fraction(s2 + 2 * repair, s1 + repair) > target_nu:
             return None
         return counts
-
-    if cap < 2:
-        degrees = _assemble(n, {})
-        if degrees is None:
-            raise InfeasibleTargetError("cannot repair parity at this size")
-        if max(degrees) > cap:
-            # parity repair overshot a sub-2 cap; drop the metadata claim
-            return DegreeSequence(degrees)
-        return DegreeSequence(degrees, gamma=gamma, c=c)
 
     counts = try_scale(c)
     if counts is None:
@@ -388,7 +369,15 @@ def build_subpower_sequence(
     degrees = None if counts is None else _assemble(n, counts)
     if degrees is None or degrees.count(cap) < 1:
         raise infeasible
-    return DegreeSequence(degrees, gamma=gamma, c=c)
+    seq = DegreeSequence(degrees)
+    report = validate_subpower(seq, gamma, c)
+    if not report.valid:
+        # the max degree is at most max(cap, 2) <= cap + 1: a count broke it
+        j = min(j for j, ok in report.per_degree_ok.items() if not ok)
+        raise InfeasibleTargetError(
+            f"{seq.histogram[j]} vertices of degree {j} exceed the envelope "
+            f"c*n*j**-gamma + 1 = {c * n * j ** -gamma + 1} for c = {c}")
+    return seq
 
 
 def read_degree_file(path: str | Path) -> DegreeSequence:

@@ -100,17 +100,23 @@ _CONFIG_FIELDS = {
     "grid": _OBJECT,
     "tolerances": _OBJECT,
 }
+
+
+def _envelope(spec: dict[str, Any]) -> tuple[float, float]:
+    """The (gamma, c) of a subpower spec or grid cell, as the floats it prints."""
+    return float(spec["gamma"]), float(spec.get("c", 1.0))
+
+
 # each degree kind's fields and builder; the builders look
 # ``build_subpower_sequence`` up in this module at each call, so that patching
-# it here sees every build, and pass it floats, as its error messages print them
+# it here sees every build
 _DEGREE_KINDS: dict[str, tuple[dict, Callable[[dict[str, Any]], DegreeSequence]]] = {
     "regular": ({"n": _INT, "d": _INT},
                 lambda spec: DegreeSequence(spec["n"] * (spec["d"],))),
     "subpower": (
         {"n": _INT, "gamma": _NUMBER, "target_nu": _NUMBER, "c": _NUMBER},
         lambda spec: build_subpower_sequence(
-            spec["n"], float(spec["gamma"]), float(spec.get("c", 1.0)),
-            float(spec["target_nu"]))),
+            spec["n"], *_envelope(spec), float(spec["target_nu"]))),
     "explicit": ({"degrees": _INT_LIST},
                  lambda spec: DegreeSequence(tuple(spec["degrees"]))),
     "file": ({"path": _STRING}, lambda spec: read_degree_file(spec["path"])),
@@ -157,6 +163,7 @@ def _check_fields(
 
 def _check_degrees(spec: dict[str, Any]) -> None:
     """The fields of a degrees object are those of its kind."""
+    _check_fields("", {"degrees": spec}, {"degrees": _OBJECT}, optional=())
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _DEGREE_KINDS:
         raise ConfigError(
@@ -224,20 +231,26 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _build(kind: str, spec: dict[str, Any]) -> DegreeSequence:
+    """Build a checked spec; a size too large to index or hold is a ValueError."""
+    try:
+        return _DEGREE_KINDS[kind][1](spec)
+    except (OverflowError, MemoryError) as exc:  # a failed repeat has no message
+        raise ValueError(str(exc) or "too large to hold in memory") from exc
+
+
 def resolve_degrees(spec: dict[str, Any]) -> DegreeSequence:
     """Materialize a degree spec with its kind's builder, once it passes the
     checks of a config's ``degrees``, whose errors name ``degrees.<field>``.
 
-    The degree model's errors, and a size too large to index (OverflowError)
-    or to hold (MemoryError), are re-raised as ConfigError naming ``degrees``.
+    The degree model's errors, a size too large to index or to hold, and an
+    unreadable degree file are re-raised as ConfigError naming ``degrees``.
     """
     _check_degrees(spec)
     try:
-        return _DEGREE_KINDS[spec["kind"]][1](spec)
-    except (ValueError, OverflowError, OSError) as exc:
+        return _build(spec["kind"], spec)
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"degrees: {exc}") from exc
-    except MemoryError as exc:  # a failed tuple repeat has no message
-        raise ConfigError("degrees: too large to hold in memory") from exc
 
 
 @dataclass(frozen=True)
@@ -502,13 +515,13 @@ def _grid_cells(grid: dict[str, Any], order: Callable | None = None
     """Each (gamma, n) cell of a scaling grid, built when it is reached, with
     its ``subpower`` sequence or the ValueError that refused it; gamma-major
     over the sorted gammas and sizes, or stably sorted by the key ``order``."""
-    _, build = _DEGREE_KINDS["subpower"]
     cells = itertools.product(sorted(float(g) for g in grid["gammas"]),
                               sorted(grid["sizes"]))
     for gamma, n in sorted(cells, key=order) if order else cells:
+        spec = {**grid, "n": n, "gamma": gamma,
+                "target_nu": grid.get("target_nu", 0.9)}
         try:
-            yield gamma, n, build({**grid, "n": n, "gamma": gamma,
-                                   "target_nu": grid.get("target_nu", 0.9)})
+            yield gamma, n, _build("subpower", spec)
         except ValueError as exc:
             yield gamma, n, exc
 
@@ -590,6 +603,17 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     return [["replicate", "j", "deviation"]] + rows, cells, verdicts
 
 
+def _oracle_pairs(config: ExperimentConfig, seq: DegreeSequence) -> int:
+    """The m pairs of an oracle instance, refused unless 2 <= m <= its cap."""
+    m, cap = seq.two_m // 2, config.tolerances["enumeration_cap"]
+    if m < 2:  # one pairing: the chi-square has no degree of freedom
+        raise ConfigError(f"degrees: {config.mode} needs m >= 2 pairs, got m = {m}")
+    if m > cap:
+        raise ConfigError(f"tolerances.enumeration_cap: m = {m} exceeds "
+                          f"enumeration cap {cap}")
+    return m
+
+
 def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     import numpy as np
     from scipy import stats  # deferred: the only scipy.stats user, ~0.5 s import
@@ -597,12 +621,7 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
     from .pairing import double_factorial_odd, pairing_blocks, simple_mask
 
     seq = resolve_degrees(config.degrees)
-    tol, m = config.tolerances, seq.two_m // 2
-    if m < 2:  # one pairing: the chi-square has no degree of freedom
-        raise ConfigError(f"degrees: {config.mode} needs m >= 2 pairs, got m = {m}")
-    if m > tol["enumeration_cap"]:
-        raise ConfigError(f"tolerances.enumeration_cap: m = {m} exceeds "
-                          f"enumeration cap {tol['enumeration_cap']}")
+    tol, m = config.tolerances, _oracle_pairs(config, seq)
     count = simple = 0
     points = np.arange(seq.two_m)
     for block in pairing_blocks(seq):  # no block outlives its simplicity mask
@@ -688,14 +707,18 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
     """Dry-run report: scalar functionals and predictions, no sampling."""
     if config.mode == "scaling":  # first cell that builds: largest n, smallest gamma
         refused = None
-        for _, _, seq in _grid_cells(config.grid, lambda cell: (-cell[1], cell[0])):
+        for gamma, _, seq in _grid_cells(config.grid, lambda cell: (-cell[1], cell[0])):
             if not isinstance(seq, ValueError):
                 break
             refused = refused or seq
         else:
             raise ConfigError(f"grid: {refused}")
+        spec = {**config.grid, "gamma": gamma}
     else:
-        seq = resolve_degrees(config.degrees)
+        spec = config.degrees
+        seq = resolve_degrees(spec)
+        if config.mode == "oracle_validation":
+            _oracle_pairs(config, seq)
     dist = empirical_distribution(seq)
     nu_value = nu(dist)
     p_simple = predicted_simple_probability(nu_value)
@@ -718,8 +741,8 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         # none); ignores other temporaries and objects
         "memory_estimate_bytes": seq.two_m * 16,
     }
-    if seq.gamma is not None:
-        report["degree_cap"] = degree_cap(seq.n, seq.gamma, seq.c)
+    if "gamma" in spec:  # a subpower spec or grid cell
+        report["degree_cap"] = degree_cap(seq.n, *_envelope(spec))
     return report
 
 

@@ -55,11 +55,6 @@ class TestDegreeSequence:
         with pytest.raises(DegreeSequenceError):
             DegreeSequence((2,))
 
-    def test_metadata_cap_enforced(self):
-        degrees = tuple([13] + [1] * 99)  # sum even, max beyond (1*100)**(1/3.5)
-        with pytest.raises(DegreeSequenceError):
-            DegreeSequence(degrees, gamma=3.5, c=1.0)
-
     def test_two_m(self):
         assert DegreeSequence((1, 2, 2, 3)).two_m == 8
 
@@ -242,6 +237,17 @@ class TestBuildSubpower:
         assert nu_exact(dist) <= Fraction(55, 100)
         assert seq.max_degree == degree_cap(10_000, 3.5, 1.0)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_bad_c_raises_as_validate_does(self, c):
+        with pytest.raises(ValueError, match="^c: must be a finite positive"):
+            build_subpower_sequence(100, 3.5, c, 0.9)
+
+    def test_filler_over_envelope_raises(self):
+        # at most c*n + 1 = 501 of the 1000 vertices may have degree 1
+        with pytest.raises(InfeasibleTargetError,
+                           match=r"^\d+ vertices of degree 1 exceed the envelope"):
+            build_subpower_sequence(1000, 3.5, 0.5, 0.9)
+
     def test_infeasible_target_raises(self):
         # keeping a vertex at the cap forces a scale whose nu is far above
         # such a minuscule target
@@ -265,8 +271,9 @@ class TestBuildSubpower:
 
 def _whole_sequence_build(n, gamma, c, target_nu):
     """build_subpower_sequence's search with every trial scale assembling and
-    measuring the whole sequence, for 2 <= cap < n: the degrees (None when
-    infeasible) and whether the bisection ran."""
+    measuring the whole sequence, for cap < n: the degrees (None when
+    infeasible, or outside the subpower envelope) and whether the bisection
+    ran."""
     cap = degree_cap(n, gamma, c)
 
     def try_scale(scale):
@@ -288,7 +295,8 @@ def _whole_sequence_build(n, gamma, c, target_nu):
                 hi = mid
             else:
                 degrees, lo = cand, mid
-    if degrees is None or degrees.count(cap) < 1:
+    if (degrees is None or degrees.count(cap) < 1
+            or not validate_subpower(DegreeSequence(degrees), gamma, c).valid):
         return None, bisected
     return degrees, bisected
 
@@ -296,22 +304,26 @@ def _whole_sequence_build(n, gamma, c, target_nu):
 def test_build_matches_whole_sequence_trials():
     # the search measures nu from the counts alone; it must pick the same
     # sequence, or fail, wherever the whole-sequence search did
-    outcomes = []
+    outcomes, caps = [], set()
     for n, gamma, c, target in itertools.product(
-            (3, 10, 57, 300, 1000, 4001), (3.2, 3.5, 4.5), (0.5, 1.0, 3.0),
+            (3, 10, 57, 300, 1000, 4001), (3.2, 3.5, 4.5), (0.2, 0.5, 1.0, 3.0),
             (0.05, 0.2, 0.55, 0.9, 1.0)):
-        if not 2 <= degree_cap(n, gamma, c) < n:
+        cap = degree_cap(n, gamma, c)
+        if cap >= n:
             continue
+        caps.add(cap)
         expected, bisected = _whole_sequence_build(n, gamma, c, target)
         if expected is None:
             with pytest.raises(InfeasibleTargetError):
                 build_subpower_sequence(n, gamma, c, target)
         else:
             seq = build_subpower_sequence(n, gamma, c, target)
-            assert (seq.degrees, seq.gamma, seq.c) == (expected, gamma, c)
+            assert seq.degrees == expected
+            assert validate_subpower(seq, gamma, c).valid
         outcomes.append((expected is not None, bisected))
     # every branch is covered: built with and without bisection, and refused
     assert {(True, False), (True, True), (False, True)} <= set(outcomes)
+    assert {0, 1} <= caps  # c*n < 1 (c = 0.2 at n = 3), and a cap below 2
 
 
 class TestValidateSubpower:

@@ -131,6 +131,9 @@ class TestResolveDegrees:
         # 8e18 bytes of tuple: the allocation fails before memory is touched
         ({"kind": "regular", "n": 10**18, "d": 3},
          r"degrees: too large to hold in memory$"),
+        (None, r"degrees: must be an object, got None$"),
+        ([3, 3], r"degrees: must be an object, got \[3, 3\]$"),
+        ("regular", r"degrees: must be an object, got 'regular'$"),
     ])
     def test_refused_spec_names_field(self, spec, message):
         with pytest.raises(ConfigError, match="^" + message):
@@ -175,7 +178,34 @@ class TestDescribe:
         assert cli_main(["describe", "-c", str(cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n"] == 1000
-        assert report["max_degree"] <= report["degree_cap"]
+        # the cell's gamma and the grid's default c: 1000 ** (1 / 4.5) = 4.6
+        assert report["max_degree"] == report["degree_cap"] == 4
+
+    @pytest.mark.parametrize("degrees,cap", [
+        # 11 ** (1 / 3.5) = 1.98: the cap is 1, and parity repair adds a 2
+        ({"kind": "subpower", "n": 11, "gamma": 3.5, "target_nu": 0.9}, 1),
+        ({"kind": "explicit", "degrees": [3, 1, 1, 1]}, None),
+    ])
+    def test_degree_cap_comes_from_the_spec(self, tmp_path, degrees, cap):
+        report = describe(make_config(tmp_path, degrees=degrees))
+        assert report.get("degree_cap") == cap
+
+    def test_too_large_grid_cells_are_refused(self, tmp_path, capsys):
+        # n = 1e18 at gamma 60 (cap 1) asks for 8e18 bytes of degree-1
+        # filler, and 1e20 cannot be indexed: both fail before any memory
+        # is touched
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "scaling", "output_dir": str(tmp_path / "out"),
+            "grid": {"gammas": [60], "sizes": [10**18, 10**20]}}))
+        assert cli_main(["run", "-c", str(cfg)]) == 1
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [cell["error"] for cell in cells] == [
+            "too large to hold in memory",
+            "cannot fit 'int' into an index-sized integer"]
+        assert cli_main(["describe", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid: cannot fit 'int' into an index-sized integer\n")
 
     def test_scaling_grid_that_never_builds_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -633,12 +663,9 @@ class TestCli:
             "degrees": {"kind": "regular", "n": 10, "d": 3},
             **overrides,
         }))
-        # the oracle's runner, not the parser, refuses an m over its cap; a
-        # scaling run records each cell that does not build and exits 1
-        mode = overrides.get("mode")
-        commands = (["run"] if mode == "oracle_validation"
-                    else ["describe"] if (mode, field) == ("scaling", "grid")
-                    else ["run", "describe"])
+        # a scaling run records each cell that does not build and exits 1
+        scaling_grid = (overrides.get("mode"), field) == ("scaling", "grid")
+        commands = ["describe"] if scaling_grid else ["run", "describe"]
         for command in commands:
             assert cli_main([command, "-c", str(cfg)]) == 2
             # the message opens with the field
@@ -799,9 +826,11 @@ def test_oracle_refuses_a_single_pairing(tmp_path, capsys):
 @pytest.mark.parametrize("degrees,tolerances,field", [
     ([1, 1], {}, "degrees:"),  # m = 1: one pairing
     ([2, 2, 2, 2], {"enumeration_cap": 3}, "tolerances.enumeration_cap:"),
+    ([3] * 10, {}, "tolerances.enumeration_cap:"),  # m = 15 over the default 6
 ])
 def test_refused_oracle_run_leaves_no_output_dir(tmp_path, capsys, degrees,
                                                  tolerances, field):
+    # ``describe`` refuses what ``run`` refuses
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "mode": "oracle_validation", "replicates": 50, "seed": 3,
@@ -809,8 +838,9 @@ def test_refused_oracle_run_leaves_no_output_dir(tmp_path, capsys, degrees,
         "degrees": {"kind": "explicit", "degrees": degrees},
         "tolerances": tolerances,
     }))
-    assert cli_main(["run", "-c", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {field}")
+    for command in ("run", "describe"):
+        assert cli_main([command, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
     assert not (tmp_path / "out").exists()
 
 
