@@ -265,14 +265,14 @@ class SubpowerReport:
         return all(self.per_degree_ok.values()) and self.max_degree_ok
 
 
-def validate_subpower(seq: DegreeSequence, gamma: float, c: float) -> SubpowerReport:
-    """Check the subpower envelope: n_j <= c*n*j**-gamma + 1 vertices of each
-    degree j >= 1, and a max degree <= cap + 1 (``degree_cap``).
+def validate_subpower(dist: EmpiricalDistribution, gamma: float,
+                      c: float) -> SubpowerReport:
+    """Check a histogram's subpower envelope: n_j <= c*n*j**-gamma + 1
+    vertices of each degree j >= 1, and a max degree <= cap + 1 (``degree_cap``).
 
     The +1 slacks absorb the single vertex moved by parity repair.
     """
-    counts = seq.histogram
-    n = seq.n
+    counts, n = dist.counts, dist.n
     cap = degree_cap(n, gamma, c)
     per_degree = {
         j: counts[j] <= c * n * j ** (-gamma) + 1 for j in sorted(counts)
@@ -284,32 +284,18 @@ def validate_subpower(seq: DegreeSequence, gamma: float, c: float) -> SubpowerRe
     )
 
 
-def _assemble(n: int, counts: dict[int, int]) -> tuple[int, ...] | None:
-    """Degrees sorted descending, degree-1 filler, parity repair on one filler.
-
-    Returns None when the counts leave no room for filler but parity needs it.
-    """
-    heavy = sum(counts.values())
-    if heavy > n:
+def _runs(n: int, gamma: float, scale: float, cap: int) -> list[tuple[int, int]] | None:
+    """A trial scale's (degree, vertex count) runs in vertex order: the
+    floor(scale*n*j**-gamma) vertices of each degree j from the cap down to 2,
+    the degree-1 filler, and last the filler vertex promoted to degree 2 when
+    the degree sum is odd; None when no filler is left to promote."""
+    runs = [(j, math.floor(scale * n * j ** (-gamma))) for j in range(cap, 1, -1)]
+    filler = n - sum(k for _, k in runs)
+    repair = (sum(j * k for j, k in runs) + filler) % 2
+    if filler < repair:
         return None
-    degrees = []
-    for j in sorted(counts, reverse=True):
-        degrees.extend([j] * counts[j])
-    degrees.extend([1] * (n - heavy))
-    if sum(degrees) % 2 != 0:
-        if degrees[-1] != 1:
-            return None
-        degrees[-1] = 2  # parity repair: promote one degree-1 vertex
-    return tuple(degrees)
-
-
-def _counts_for_scale(n: int, gamma: float, scale: float, cap: int) -> dict[int, int]:
-    counts = {}
-    for j in range(2, cap + 1):
-        k = math.floor(scale * n * j ** (-gamma))
-        if k > 0:
-            counts[j] = k
-    return counts
+    runs += [(1, filler - repair), (2, repair)]
+    return [(j, k) for j, k in runs if k > 0]
 
 
 def build_subpower_sequence(
@@ -319,11 +305,13 @@ def build_subpower_sequence(
 
     Counts are floor(c' * n * j**-gamma) for j from the cap down to 2, with
     c' <= c the largest scale (bisected) keeping nu within target; remaining
-    vertices get degree 1, and parity is repaired by promoting one of them to
-    degree 2.  The sequence must keep a vertex at the cap and obey the
-    subpower envelope, n_j <= c*n*j**-gamma + 1 for every degree j >= 1 and
-    max degree <= cap + 1: the builder refuses what ``validate_subpower``
-    refuses.  Identical inputs always produce the identical sequence.
+    vertices get degree 1, and parity is repaired by promoting the last of
+    them to degree 2: degrees >= 2 descending, filler, promoted vertex.  The
+    sequence must keep a vertex at the cap and obey the subpower envelope,
+    n_j <= c*n*j**-gamma + 1 for every degree j >= 1 and max degree <= cap + 1:
+    the builder refuses what ``validate_subpower`` refuses.  The checks read
+    the histogram, so a refused spec writes no degree list.  Identical inputs
+    always produce the identical sequence.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -340,23 +328,18 @@ def build_subpower_sequence(
     if cap >= n:  # every degree stays below n, so none reaches the cap
         raise infeasible
 
-    def try_scale(scale: float) -> dict[int, int] | None:
-        # nu of _assemble's sequence from the counts alone: filler degree-1
-        # vertices add 1 to sum d and 0 to sum d(d-1), and the parity repair
-        # turns one of them into a 2, adding 1 and 2
-        counts = _counts_for_scale(n, gamma, scale, cap)
-        filler = n - sum(counts.values())
-        s1 = sum(j * k for j, k in counts.items()) + filler
-        s2 = sum(j * (j - 1) * k for j, k in counts.items())
-        repair = s1 % 2
-        if filler < repair:
+    def try_scale(scale: float) -> tuple[list, EmpiricalDistribution] | None:
+        runs = _runs(n, gamma, scale, cap)
+        if runs is None:
             return None  # too many heavy vertices, or no filler to repair
-        if Fraction(s2 + 2 * repair, s1 + repair) > target_nu:
-            return None
-        return counts
+        counts: dict[int, int] = {}
+        for j, k in runs:
+            counts[j] = counts.get(j, 0) + k
+        dist = EmpiricalDistribution(counts, n)
+        return None if nu_exact(dist) > target_nu else (runs, dist)
 
-    counts = try_scale(c)
-    if counts is None:
+    found = try_scale(c)
+    if found is None:
         lo, hi = 0.0, c  # feasible scales form (0, x]; bisect for x
         for _ in range(80):
             mid = (lo + hi) / 2
@@ -364,20 +347,26 @@ def build_subpower_sequence(
             if cand is None:
                 hi = mid
             else:
-                counts = cand
+                found = cand
                 lo = mid
-    degrees = None if counts is None else _assemble(n, counts)
-    if degrees is None or degrees.count(cap) < 1:
+    if found is None or cap not in found[1].counts:
         raise infeasible
-    seq = DegreeSequence(degrees)
-    report = validate_subpower(seq, gamma, c)
+    runs, dist = found
+    report = validate_subpower(dist, gamma, c)
     if not report.valid:
         # the max degree is at most max(cap, 2) <= cap + 1: a count broke it
         j = min(j for j, ok in report.per_degree_ok.items() if not ok)
         raise InfeasibleTargetError(
-            f"{seq.histogram[j]} vertices of degree {j} exceed the envelope "
+            f"{dist.counts[j]} vertices of degree {j} exceed the envelope "
             f"c*n*j**-gamma + 1 = {c * n * j ** -gamma + 1} for c = {c}")
-    return seq
+    # one list of the final size: a size too large to hold fails at once
+    degrees = [1] * n
+    start = 0
+    for j, k in runs:
+        if j > 1:
+            degrees[start:start + k] = [j] * k
+        start += k
+    return DegreeSequence(tuple(degrees))
 
 
 def read_degree_file(path: str | Path) -> DegreeSequence:
@@ -386,7 +375,10 @@ def read_degree_file(path: str | Path) -> DegreeSequence:
 
     Only blank lines may follow the degrees.
     """
-    lines = Path(path).read_text().split("\n")
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DegreeSequenceError(f"{path}: {exc}") from exc
     if len(lines) < 2:
         raise DegreeSequenceError(f"{path}: expected two lines")
     for lineno, line in enumerate(lines[2:], 3):

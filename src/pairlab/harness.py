@@ -208,9 +208,11 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path, **overrides: Any) -> "ExperimentConfig":
         """Parse a JSON config file; ``overrides`` replace its top-level fields."""
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         except RecursionError as exc:  # the decoder recurses once per level
             raise ConfigError(f"{path}: nested too deeply") from exc
         if isinstance(data, dict):
@@ -762,7 +764,7 @@ def validate_degree_file(
         "valid": True,
     }
     if gamma is not None:
-        sub = validate_subpower(seq, gamma, c)
+        sub = validate_subpower(empirical_distribution(seq), gamma, c)
         report["subpower_valid"] = sub.valid
         report["valid"] = sub.valid
         report["cap"] = sub.cap

@@ -1,19 +1,19 @@
 import itertools
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pairlab.degree_model
 from pairlab.degree_model import (
     DegreeSequence,
     DegreeSequenceError,
     EmpiricalDistribution,
     InfeasibleTargetError,
-    _assemble,
-    _counts_for_scale,
     build_subpower_sequence,
     degree_cap,
     empirical_distribution,
@@ -264,9 +264,59 @@ class TestBuildSubpower:
         with pytest.raises(ValueError, match="overflows"):
             build_subpower_sequence(40, 3.5, 1e308, 0.9)
 
+    @pytest.mark.parametrize("args,message", [
+        ((1000, 3.5, 0.5, 0.9), "vertices of degree 1 exceed the envelope"),
+        ((10_000, 3.5, 1.0, 1e-3), "while keeping a vertex at the cap"),
+    ])
+    def test_refused_spec_builds_no_sequence(self, monkeypatch, args, message):
+        # the checks read the histogram: no degree list for a refused spec
+        built = []
+
+        class Counted(DegreeSequence):
+            def __post_init__(self):
+                built.append(self.n)
+                super().__post_init__()
+
+        monkeypatch.setattr(pairlab.degree_model, "DegreeSequence", Counted)
+        with pytest.raises(InfeasibleTargetError, match=message):
+            build_subpower_sequence(*args)
+        assert built == []
+        assert build_subpower_sequence(1000, 3.5, 1.0, 0.9).n == 1000
+        assert built == [1000]  # the patch sees the builds that pass
+
     def test_output_validates(self):
         seq = build_subpower_sequence(4000, 3.5, 1.0, 0.9)
-        assert validate_subpower(seq, 3.5, 1.0).valid
+        assert validate_subpower(empirical_distribution(seq), 3.5, 1.0).valid
+
+
+# the whole-sequence reference: each trial's degrees assembled in full
+
+def _assemble(n: int, counts: dict[int, int]) -> tuple[int, ...] | None:
+    """Degrees sorted descending, degree-1 filler, parity repair on one filler.
+
+    Returns None when the counts leave no room for filler but parity needs it.
+    """
+    heavy = sum(counts.values())
+    if heavy > n:
+        return None
+    degrees = []
+    for j in sorted(counts, reverse=True):
+        degrees.extend([j] * counts[j])
+    degrees.extend([1] * (n - heavy))
+    if sum(degrees) % 2 != 0:
+        if degrees[-1] != 1:
+            return None
+        degrees[-1] = 2  # parity repair: promote one degree-1 vertex
+    return tuple(degrees)
+
+
+def _counts_for_scale(n: int, gamma: float, scale: float, cap: int) -> dict[int, int]:
+    counts = {}
+    for j in range(2, cap + 1):
+        k = math.floor(scale * n * j ** (-gamma))
+        if k > 0:
+            counts[j] = k
+    return counts
 
 
 def _whole_sequence_build(n, gamma, c, target_nu):
@@ -295,8 +345,10 @@ def _whole_sequence_build(n, gamma, c, target_nu):
                 hi = mid
             else:
                 degrees, lo = cand, mid
-    if (degrees is None or degrees.count(cap) < 1
-            or not validate_subpower(DegreeSequence(degrees), gamma, c).valid):
+    if degrees is None or degrees.count(cap) < 1:
+        return None, bisected
+    dist = empirical_distribution(DegreeSequence(degrees))
+    if not validate_subpower(dist, gamma, c).valid:
         return None, bisected
     return degrees, bisected
 
@@ -319,7 +371,7 @@ def test_build_matches_whole_sequence_trials():
         else:
             seq = build_subpower_sequence(n, gamma, c, target)
             assert seq.degrees == expected
-            assert validate_subpower(seq, gamma, c).valid
+            assert validate_subpower(empirical_distribution(seq), gamma, c).valid
         outcomes.append((expected is not None, bisected))
     # every branch is covered: built with and without bisection, and refused
     assert {(True, False), (True, True), (False, True)} <= set(outcomes)
@@ -329,17 +381,18 @@ def test_build_matches_whole_sequence_trials():
 class TestValidateSubpower:
     def test_all_ones_valid(self):
         seq = DegreeSequence((1,) * 100)
-        assert validate_subpower(seq, 3.5, 1.0).valid
+        assert validate_subpower(empirical_distribution(seq), 3.5, 1.0).valid
 
     def test_huge_degree_invalid(self):
         degrees = tuple([9999] + [1] * 9999)
-        report = validate_subpower(DegreeSequence(degrees), 3.5, 1.0)
+        dist = empirical_distribution(DegreeSequence(degrees))
+        report = validate_subpower(dist, 3.5, 1.0)
         assert not report.max_degree_ok
         assert not report.valid
 
     def test_cap_value(self):
-        report = validate_subpower(DegreeSequence((1,) * 10_000), 3.5, 1.0)
-        assert report.cap == 13
+        dist = empirical_distribution(DegreeSequence((1,) * 10_000))
+        assert validate_subpower(dist, 3.5, 1.0).cap == 13
 
     @pytest.mark.parametrize("gamma,c,name", [
         (0.0, 1.0, "gamma"),  # 1/gamma
@@ -351,7 +404,8 @@ class TestValidateSubpower:
     ])
     def test_bad_envelope_raises_value_error(self, gamma, c, name):
         with pytest.raises(ValueError, match=f"^{name}: must be a finite positive"):
-            validate_subpower(DegreeSequence((3, 3, 2, 2)), gamma, c)
+            validate_subpower(
+                empirical_distribution(DegreeSequence((3, 3, 2, 2))), gamma, c)
 
 
 class TestSerialization:
@@ -372,6 +426,13 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 1\n")
         with pytest.raises(DegreeSequenceError):
+            read_degree_file(path)
+
+    def test_loader_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\n1 1\n")
+        with pytest.raises(DegreeSequenceError,
+                           match=f"^{re.escape(str(path))}: 'utf-8' codec"):
             read_degree_file(path)
 
     def test_loader_rejects_trailing_content(self, tmp_path):

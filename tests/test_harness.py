@@ -207,6 +207,24 @@ class TestDescribe:
         assert capsys.readouterr().err == (
             "error: grid: cannot fit 'int' into an index-sized integer\n")
 
+    @pytest.mark.parametrize("grid,message", [
+        # the degree list is allocated at its final size, 8e15 bytes, so the
+        # build fails before it fills any memory
+        ({"gammas": [10], "sizes": [10**15]},
+         "error: grid: too large to hold in memory\n"),
+        # the envelope is checked on the histogram, before any degree list
+        ({"gammas": [3.5], "c": 0.5, "sizes": [3 * 10**8]},
+         "vertices of degree 1 exceed the envelope"),
+    ])
+    def test_huge_grid_cell_is_refused_in_little_memory(self, tmp_path, grid,
+                                                        message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "scaling", "grid": grid}))
+        code, peak_mib, err = _limited_cli(tmp_path, ["describe", "-c", str(cfg)])
+        assert code == 2
+        assert message in err
+        assert peak_mib < 100
+
     def test_scaling_grid_that_never_builds_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -672,6 +690,26 @@ class TestCli:
             assert f"error: {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # a refused run writes nothing
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        deg = tmp_path / "bad.deg"
+        deg.write_bytes(b"2\n1 1\xff\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "poisson_check", "output_dir": str(tmp_path / "out"),
+            "degrees": {"kind": "file", "path": str(deg)}}))
+        for argv, prefix in [
+            (["run", "-c", str(bad)], f"{bad}: "),
+            (["describe", "-c", str(bad)], f"{bad}: "),
+            (["validate", str(deg)], f"{deg}: "),
+            (["validate", str(deg), "--gamma", "3.5", "--c", "1"], f"{deg}: "),
+            (["run", "-c", str(cfg)], f"degrees: {deg}: "),
+            (["describe", "-c", str(cfg)], f"degrees: {deg}: "),
+        ]:
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {prefix}'utf-8' codec")
+
     def test_deeply_nested_config_names_the_file(self, tmp_path, capsys):
         # deeper than the JSON decoder can recurse
         cfg = tmp_path / "cfg.json"
@@ -703,6 +741,34 @@ def _fresh(tmp_path, body: str):
     subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                    check=True, env=env, capture_output=True, timeout=120)
     return json.loads((tmp_path / "result.json").read_text())
+
+
+def _limited_cli(tmp_path, argv: list[str]) -> tuple[int, float, str]:
+    """Exit code, peak resident set in MiB and stderr of ``pairlab`` on
+    ``argv``, run in a child process limited to 1.5 GiB of address space.
+
+    A child's peak resident set starts from its parent's at the fork, so a
+    fresh interpreter, not the test process, forks the CLI and reads its peak.
+    """
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not hasattr(os, "wait4"):
+        pytest.skip("needs RLIMIT_AS and os.wait4")
+    (tmp_path / "argv.json").write_text(json.dumps(argv))
+    code, maxrss, err = _fresh(tmp_path, """
+        import os, resource
+        argv = json.loads((out / "argv.json").read_text())
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            os.dup2(os.open(out / "err.txt", os.O_WRONLY | os.O_CREAT), 2)
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))
+            os.execv(sys.executable, [sys.executable, "-m", "pairlab.cli", *argv])
+        _, status, usage = os.wait4(pid, 0)
+        result = [os.waitstatus_to_exitcode(status), usage.ru_maxrss,
+                  (out / "err.txt").read_text()]
+    """)
+    # ru_maxrss counts KiB, but bytes on macOS
+    return code, maxrss / (2**20 if sys.platform == "darwin" else 2**10), err
 
 
 def _cli_modules(tmp_path, argvs: list[list[str]]) -> tuple[list, list]:
