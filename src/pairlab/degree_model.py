@@ -8,21 +8,23 @@ computed from integer sums, with at most one final division, so the algebraic
 identities between them hold exactly.
 
 Nothing here but the point maps of ``DegreeSequence`` (``core``,
-``core_degrees``, ``core_first`` and ``core_labels``) needs numpy, which they
-import on first use: ``describe``, ``validate`` and config checks never load
-it.
+``core_degrees``, ``core_first`` and ``core_labels``) and the ``runs`` of a
+sequence not built by ``from_runs`` need numpy, which they import on first
+use: ``describe``, ``validate`` and config checks never load it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,11 +63,25 @@ def degree_cap(n: int, gamma: float, c: float) -> int:
 _POINT_MAPS = ("core", "core_degrees", "core_first", "core_labels")
 
 
+class _RunDegrees:
+    """The degrees of (degree, count) runs, sized by their counts: ``tuple``
+    allocates them at once, so a size too large to hold fails at once."""
+
+    def __init__(self, runs: list[tuple[int, int]]):
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return sum(k for _, k in self.runs)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(repeat(j, k) for j, k in self.runs)
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Fixed tuple of positive vertex degrees with an even sum.
 
-    The point layout (``two_m``, ``offsets``, ``histogram`` and the point
+    The point layout (``two_m``, ``runs``, ``histogram`` and the point
     maps ``core``, ``core_degrees``, ``core_first`` and ``core_labels``) is
     computed on first use and cached, so every chain or sampler built on the
     sequence shares it.
@@ -73,12 +89,33 @@ class DegreeSequence:
 
     degrees: tuple[int, ...]
 
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple[int, int]]) -> DegreeSequence:
+        """The sequence of k vertices of degree j for each (j, k) of ``runs``
+        in turn, with its ``histogram`` and ``runs`` seeded from them."""
+        runs = [(j, k) for j, k in runs if k > 0]
+        histogram: dict[int, int] = {}
+        columns = (array("q"), array("q"), array("q"))  # as in ``runs``
+        two_m = n = 0
+        for j, k in runs:
+            if not columns[2] or columns[2][-1] != j:  # adjacent runs merge
+                for column, value in zip(columns, (two_m, n, j)):
+                    column.append(value)
+            histogram[j] = histogram.get(j, 0) + k
+            two_m, n = two_m + j * k, n + k
+        seq = cls.__new__(cls)
+        vars(seq).update(degrees=tuple(_RunDegrees(runs)), histogram=histogram,
+                         runs=columns)
+        seq.__post_init__()
+        return seq
+
     def __post_init__(self):
         if len(self.degrees) < 2:
             raise DegreeSequenceError("need at least 2 vertices")
         # multigraph instances like (2, 2) or (3, 3) are legal: the pairing
         # model needs only positivity and parity, not d_i < n; both are read
-        # from the histogram, which costs one pass over the degrees
+        # from the histogram, which ``from_runs`` seeds and any other
+        # sequence counts in one pass over its degrees
         if min(self.histogram) < 1:
             raise DegreeSequenceError(f"degree {min(self.histogram)} < 1")
         if self.two_m % 2 != 0:
@@ -94,14 +131,40 @@ class DegreeSequence:
         return sum(j * k for j, k in self.histogram.items())
 
     @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Vertex v owns points offsets[v] .. offsets[v+1]-1; n+1 entries."""
-        return tuple(accumulate(self.degrees, initial=0))
-
-    @cached_property
     def histogram(self) -> dict[int, int]:
         """Degree -> vertex count, in order of first appearance; do not mutate."""
         return dict(Counter(self.degrees))
+
+    @cached_property
+    def runs(self) -> tuple[array, array, array]:
+        """The maximal runs of equal degrees in vertex order, as three
+        ``array('q')`` columns ``(points, vertices, degrees)``: run r holds
+        the vertices from ``vertices[r]`` on, each of degree ``degrees[r]``,
+        and their points from ``points[r]`` on.  Found in one pass over the
+        degrees.  The arrays hold no int object per run, which matters for a
+        sequence with a run per vertex."""
+        import numpy as np
+
+        degrees = np.fromiter(self.degrees, np.int64, self.n)
+        starts = np.ones(self.n, bool)  # v starts a run unless d_v = d_(v-1)
+        np.not_equal(degrees[1:], degrees[:-1], out=starts[1:])
+        vertices = np.flatnonzero(starts).astype(np.int64, copy=False)
+        heads = degrees[vertices]
+        points = np.cumsum(degrees)[vertices] - heads
+        return tuple(array("q", c.tobytes()) for c in (points, vertices, heads))
+
+    def points_of(self, v: int) -> range:
+        """The points of vertex v, from its run's first point and degree."""
+        points, vertices, degrees = self.runs
+        r = bisect_right(vertices, v) - 1
+        first = points[r] + (v - vertices[r]) * degrees[r]
+        return range(first, first + degrees[r])
+
+    @property
+    def max_degree_vertex(self) -> int:
+        """The first vertex of maximum degree: its first run's first vertex."""
+        _, vertices, degrees = self.runs
+        return vertices[degrees.index(self.max_degree)]
 
     @cached_property
     def core(self) -> np.ndarray:
@@ -110,7 +173,9 @@ class DegreeSequence:
         degree-1 vertex; a read-only int32 array of length 2m."""
         import numpy as np
 
-        degrees = np.fromiter(self.degrees, np.int32, self.n)
+        _, vertices, heads = self.runs
+        degrees = np.repeat(np.array(heads, np.int32),
+                            np.diff(vertices, append=self.n))
         in_core = degrees > 1
         labels = np.where(in_core, np.cumsum(in_core, dtype=np.int32) - 1,
                           np.int32(-1))
@@ -359,14 +424,7 @@ def build_subpower_sequence(
         raise InfeasibleTargetError(
             f"{dist.counts[j]} vertices of degree {j} exceed the envelope "
             f"c*n*j**-gamma + 1 = {c * n * j ** -gamma + 1} for c = {c}")
-    # one list of the final size: a size too large to hold fails at once
-    degrees = [1] * n
-    start = 0
-    for j, k in runs:
-        if j > 1:
-            degrees[start:start + k] = [j] * k
-        start += k
-    return DegreeSequence(tuple(degrees))
+    return DegreeSequence.from_runs(runs)
 
 
 def read_degree_file(path: str | Path) -> DegreeSequence:

@@ -8,13 +8,14 @@ closes a pair inside it.  The chain state is (A(t), {I_j(t)}): active point
 count and inactive vertex counts per degree, and the conservation law
 A(t) + I(t) = 2m - 2t is asserted at every step.
 
-``ExplorationState.step`` takes one uniform per call.  The drivers
-(``explore_component``, ``largest_component_via_exploration``) take the same
-uniforms in blocks: a step lowers A by at most 2, so with A active points at
-least ceil(A/2) more steps follow, and a block of exactly that many
-``rng.random`` values is used up in full.  ``Generator.random(k)`` yields the
-same doubles as k scalar calls, so the steps, the uniforms drawn and the
-generator's final state match a loop of ``step`` calls.
+One transition takes a block of uniforms.  ``ExplorationState.step`` passes
+it one.  The drivers (``explore_component``,
+``largest_component_via_exploration``) pass it blocks: a step lowers A by at
+most 2, so with A active points at least ceil(A/2) more steps follow, and a
+block of exactly that many ``rng.random`` values is used up in full.
+``Generator.random(k)`` yields the same doubles as k scalar calls, so the
+steps, the uniforms drawn and the generator's final state match a loop of
+``step`` calls.
 """
 
 from __future__ import annotations
@@ -82,24 +83,18 @@ class ExplorationState:
     decomposition that completes a single uniform pairing across roots.
 
     Set-up copies the degree histogram and zero-fills two flag arrays, one
-    byte a point (``is_active``) and one a vertex (``visited``); everything
-    else grows with the pairs matched.  ``pairs`` holds the matched pairs
+    byte a point (``is_active``) and one a vertex (``visited``), its only
+    cost in 2m or n: a point's vertex comes from the sequence's ``runs``, by
+    bisecting the runs' first points and one division.  Everything else
+    grows with the pairs matched.  ``pairs`` holds the matched pairs
     ``(s1, s2)`` in match order.  The unmatched points form a swap-remove
     pool that starts as the identity on [0, 2m): ``_slot`` (pool index ->
     point) and ``_index`` (point -> pool index) record only the entries that
     moved, and ``_size`` is the pool's size, 2m - 2t.
-
-    Every transition goes through ``_advance(x)``, which consumes one uniform
-    ``x``.  ``step`` feeds it one ``rng.random()`` and returns the partner's
-    degree; the drivers feed it blocks of ceil(A/2) uniforms, the fewest steps
-    left with A active points, so no value drawn goes unused (see the module
-    docstring).
     """
 
     def __init__(self, seq: DegreeSequence):
         self.seq = seq
-        self.degrees = seq.degrees
-        self.offsets = seq.offsets
         self.pairs: list[tuple[int, int]] = []
         self._slot: dict[int, int] = {}
         self._index: dict[int, int] = {}
@@ -123,22 +118,19 @@ class ExplorationState:
         """Steps since the current root was activated."""
         return len(self.pairs) - self._t_begin
 
-    def points_of(self, v: int) -> range:
-        return range(self.offsets[v], self.offsets[v + 1])
-
     def begin(self, v: int) -> None:
         """Activate root vertex v; resets the per-root step counter."""
         if self.visited[v]:
             raise ValueError(f"vertex {v} already explored")
         self.visited[v] = 1
-        d_v = self.degrees[v]
+        points = self.seq.points_of(v)
+        d_v = len(points)
         self.inactive_counts[d_v] -= 1
         if self.inactive_counts[d_v] == 0:
             del self.inactive_counts[d_v]
         self.inactive_points -= d_v
-        for s in self.points_of(v):
-            self.queue.append(s)
-            self.is_active[s] = 1
+        self.queue.extend(points)
+        self.is_active[points.start:points.stop] = b"\x01" * d_v
         self.active = d_v
         self._t_begin = len(self.pairs)
         self.cluster_size = 1
@@ -164,65 +156,74 @@ class ExplorationState:
         returns the partner's degree, 0 when it was active."""
         if self.active == 0:
             raise CannotStepError("no active points")
-        return self._advance(rng.random())
+        return self._advance([rng.random()])[0]
 
-    def _advance(self, x: float) -> int:
-        """The one transition: match the first active point with the
-        unmatched point in pool slot ``int(x * size)``, for a uniform ``x`` in
-        [0, 1).  Returns the partner's degree, 0 when it was active.
+    def _advance(self, xs: list[float]) -> list[int]:
+        """The one transition, once per uniform ``x`` of ``xs``: match the
+        first active point with the unmatched point in pool slot
+        ``int(x * size)``.  Returns each step's partner degree, 0 for an
+        active partner.  The caller ensures A > 0 before each step.
 
-        The caller ensures A > 0.  Each of ``s1`` and ``s2`` is swap-removed:
-        the last pool slot moves into its slot and the pool shrinks by one.
+        Each of ``s1`` and ``s2`` is swap-removed: the last pool slot moves
+        into its slot and the pool shrinks by one.  The counters live in
+        locals, written back after the block or at a conservation failure.
         """
-        queue = self.queue
-        is_active = self.is_active
-        s1 = queue.popleft()
-        while not is_active[s1]:  # lazy deletion: matched as a partner while
-            s1 = queue.popleft()  # it waited
-        slot = self._slot
-        index = self._index
-        size = self._size - 1
-        i = index.pop(s1, s1)
-        last = slot.pop(size, size)
-        if i != size:
-            slot[i] = last
-            index[last] = i
-        j = int(x * size)
-        s2 = slot.get(j, j)
-        size -= 1
-        index.pop(s2, None)
-        last = slot.pop(size, size)
-        if j != size:
-            slot[j] = last
-            index[last] = j
-        self._size = size
-        self.pairs.append((s1, s2))
-        is_active[s1] = 0
+        queue, is_active, visited = self.queue, self.is_active, self.visited
+        slot, index, pairs = self._slot, self._index, self.pairs
+        counts = self.inactive_counts
+        run_points, run_vertices, run_degrees = self.seq.runs
+        active, inactive, size = self.active, self.inactive_points, self._size
+        cluster = self.cluster_size
+        partners = []
+        for x in xs:
+            s1 = queue.popleft()
+            while not is_active[s1]:  # lazy deletion: matched as a partner
+                s1 = queue.popleft()  # while it waited
+            size -= 1
+            i = index.pop(s1, s1)
+            last = slot.pop(size, size)
+            if i != size:
+                slot[i] = last
+                index[last] = i
+            j = int(x * size)
+            s2 = slot.get(j, j)
+            size -= 1
+            index.pop(s2, None)
+            last = slot.pop(size, size)
+            if j != size:
+                slot[j] = last
+                index[last] = j
+            pairs.append((s1, s2))
+            is_active[s1] = 0
 
-        if is_active[s2]:
-            is_active[s2] = 0
-            degree = 0
-            self.active -= 2
-        else:
-            offsets = self.offsets
-            u = bisect_right(offsets, s2) - 1
-            degree = self.degrees[u]
-            self.visited[u] = 1
-            self.cluster_size += 1
-            counts = self.inactive_counts
-            if counts[degree] == 1:
-                del counts[degree]
-            else:
-                counts[degree] -= 1
-            self.inactive_points -= degree
-            for s in range(offsets[u], offsets[u + 1]):
-                if s != s2:
-                    queue.append(s)
-                    is_active[s] = 1
-            self.active += degree - 2
-        if self.active + self.inactive_points != size:
-            self._check_conservation()  # raises, naming both sides
-        return degree
+            if is_active[s2]:
+                is_active[s2] = 0
+                degree = 0
+                active -= 2
+            else:  # s2's vertex: its run, then whole degrees into the run
+                r = bisect_right(run_points, s2) - 1
+                degree = run_degrees[r]
+                within = s2 - run_points[r]
+                visited[run_vertices[r] + within // degree] = 1
+                first = s2 - within % degree
+                cluster += 1
+                if counts[degree] == 1:
+                    del counts[degree]
+                else:
+                    counts[degree] -= 1
+                inactive -= degree
+                for s in range(first, first + degree):
+                    if s != s2:
+                        queue.append(s)
+                        is_active[s] = 1
+                active += degree - 2
+            partners.append(degree)
+            if active + inactive != size:
+                break  # the check below raises
+        self.active, self.inactive_points, self._size = active, inactive, size
+        self.cluster_size = cluster
+        self._check_conservation()  # raises, naming both sides, on a drift
+        return partners
 
     def finished_pairing(self) -> Pairing:
         """The completed pairing after a full decomposition."""
@@ -232,16 +233,15 @@ class ExplorationState:
         return Pairing(pairs=pairs.reshape(-1, 2), seq=self.seq)
 
 
-def _walk(state: ExplorationState, rng: np.random.Generator) -> Iterator[int]:
-    """Advance ``state`` until A = 0, yielding each step's partner degree.
+def _walk(state: ExplorationState, rng: np.random.Generator) -> Iterator[list[int]]:
+    """Advance ``state`` until A = 0, yielding each block's partner degrees.
 
     A step lowers A by at most 2, so A active points need at least
     ceil(A/2) more steps: the uniforms are drawn that many at a time, and each
     one is used, in the order per-step ``rng.random()`` calls would use them.
     """
     while state.active:
-        for x in rng.random((state.active + 1) // 2).tolist():
-            yield state._advance(x)
+        yield state._advance(rng.random((state.active + 1) // 2).tolist())
 
 
 def start_exploration(seq: DegreeSequence, v: int) -> ExplorationState:
@@ -261,19 +261,25 @@ def explore_component(
 
     The stopping time is the first step with min(A, I) = 0; when I hits zero
     first, remaining active points are drained against each other so the
-    component (and its portion of the pairing) is completed.
+    component (and its portion of the pairing) is completed.  Within a block
+    of ceil(A/2) steps A reaches 0 only at the last step, and I at the last
+    partner of positive degree.
     """
     state = start_exploration(seq, v)
-    initial = dict(state.inactive_counts)
+    root_degree, initial = state.active, dict(state.inactive_counts)
     steps: list[int] = []
     stop_time = 0
-    for degree in _walk(state, rng):
+    for block in _walk(state, rng):
         if record_trace:
-            steps.append(degree)
+            steps += block
         if stop_time == 0 and (state.active == 0 or state.inactive_points == 0):
-            stop_time = state.t
+            end = len(block)
+            if state.inactive_points == 0:
+                while block[end - 1] == 0:
+                    end -= 1
+            stop_time = state.t - len(block) + end
     return ExplorationTrace(
-        root_degree=seq.degrees[v],
+        root_degree=root_degree,
         n=seq.n,
         initial_inactive_counts=initial,
         steps=tuple(steps),

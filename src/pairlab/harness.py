@@ -74,6 +74,11 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_ints(xs: list) -> bool:
+    """``_is_int`` of every item, testing each distinct type once."""
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, xs)))
+
+
 def _is_number(x: Any) -> bool:
     """A finite int or float; JSON's NaN and Infinity are refused."""
     return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
@@ -81,7 +86,7 @@ def _is_number(x: Any) -> bool:
 
 _INT = (_is_int, "an integer")
 _NUMBER = (_is_number, "a finite number")
-_INT_LIST = (lambda x: isinstance(x, list) and all(map(_is_int, x)),
+_INT_LIST = (lambda x: isinstance(x, list) and _all_ints(x),
              "a list of integers")
 _NUMBER_LIST = (
     lambda x: isinstance(x, list) and len(x) > 0 and all(map(_is_number, x)),
@@ -112,7 +117,7 @@ def _envelope(spec: dict[str, Any]) -> tuple[float, float]:
 # it here sees every build
 _DEGREE_KINDS: dict[str, tuple[dict, Callable[[dict[str, Any]], DegreeSequence]]] = {
     "regular": ({"n": _INT, "d": _INT},
-                lambda spec: DegreeSequence(spec["n"] * (spec["d"],))),
+                lambda spec: DegreeSequence.from_runs([(spec["d"], spec["n"])])),
     "subpower": (
         {"n": _INT, "gamma": _NUMBER, "target_nu": _NUMBER, "c": _NUMBER},
         lambda spec: build_subpower_sequence(
@@ -123,7 +128,7 @@ _DEGREE_KINDS: dict[str, tuple[dict, Callable[[dict[str, Any]], DegreeSequence]]
 }
 _GRID_FIELDS = {
     "gammas": _NUMBER_LIST,
-    "sizes": (lambda x: isinstance(x, list) and len(x) > 0 and all(map(_is_int, x)),
+    "sizes": (lambda x: isinstance(x, list) and len(x) > 0 and _all_ints(x),
               "a non-empty list of integers"),
     "c": _NUMBER,
     "target_nu": _NUMBER,
@@ -583,7 +588,7 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     tol = config.tolerances
     j_max = tol["trajectory_j_max"]
     # the first max-degree vertex: that root stresses the path most
-    root = seq.degrees.index(seq.max_degree)
+    root = seq.max_degree_vertex
     track = tuple(sorted(j for j in dist.counts if j <= j_max))
     kernel = partial(_deviations, root=root, dist=dist, track=track)
     (results,) = _replicates(kernel, [(0, seq)], config.seed, config.replicates,

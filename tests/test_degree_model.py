@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,8 @@ from pairlab.degree_model import (
     read_degree_file,
     validate_subpower,
 )
+
+from pairlab.harness import resolve_degrees
 
 from degree_files import write_degree_file
 
@@ -60,15 +63,17 @@ class TestDegreeSequence:
 
     def test_point_layout(self):
         seq = DegreeSequence((2, 1, 3, 2))
-        assert seq.offsets == (0, 2, 3, 6, 8)
+        assert [seq.points_of(v) for v in range(seq.n)] == [
+            range(0, 2), range(2, 3), range(3, 6), range(6, 8)]
+        assert list(map(list, seq.runs)) == [[0, 2, 3, 6], [0, 1, 2, 3], [2, 1, 3, 2]]
         assert list(seq.histogram.items()) == [(2, 2), (1, 1), (3, 1)]
 
     def test_cached_layout_keeps_identity(self):
         seq = DegreeSequence((1, 2, 2, 3))
-        seq.offsets, seq.histogram  # populate the caches
+        seq.runs, seq.histogram  # populate the caches
         other = pickle.loads(pickle.dumps(seq))
         assert other == seq and hash(other) == hash(seq)
-        assert other.offsets == seq.offsets
+        assert other.runs == seq.runs
 
     def test_point_maps_stay_out_of_pickles(self):
         seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
@@ -202,6 +207,31 @@ def test_float_functionals_round_their_exact_values(counts):
 
 
 class TestBuildSubpower:
+    @pytest.mark.parametrize("build,tail", [
+        (lambda: build_subpower_sequence(1000, 3.5, 1.0, 0.9), (1, 1)),
+        # parity repair: the last filler vertex is promoted to degree 2
+        (lambda: build_subpower_sequence(1000, 4.5, 1.0, 0.9), (1, 2)),
+        (lambda: build_subpower_sequence(100_000, 3.5, 1.0, 0.9), (1, 2)),
+        (lambda: build_subpower_sequence(10_000, 3.5, 1.0, 0.55), (1, 2)),
+        (lambda: build_subpower_sequence(5000, 4.5, 1.0, 0.9), (1, 1)),
+        (lambda: resolve_degrees({"kind": "regular", "n": 500, "d": 3}), (3, 3)),
+        # adjacent runs of one degree merge, and empty runs are dropped
+        (lambda: DegreeSequence.from_runs([(3, 2), (2, 1), (2, 3), (1, 0),
+                                           (4, 0), (1, 2)]), (1, 1)),
+    ], ids=["subpower", "repair", "repair-1e5", "bisected", "gamma-4.5",
+            "regular", "merged"])
+    def test_seeded_caches_match_the_degrees(self, build, tail):
+        seq = build()
+        assert seq.degrees[-2:] == tail
+        assert list(seq.histogram.items()) == list(Counter(seq.degrees).items())
+        runs, v, p = [], 0, 0
+        for d, group in itertools.groupby(seq.degrees):
+            k = len(list(group))
+            runs.append((p, v, d))
+            v, p = v + k, p + d * k
+        assert list(zip(*seq.runs)) == runs
+        assert DegreeSequence(seq.degrees).runs == seq.runs  # the one-pass scan
+
     def test_tiny_instance_all_ones(self):
         seq = build_subpower_sequence(2, 3.5, 1.0, 0.5)
         assert seq.degrees == (1, 1)

@@ -166,7 +166,7 @@ class TestDrift:
         owner = np.repeat(np.arange(seq.n), seq.degrees)
         deltas = []
         for s in _pool(state):
-            if s in set(state.points_of(0)):
+            if s in seq.points_of(0):
                 continue  # the dequeued point itself is excluded separately
             if state.is_active[s]:
                 deltas.append(-2)

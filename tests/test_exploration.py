@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from itertools import accumulate, groupby
 
 import numpy as np
 import pytest
@@ -110,6 +111,33 @@ class TestStep:
         assert state.active + state.inactive_points - 1 == 7
 
 
+def _even(degrees):
+    """``degrees`` with a 1 appended when their sum is odd."""
+    return degrees + [1] * (sum(degrees) % 2)
+
+
+def run_lists():
+    """Degree lists of many runs: free ones, alternating ones (a run per
+    vertex), and ones whose maximum degree recurs in several runs."""
+    pairs = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
+        lambda p: p[0] != p[1])
+    return st.one_of(
+        even_degree_lists(max_n=16, max_d=6),
+        st.tuples(pairs, st.integers(1, 20)).map(lambda t: _even(list(t[0]) * t[1])),
+        st.lists(st.integers(1, 3), min_size=1, max_size=8).map(
+            lambda xs: _even([5] + xs + [5] + xs + [5])),
+    )
+
+
+def _block_ends(active):
+    """The times at which the drivers' blocks end, from the series A(t)."""
+    ends, t = set(), 0
+    while t < len(active) - 1:
+        t += (active[t] + 1) // 2
+        ends.add(t)
+    return ends
+
+
 class TestSparsePool:
     @given(even_degree_lists(max_n=30), st.integers(min_value=0, max_value=2**31))
     @example([1] * 60, 0)  # 30 one-step components: the pool empties fully
@@ -138,7 +166,7 @@ class TestSparsePool:
                 swap_remove(s1)
                 s2 = dense[int(x * len(dense))]
                 swap_remove(s2)
-                state._advance(x)
+                state._advance([x])
                 assert state.pairs[-1] == (s1, s2)
                 assert _pool(state) == dense
                 assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
@@ -229,6 +257,56 @@ class TestBlockDraws:
             seq, ref_rng
         )
         assert rng.random() == ref_rng.random()
+
+    @given(run_lists(), st.integers(min_value=0, max_value=2**31))
+    @example([6, 1, 1], 31)  # I hits 0 inside the first block of 3 steps
+    @example([8, 1, 1, 2], 10)  # and here inside a later block
+    @example([1, 3] * 30, 4)  # a run per vertex
+    @example([4, 1, 4, 4, 2, 4, 1, 2], 5)  # the max degree in three runs
+    @settings(max_examples=150, deadline=None)
+    def test_runs_map_and_block_drivers_match_steps(self, degrees, seed):
+        seq = DegreeSequence(tuple(degrees))
+        offsets = list(accumulate(degrees, initial=0))  # the per-vertex layout
+        assert [seq.points_of(v) for v in range(seq.n)] == [
+            range(offsets[v], offsets[v + 1]) for v in range(seq.n)]
+        runs, v = [], 0
+        for d, group in groupby(degrees):
+            runs.append((offsets[v], v, d))
+            v += len(list(group))
+        assert list(zip(*seq.runs)) == runs
+        root = seq.max_degree_vertex
+        assert root == degrees.index(max(degrees))
+
+        ref_rng = substream(seed)
+        steps, active, _, stop_time, size = _component_by_steps(seq, root, ref_rng)
+        rng = substream(seed)
+        trace = explore_component(seq, root, rng, record_trace=True)
+        assert trace.root_degree == degrees[root]
+        assert (list(trace.steps), trace.stop_time, trace.component_size) == (
+            steps, stop_time, size)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if (degrees, seed) in (([6, 1, 1], 31), ([8, 1, 1, 2], 10)):
+            assert stop_time not in _block_ends(active)
+
+        # a whole decomposition: blocks through ``_walk`` against step calls
+        walked, stepped = ExplorationState(seq), ExplorationState(seq)
+        rng, ref_rng = substream(seed, 1), substream(seed, 1)
+        sizes = []
+        for v in range(seq.n):
+            assert walked.visited[v] == stepped.visited[v]
+            if walked.visited[v]:
+                continue
+            walked.begin(v)
+            stepped.begin(v)
+            partners = []
+            while stepped.active:
+                partners.append(stepped.step(ref_rng))
+            assert [d for block in _walk(walked, rng) for d in block] == partners
+            assert walked.cluster_size == stepped.cluster_size
+            sizes.append(walked.cluster_size)
+        assert walked.pairs == stepped.pairs
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert largest_component_via_exploration(seq, substream(seed, 1)) == sizes
 
     def test_corrupt_state_raises_in_step_and_driver(self):
         # drift on either side of A + I = 2m - 2t is caught

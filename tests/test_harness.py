@@ -333,6 +333,22 @@ class TestRunModes:
         assert csvs[10**300] == csvs[5]
         assert csvs[5].count("\n") == 1 + 4  # header, then j = 3 per replicate
 
+    def test_trajectory_memory_grows_by_the_degrees_alone(self, tmp_path):
+        # from n = 1e3 to 1e6 a run adds the degree tuple (8 MB) and the
+        # exploration's two flag arrays (2.3 MB), but no per-vertex table
+        peaks = []
+        for n in (10**3, 10**6):
+            cfg = tmp_path / f"n{n}.json"
+            cfg.write_text(json.dumps({
+                "mode": "trajectory", "replicates": 2,
+                "output_dir": str(tmp_path / f"out{n}"),
+                "degrees": {"kind": "subpower", "n": n, "gamma": 3.5,
+                            "target_nu": 0.9}}))
+            code, peak_mib, err = _limited_cli(tmp_path, ["run", "-c", str(cfg)])
+            assert code in (0, 1), err  # a verdict may fail at 2 replicates
+            peaks.append(peak_mib)
+        assert peaks[1] - peaks[0] < 20
+
     def test_scaling_mode(self, tmp_path):
         config = ExperimentConfig.from_dict({
             "mode": "scaling",

@@ -63,9 +63,9 @@ class TestPointSpace:
         seq = DegreeSequence((1, 2, 2, 3))
         space = PointSpace.from_degree_sequence(seq)
         assert space.total_points == 8
-        assert seq.offsets == (0, 1, 3, 5, 8)
+        assert list(map(list, seq.runs)) == [[0, 1, 5], [0, 1, 3], [1, 2, 3]]
         assert list(seq.core) == [-1, 0, 0, 1, 1, 2, 2, 2]
-        assert list(seq.core[seq.offsets[3]:seq.offsets[4]]) == [2, 2, 2]
+        assert list(seq.core[seq.points_of(3)]) == [2, 2, 2]
 
     def test_wraps_the_sequence_layout(self):
         seq = DegreeSequence((3, 1, 2, 2, 1, 3))
