@@ -8,9 +8,9 @@ computed from integer sums, with at most one final division, so the algebraic
 identities between them hold exactly.
 
 Nothing here but the point maps of ``DegreeSequence`` (``core``,
-``core_degrees``, ``core_first`` and ``core_labels``) and the ``runs`` of a
-sequence not built by ``from_runs`` need numpy, which they import on first
-use: ``describe``, ``validate`` and config checks never load it.
+``core_degrees`` and ``core_labels``) and the ``runs`` of a sequence not
+built by ``from_runs`` need numpy, which they import on first use:
+``describe``, ``validate`` and config checks never load it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def degree_cap(n: int, gamma: float, c: float) -> int:
 
 
 # cached arrays that a pickle leaves out and its receiver rebuilds on first use
-_POINT_MAPS = ("core", "core_degrees", "core_first", "core_labels")
+_POINT_MAPS = ("core", "core_degrees", "core_labels")
 
 
 class _RunDegrees:
@@ -82,9 +82,9 @@ class DegreeSequence:
     """Fixed tuple of positive vertex degrees with an even sum.
 
     The point layout (``two_m``, ``runs``, ``histogram`` and the point
-    maps ``core``, ``core_degrees``, ``core_first`` and ``core_labels``) is
-    computed on first use and cached, so every chain or sampler built on the
-    sequence shares it.
+    maps ``core``, ``core_degrees`` and ``core_labels``, read off the runs)
+    is computed on first use and cached, so every chain or sampler built on
+    the sequence shares it.
     """
 
     degrees: tuple[int, ...]
@@ -95,7 +95,7 @@ class DegreeSequence:
         in turn, with its ``histogram`` and ``runs`` seeded from them."""
         runs = [(j, k) for j, k in runs if k > 0]
         histogram: dict[int, int] = {}
-        columns = (array("q"), array("q"), array("q"))  # as in ``runs``
+        columns: tuple[list, list, list] = ([], [], [])  # as in ``runs``
         two_m = n = 0
         for j, k in runs:
             if not columns[2] or columns[2][-1] != j:  # adjacent runs merge
@@ -104,9 +104,9 @@ class DegreeSequence:
             histogram[j] = histogram.get(j, 0) + k
             two_m, n = two_m + j * k, n + k
         seq = cls.__new__(cls)
-        vars(seq).update(degrees=tuple(_RunDegrees(runs)), histogram=histogram,
-                         runs=columns)
-        seq.__post_init__()
+        vars(seq).update(degrees=tuple(_RunDegrees(runs)), histogram=histogram)
+        seq.__post_init__()  # before the int64 columns, whose bound it checks
+        vars(seq)["runs"] = tuple(array("q", column) for column in columns)
         return seq
 
     def __post_init__(self):
@@ -120,6 +120,9 @@ class DegreeSequence:
             raise DegreeSequenceError(f"degree {min(self.histogram)} < 1")
         if self.two_m % 2 != 0:
             raise DegreeSequenceError("sum of degrees is odd")
+        if self.two_m >= 2**63:  # points, runs and maps are int64-indexed
+            raise DegreeSequenceError(
+                f"sum of degrees {self.two_m} reaches 2**63, past int64")
 
     @property
     def n(self) -> int:
@@ -170,45 +173,38 @@ class DegreeSequence:
     def core(self) -> np.ndarray:
         """Point -> label of its owner among the core, the vertices of degree
         >= 2 numbered 0, 1, ... in vertex order, or -1 for the point of a
-        degree-1 vertex; a read-only int32 array of length 2m."""
+        degree-1 vertex; a read-only int32 array of length 2m: ``core_labels``
+        spread over the points of the runs of degree >= 2."""
         import numpy as np
 
-        _, vertices, heads = self.runs
-        degrees = np.repeat(np.array(heads, np.int32),
-                            np.diff(vertices, append=self.n))
-        in_core = degrees > 1
-        labels = np.where(in_core, np.cumsum(in_core, dtype=np.int32) - 1,
-                          np.int32(-1))
-        core = np.repeat(labels, degrees)
+        points, _, heads = self.runs
+        in_core = np.repeat(np.array(heads) > 1, np.diff(points, append=self.two_m))
+        core = np.full(self.two_m, -1, np.int32)
+        core[in_core] = self.core_labels
         core.setflags(write=False)
         return core
 
     @cached_property
     def core_degrees(self) -> np.ndarray:
         """Core label -> degree, as a read-only int64 array of length
-        ``n_core``."""
+        ``n_core``: each degree >= 2 repeated over its runs' vertices."""
         import numpy as np
 
-        degrees = np.bincount(self.core + 1, minlength=self.n_core + 1)[1:]
+        _, vertices, heads = self.runs
+        heads = np.array(heads, np.int64)
+        degrees = np.repeat(heads, np.diff(vertices, append=self.n) * (heads > 1))
         degrees.setflags(write=False)
         return degrees
 
     @cached_property
-    def core_first(self) -> np.ndarray:
-        """The points of the core, ascending, then the points of the degree-1
-        vertices, ascending; a read-only int64 array of length 2m."""
+    def core_labels(self) -> np.ndarray:
+        """The core points in point order -> their owners' core labels, each
+        label repeated over its degree; a read-only int32 array of length
+        ``n_core_points``."""
         import numpy as np
 
-        points = np.concatenate((np.flatnonzero(self.core >= 0),
-                                 np.flatnonzero(self.core < 0)))
-        points.setflags(write=False)
-        return points
-
-    @cached_property
-    def core_labels(self) -> np.ndarray:
-        """The core points in point order -> their owners' core labels; a
-        read-only int32 array of length ``n_core_points``."""
-        labels = self.core[self.core >= 0]
+        labels = np.repeat(np.arange(self.n_core, dtype=np.int32),
+                           self.core_degrees)
         labels.setflags(write=False)
         return labels
 
@@ -223,7 +219,7 @@ class DegreeSequence:
         return self.two_m - self.histogram.get(1, 0)
 
     def __getstate__(self) -> dict:
-        # the point maps: up to 20 bytes a point
+        # the point maps: up to 12 bytes a point
         return {k: v for k, v in self.__dict__.items() if k not in _POINT_MAPS}
 
     @property

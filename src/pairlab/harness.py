@@ -685,7 +685,11 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 def run(config: ExperimentConfig) -> RunSummary:
     """Execute the configured experiment and write records.csv + summary.json."""
     t0 = time.monotonic()
-    rows, cells, verdicts = _MODE_RUNNERS[config.mode](config)
+    try:
+        rows, cells, verdicts = _MODE_RUNNERS[config.mode](config)
+    except MemoryError as exc:  # a kernel's arrays; ``_build`` catches a build's
+        section = "grid" if config.mode == "scaling" else "degrees"
+        raise ConfigError(f"{section}: too large to hold in memory") from exc
     log.info("mode=%s wall_clock=%.3fs", config.mode, time.monotonic() - t0)
     # made only now, so that a run its runner refuses leaves no directory
     out = Path(config.output_dir)
@@ -741,7 +745,7 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "predicted_p_simple": p_simple,
         "predicted_attempts": attempts if math.isfinite(attempts) else None,
         # lower bound: the per-point arrays of one replicate, namely the int32
-        # core map, the int32 labels gathered through it or placed by slot,
+        # core labels, the int32 labels gathered through them or placed by slot,
         # and int64 points: a Pairing's pairs, the permutation of a sequence
         # with no degree-1 vertex, or the slot range rng.choice shuffles to
         # place a core of over about 2m/50 points (a smaller core needs

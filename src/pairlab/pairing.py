@@ -5,11 +5,12 @@ Each vertex i owns d_i points; a pairing is a uniform perfect matching on all
 multigraph with the prescribed degrees.  Alongside the sampler there is an
 exhaustive enumerator for small instances (the exact oracle), which decodes
 pairings from their positions in blocks, a projector that reports loops,
-parallel pairs and component sizes, and rejection sampling of simple graphs.
-The projector reads only the pairs of two core points, those of vertices of
-degree >= 2; the degree-1 vertices join components by counting.  The sampler
-places the core points first, so ``sample_core_pairs`` draws those pairs
-alone, with the same random numbers that begin ``sample_pairing``'s draw.
+parallel pairs (one count serves a pairing and a block) and component sizes,
+and rejection sampling of simple graphs.  The projector reads only the pairs
+of two core points, those of vertices of degree >= 2; the degree-1 vertices
+join components by counting.  The sampler places the core points first, so
+``sample_core_pairs`` draws those pairs alone, with the same random numbers
+that begin ``sample_pairing``'s draw.
 """
 
 from __future__ import annotations
@@ -118,14 +119,13 @@ def sample_pairing(
     if seq.n_core == seq.n:
         return Pairing(pairs=rng.permutation(seq.two_m).reshape(-1, 2), seq=seq)
     slots = _core_slots(seq, rng)
-    core, leaves = np.split(seq.core_first, [seq.n_core_points])
     points = np.empty(seq.two_m, dtype=np.int64)
-    points[slots] = core
+    points[slots] = np.flatnonzero(seq.core >= 0)
     free = np.ones(seq.two_m, dtype=bool)
     free[slots] = False
     # leaves shuffled as rng.permutation(2m - P) would order them; assigning
     # through the free slots' indices is faster than through the mask
-    points[np.flatnonzero(free)] = rng.permutation(leaves)
+    points[np.flatnonzero(free)] = rng.permutation(np.flatnonzero(seq.core < 0))
     return Pairing(pairs=points.reshape(-1, 2), seq=seq)
 
 
@@ -136,11 +136,11 @@ def sample_core_pairs(
     ``project_components`` reads them, from the sampler's first stage alone.
 
     ``core_report`` or ``core_largest`` project them; the degree-1 points
-    are never placed and no ``Pairing`` is built.
+    are never placed, no ``Pairing`` is built and ``core`` is not read.
     """
     if seq.n_core == seq.n:
         perm = rng.permutation(seq.two_m)
-        return seq.core[perm[0::2]], seq.core[perm[1::2]]
+        return seq.core_labels[perm[0::2]], seq.core_labels[perm[1::2]]
     labels = np.full(seq.two_m, -1, dtype=np.int32)  # slot -> its core label
     labels[_core_slots(seq, rng)] = seq.core_labels
     return _both_in_core(labels[0::2], labels[1::2])
@@ -182,21 +182,24 @@ def enumerate_pairings(seq: DegreeSequence) -> Iterator[Pairing]:
             yield Pairing(pairs=pairs, seq=seq)
 
 
-def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int) -> tuple[int, int]:
-    """Loop count, and the sum over distinct non-loop vertex pairs of
-    C(multiplicity, 2), of the multigraph with edges (u, v)."""
-    loop = u == v
-    # int64 keys: core labels are int32, and n * n can pass 2**31
-    keys = np.minimum(u, v, dtype=np.int64)
-    keys *= n
-    keys += np.maximum(u, v)
-    keys = np.sort(keys[~loop])
-    # a run of r equal keys is one vertex pair of multiplicity r; each repeat
-    # of a key adds the number of equal keys before it, so the run adds
-    # 1 + 2 + ... + (r - 1) = C(r, 2).  A pairing has only a handful of repeats.
-    repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-    parallel = np.sum(repeat - np.searchsorted(keys, keys[repeat]))
-    return int(np.count_nonzero(loop)), int(parallel)
+def _loops_and_parallel(u: np.ndarray, v: np.ndarray,
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Loops, and the sum over distinct non-loop vertex pairs of
+    C(multiplicity, 2), of each multigraph whose edges are the core-label
+    pairs (u, v) along the last axis, of one pairing or of each row of a
+    block; a pair with a degree-1 end (label -1) counts in neither."""
+    low = np.minimum(u, v, dtype=np.int64)  # n * n can pass 2**31
+    skip = (u == v) | (low < 0)
+    keys = low * n + np.maximum(u, v)
+    keys[skip] = -1 - np.flatnonzero(skip)  # a key of its own
+    keys.sort(axis=-1)
+    # r equal keys, one vertex pair of multiplicity r, hold r - d pairs of
+    # keys d apart: C(r, 2) over d = 1, 2, ..., which end with the longest run
+    parallel, d = np.zeros(keys.shape[:-1], np.int64), 1
+    while (equal := keys[..., d:] == keys[..., :-d]).any():
+        parallel += equal.sum(axis=-1)
+        d += 1
+    return ((u == v) & (low >= 0)).sum(axis=-1), parallel
 
 
 def _both_in_core(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,14 +242,9 @@ def _core_components(seq: DegreeSequence, u: np.ndarray,
 
 def simple_mask(seq: DegreeSequence, block: np.ndarray) -> np.ndarray:
     """Whether each pairing of an (N, m, 2) block of seq's points is simple."""
-    u, v = seq.core[block[..., 0]], seq.core[block[..., 1]]
-    low = np.minimum(u, v, dtype=np.int64)
-    loops = np.any((u == v) & (low >= 0), axis=1)
-    # a pair with a degree-1 end (label -1) gets a negative key of its own
-    keys = np.where(low >= 0, low * seq.n_core + np.maximum(u, v),
-                    -1 - np.arange(block.shape[1]))
-    keys.sort(axis=1)
-    return ~(loops | np.any(keys[:, 1:] == keys[:, :-1], axis=1))
+    loops, parallel = _loops_and_parallel(seq.core[block[..., 0]],
+                                          seq.core[block[..., 1]], seq.n_core)
+    return (loops == 0) & (parallel == 0)
 
 
 def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -285,8 +283,8 @@ def core_report(seq: DegreeSequence, u: np.ndarray,
     return ComponentReport(
         counts=counts,
         largest=int(counts.max()),
-        loops=loops,
-        parallel_pairs=parallel,
+        loops=int(loops),
+        parallel_pairs=int(parallel),
     )
 
 

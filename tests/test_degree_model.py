@@ -61,6 +61,18 @@ class TestDegreeSequence:
     def test_two_m(self):
         assert DegreeSequence((1, 2, 2, 3)).two_m == 8
 
+    @pytest.mark.parametrize("build", [
+        DegreeSequence, lambda degrees: DegreeSequence.from_runs((d, 1) for d in degrees),
+    ], ids=["degrees", "from_runs"])
+    def test_point_count_must_fit_int64(self, build, monkeypatch):
+        # 2m = 2**63 - 2 points, the largest even count below the bound
+        assert build((2**63 - 4, 2)).two_m == 2**63 - 2
+        # refused before any int64 column of the runs is written
+        monkeypatch.setattr("pairlab.degree_model.array", None)
+        for degrees in ((2**62, 2**62), (2**63, 2)):
+            with pytest.raises(DegreeSequenceError, match=r"reaches 2\*\*63"):
+                build(degrees)
+
     def test_point_layout(self):
         seq = DegreeSequence((2, 1, 3, 2))
         assert [seq.points_of(v) for v in range(seq.n)] == [
@@ -78,10 +90,10 @@ class TestDegreeSequence:
     def test_point_maps_stay_out_of_pickles(self):
         seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
         size = len(pickle.dumps(seq))
-        seq.core, seq.core_degrees, seq.core_first, seq.core_labels  # populate
+        seq.core, seq.core_degrees, seq.core_labels  # populate
         assert len(pickle.dumps(seq)) == size
         other = pickle.loads(pickle.dumps(seq))
-        maps = {"core", "core_degrees", "core_first", "core_labels"}
+        maps = {"core", "core_degrees", "core_labels"}
         assert not maps & set(vars(other))
         for name in sorted(maps):
             assert np.array_equal(getattr(other, name), getattr(seq, name))
@@ -109,11 +121,10 @@ class TestDegreeSequence:
     def test_core_points_come_first(self, degrees, first, labels):
         seq = DegreeSequence(degrees)
         assert seq.n_core_points == len(labels)
-        assert seq.core_first.dtype == np.int64
-        assert seq.core_first.tolist() == first
+        # the order in which sample_pairing's two stages take the points
+        assert [*np.flatnonzero(seq.core >= 0), *np.flatnonzero(seq.core < 0)] == first
         assert seq.core_labels.dtype == np.int32
         assert seq.core_labels.tolist() == labels
-        assert not seq.core_first.flags.writeable
         assert not seq.core_labels.flags.writeable
         assert not seq.core_degrees.flags.writeable
 

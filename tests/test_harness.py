@@ -10,6 +10,7 @@ import logging
 import math
 import os
 import pickle
+import re
 import statistics
 import subprocess
 import sys
@@ -275,6 +276,16 @@ class TestRunModes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run(make_config(tmp_path, replicates=replicates))
+
+    @pytest.mark.parametrize("kernel", ["_project", "_largest"])
+    def test_kernel_builds_no_point_to_label_map(self, kernel):
+        # with degree-1 vertices a kernel places the core labels by slot:
+        # the 2m-long ``core`` map is never built
+        seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
+        assert seq.n_core < seq.n
+        getattr(pairlab.harness, kernel)(seq, np.random.default_rng(0))
+        maps = {"core", "core_degrees", "core_labels"} & set(vars(seq))
+        assert maps == {"core_degrees", "core_labels"}
 
     @pytest.mark.parametrize("n", [2000, 100_000])
     def test_poisson_kernel_is_the_public_projection(self, n):
@@ -734,6 +745,52 @@ class TestCli:
         for command in ("run", "describe"):
             assert cli_main([command, "-c", str(cfg)]) == 2
             assert f"error: {cfg}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["poisson_check", "trajectory"])
+    def test_kernel_allocation_failure_exits_two(self, tmp_path, mode):
+        # 2m = 3e9 points: the sequence builds, but a replicate's per-point
+        # arrays do not fit in the child's 1.5 GiB
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": mode, "output_dir": str(tmp_path / "out"),
+            "degrees": {"kind": "explicit", "degrees": [3_000_000_000, 2]}}))
+        code, _, err = _limited_cli(tmp_path, ["run", "-c", str(cfg)])
+        assert (code, err) == (2, "error: degrees: too large to hold in memory\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_scaling_kernel_allocation_failure_names_grid(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def kernel(seq, rng):
+            raise MemoryError
+
+        monkeypatch.setattr(pairlab.harness, "_largest", kernel)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "scaling", "output_dir": str(tmp_path / "out"),
+            "grid": {"gammas": [3.5], "sizes": [400]}}))
+        assert cli_main(["run", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: grid: too large to hold in memory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("degrees", [
+        {"kind": "explicit", "degrees": [2**63, 2]},
+        {"kind": "regular", "n": 2, "d": 2**63}])
+    def test_point_count_past_int64_names_degrees(self, tmp_path, capsys, degrees):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "trajectory", "output_dir": str(tmp_path / "out"),
+            "degrees": degrees}))
+        for command in ("describe", "run"):
+            assert cli_main([command, "-c", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: degrees: sum of degrees ")
+            assert err.endswith(" reaches 2**63, past int64\n")
+        assert not (tmp_path / "out").exists()
+        if degrees["kind"] == "explicit":
+            deg = tmp_path / "big.deg"
+            deg.write_text(f"2\n{2**63} 2\n")
+            assert cli_main(["validate", str(deg)]) == 2
+            assert capsys.readouterr().err.endswith(" reaches 2**63, past int64\n")
 
 
 def _exit_code(argv: list[str]) -> int:
@@ -1427,6 +1484,13 @@ def test_unknown_package_name_raises_attribute_error(tmp_path):
         pairlab.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         from pairlab import no_such_name  # noqa: F401
+
+
+def test_readme_names_only_degree_sequence_attributes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"`DegreeSequence\.(\w+)`", readme))
+    assert named
+    assert sorted(name for name in named if not hasattr(DegreeSequence, name)) == []
 
 
 def test_readme_names_every_mode_and_degree_kind():

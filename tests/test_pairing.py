@@ -17,6 +17,7 @@ from pairlab.pairing import (
     _BLOCK,
     _component_roots,
     _core_pairs,
+    _loops_and_parallel,
     AttemptsExhaustedError,
     Pairing,
     PointSpace,
@@ -121,20 +122,27 @@ class TestPairingBlocks:
 
     def test_positions_and_masks_across_block_boundaries(self):
         # m = 6 with degree-1 vertices: 10,395 pairings in two full blocks
-        # and a partial third
-        seq = DegreeSequence((3, 3, 1, 1, 1, 1, 2))
-        blocks = list(pairing_blocks(seq))
-        assert [len(b) for b in blocks] == [_BLOCK, _BLOCK, 10_395 - 2 * _BLOCK]
-        position = 0
-        for block in blocks:
-            mask = simple_mask(seq, block)
-            assert mask.shape == (len(block),)
-            for pairs, simple in zip(block, mask):
-                p = Pairing(pairs=pairs, seq=seq)
-                assert np.array_equal(np.sort(p.pairs.ravel()), np.arange(seq.two_m))
-                assert p.index() == position
-                assert simple == project_components(p).simple
-                position += 1
+        # and a partial third; and a block of only degree-1 vertices
+        for degrees, sizes in [((3, 3, 1, 1, 1, 1, 2), [_BLOCK, _BLOCK, 10_395 - 2 * _BLOCK]),
+                               ((1, 1, 1, 1), [3])]:
+            seq = DegreeSequence(degrees)
+            blocks = list(pairing_blocks(seq))
+            assert [len(b) for b in blocks] == sizes
+            position = 0
+            for block in blocks:
+                mask = simple_mask(seq, block)
+                assert mask.shape == (len(block),)
+                # the count simple_mask reads, row by row
+                counts = _loops_and_parallel(seq.core[block[..., 0]],
+                                             seq.core[block[..., 1]], seq.n_core)
+                for pairs, simple, loops, parallel in zip(block, mask, *counts):
+                    p = Pairing(pairs=pairs, seq=seq)
+                    assert np.array_equal(np.sort(p.pairs.ravel()), np.arange(seq.two_m))
+                    assert p.index() == position
+                    report = project_components(p)
+                    assert simple == report.simple
+                    assert (loops, parallel) == (report.loops, report.parallel_pairs)
+                    position += 1
 
     @pytest.mark.parametrize("degrees,simple", [
         ((2,) * 7, 59_520), ((3, 3, 2, 2, 2, 2), 31_104),
