@@ -322,6 +322,10 @@ def _init_worker(*work) -> None:
     _WORK = work
 
 
+class _KernelMemoryError(Exception):
+    """A kernel's MemoryError; ``args[0]`` is the index of its cell."""
+
+
 def _replicate(work: tuple, position: int, rep: int) -> Any:
     """The kernel result of replicate ``rep`` of cell ``position``; replicate
     r of the cell with index k draws from ``substream(seed, k, r)``."""
@@ -329,7 +333,10 @@ def _replicate(work: tuple, position: int, rep: int) -> Any:
 
     kernel, cells, seed = work
     cell_index, seq = cells[position]
-    return kernel(seq, substream(seed, cell_index, rep))
+    try:
+        return kernel(seq, substream(seed, cell_index, rep))
+    except MemoryError as exc:
+        raise _KernelMemoryError(cell_index) from exc
 
 
 def _chunk(position: int, reps: range) -> list:
@@ -541,8 +548,12 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
     built = list(_grid_cells(config.grid))
     sampled = [(cell_index, seq) for cell_index, (_, _, seq) in enumerate(built)
                if not isinstance(seq, ValueError)]
-    results = iter(_replicates(_largest, sampled, config.seed,
-                               config.replicates, config.workers))
+    try:
+        results = iter(_replicates(_largest, sampled, config.seed,
+                                   config.replicates, config.workers))
+    except _KernelMemoryError as exc:  # the grid's other cells are lost too
+        gamma, n, _ = built[exc.args[0]]
+        raise ConfigError(f"grid[gamma={gamma},n={n}]: too large to hold in memory")
     low, high = tol["max_degree_ratio_low"], tol["max_degree_ratio_high"]
     cells: list[dict] = []
     verdicts: list[Verdict] = []
@@ -687,9 +698,8 @@ def run(config: ExperimentConfig) -> RunSummary:
     t0 = time.monotonic()
     try:
         rows, cells, verdicts = _MODE_RUNNERS[config.mode](config)
-    except MemoryError as exc:  # a kernel's arrays; ``_build`` catches a build's
-        section = "grid" if config.mode == "scaling" else "degrees"
-        raise ConfigError(f"{section}: too large to hold in memory") from exc
+    except _KernelMemoryError as exc:  # the one cell of a mode with ``degrees``
+        raise ConfigError("degrees: too large to hold in memory") from exc
     log.info("mode=%s wall_clock=%.3fs", config.mode, time.monotonic() - t0)
     # made only now, so that a run its runner refuses leaves no directory
     out = Path(config.output_dir)

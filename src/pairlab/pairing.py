@@ -119,13 +119,14 @@ def sample_pairing(
     if seq.n_core == seq.n:
         return Pairing(pairs=rng.permutation(seq.two_m).reshape(-1, 2), seq=seq)
     slots = _core_slots(seq, rng)
+    in_core = seq.core >= 0  # the core that projecting the pairing reads
     points = np.empty(seq.two_m, dtype=np.int64)
-    points[slots] = np.flatnonzero(seq.core >= 0)
+    points[slots] = np.flatnonzero(in_core)
     free = np.ones(seq.two_m, dtype=bool)
     free[slots] = False
     # leaves shuffled as rng.permutation(2m - P) would order them; assigning
     # through the free slots' indices is faster than through the mask
-    points[np.flatnonzero(free)] = rng.permutation(np.flatnonzero(seq.core < 0))
+    points[np.flatnonzero(free)] = rng.permutation(np.flatnonzero(~in_core))
     return Pairing(pairs=points.reshape(-1, 2), seq=seq)
 
 
@@ -193,12 +194,15 @@ def _loops_and_parallel(u: np.ndarray, v: np.ndarray,
     keys = low * n + np.maximum(u, v)
     keys[skip] = -1 - np.flatnonzero(skip)  # a key of its own
     keys.sort(axis=-1)
-    # r equal keys, one vertex pair of multiplicity r, hold r - d pairs of
-    # keys d apart: C(r, 2) over d = 1, 2, ..., which end with the longest run
-    parallel, d = np.zeros(keys.shape[:-1], np.int64), 1
-    while (equal := keys[..., d:] == keys[..., :-d]).any():
-        parallel += equal.sum(axis=-1)
-        d += 1
+    # a run of r equal keys, one vertex pair of multiplicity r, holds C(r, 2):
+    # each repeat adds its distance from the run's first key (a row's first
+    # key is no repeat, so in flat order no run spans two rows)
+    repeat = np.zeros(keys.shape, bool)
+    np.equal(keys[..., 1:], keys[..., :-1], out=repeat[..., 1:])
+    at = np.flatnonzero(repeat)
+    first = np.maximum.accumulate(np.where(repeat.flat[at - 1], 0, at - 1))
+    parallel = np.zeros(keys.shape[:-1], np.int64)
+    np.add.at(parallel.reshape(-1), at // keys.shape[-1], at - first)
     return ((u == v) & (low >= 0)).sum(axis=-1), parallel
 
 

@@ -758,19 +758,39 @@ class TestCli:
         assert (code, err) == (2, "error: degrees: too large to hold in memory\n")
         assert not (tmp_path / "out").exists()
 
-    def test_scaling_kernel_allocation_failure_names_grid(self, tmp_path, capsys,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scaling_kernel_allocation_failure_names_its_cell(
+            self, tmp_path, capsys, monkeypatch, workers):
+        # only the cell of n = 600 fails; a pool must carry its name back too
         def kernel(seq, rng):
-            raise MemoryError
+            if seq.n == 600:
+                raise MemoryError
+            return 1
 
         monkeypatch.setattr(pairlab.harness, "_largest", kernel)
+        monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0.0)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "mode": "scaling", "output_dir": str(tmp_path / "out"),
-            "grid": {"gammas": [3.5], "sizes": [400]}}))
+            "replicates": 40, "workers": workers,
+            "grid": {"gammas": [3.5, 4.5], "sizes": [400, 600]}}))
         assert cli_main(["run", "-c", str(cfg)]) == 2
-        assert capsys.readouterr().err == "error: grid: too large to hold in memory\n"
+        assert capsys.readouterr().err == (
+            "error: grid[gamma=3.5,n=600]: too large to hold in memory\n")
         assert not (tmp_path / "out").exists()
+
+    def test_memory_error_outside_a_kernel_is_not_a_size_refusal(
+            self, tmp_path, monkeypatch):
+        def median(values):
+            raise MemoryError
+
+        monkeypatch.setattr(pairlab.harness.statistics, "median", median)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "trajectory", "output_dir": str(tmp_path / "out"),
+            "replicates": 2, "degrees": {"kind": "regular", "n": 10, "d": 3}}))
+        with pytest.raises(MemoryError):
+            cli_main(["run", "-c", str(cfg)])
 
     @pytest.mark.parametrize("degrees", [
         {"kind": "explicit", "degrees": [2**63, 2]},

@@ -122,9 +122,10 @@ class TestPairingBlocks:
 
     def test_positions_and_masks_across_block_boundaries(self):
         # m = 6 with degree-1 vertices: 10,395 pairings in two full blocks
-        # and a partial third; and a block of only degree-1 vertices
+        # and a partial third; a block of only degree-1 vertices; and one
+        # whose rows of a single vertex pair start and end on the same key
         for degrees, sizes in [((3, 3, 1, 1, 1, 1, 2), [_BLOCK, _BLOCK, 10_395 - 2 * _BLOCK]),
-                               ((1, 1, 1, 1), [3])]:
+                               ((1, 1, 1, 1), [3]), ((3, 3), [15])]:
             seq = DegreeSequence(degrees)
             blocks = list(pairing_blocks(seq))
             assert [len(b) for b in blocks] == sizes
@@ -179,6 +180,26 @@ class TestLoopAndParallelCounts:
     def test_triple_edge(self):
         p = pairing_by_pairs(DegreeSequence((3, 3)), [(0, 3), (1, 4), (2, 5)])
         assert project_components(p).parallel_pairs == math.comb(3, 2) == 3
+
+    def test_dense_multigraph_in_one_pass(self):
+        # two vertices of degree 2 * 10**5: the pairs that are not loops form
+        # one vertex pair of multiplicity k, about 10**5, so C(k, 2) parallel
+        # pairs; a count that passes over the keys once per multiplicity
+        # takes minutes here
+        seq = DegreeSequence.from_runs([(200_000, 2)])
+        p = sample_pairing(seq, substream(3))
+        t0 = time.perf_counter()
+        report = project_components(p)
+        elapsed = time.perf_counter() - t0
+        k = seq.two_m // 2 - report.loops
+        assert k > 10**4
+        assert report.parallel_pairs == math.comb(k, 2)
+        assert elapsed < 1.0
+        labels = seq.core[p.pairs[:, 0]], seq.core[p.pairs[:, 1]]
+        rows = _loops_and_parallel(*(np.stack((x, x[::-1])) for x in labels),
+                                   seq.n_core)
+        assert rows[0].tolist() == [report.loops] * 2
+        assert rows[1].tolist() == [report.parallel_pairs] * 2
 
     @given(even_degree_lists(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
