@@ -300,9 +300,11 @@ class RunSummary:
 # ---------------------------------------------------------------------------
 # replicate execution (deterministic at any worker count)
 #
-# A kernel ``(seq, rng) -> result`` does one replicate.  A task is a cell's
-# position and a range of its replicates; the kernel, the cells and the seed
-# reach each pool worker once, through the pool's initializer.
+# A kernel ``(seq, rng) -> result`` does one replicate.  The run's replicates
+# form one queue: replicate i is replicate ``i % replicates`` of the cell at
+# position ``i // replicates``.  The parent runs a prefix of the queue, and a
+# pool task is a range of what is left; the kernel, the cells, the seed and
+# the replicate count reach each pool worker once, through its initializer.
 
 # What a replicate pool costs, measured on a 2-core VM (Python 3.11, fork;
 # medians of two series of 11 and 21 fresh processes that had imported numpy
@@ -314,7 +316,7 @@ class RunSummary:
 # 121, 8 runs) for tasks the parent alone finished in 30-70 ms (median 48).
 _POOL_START_S = 0.045
 
-_WORK: tuple = ()  # (kernel, cells, seed) inside a pool worker
+_WORK: tuple = ()  # (kernel, cells, seed, replicates) inside a pool worker
 
 
 def _init_worker(*work) -> None:
@@ -326,12 +328,13 @@ class _KernelMemoryError(Exception):
     """A kernel's MemoryError; ``args[0]`` is the index of its cell."""
 
 
-def _replicate(work: tuple, position: int, rep: int) -> Any:
-    """The kernel result of replicate ``rep`` of cell ``position``; replicate
-    r of the cell with index k draws from ``substream(seed, k, r)``."""
+def _replicate(work: tuple, i: int) -> Any:
+    """The kernel result of the run's replicate ``i``; replicate r of the
+    cell with index k draws from ``substream(seed, k, r)``."""
     from .rng import substream
 
-    kernel, cells, seed = work
+    kernel, cells, seed, replicates = work
+    position, rep = divmod(i, replicates)
     cell_index, seq = cells[position]
     try:
         return kernel(seq, substream(seed, cell_index, rep))
@@ -339,100 +342,86 @@ def _replicate(work: tuple, position: int, rep: int) -> Any:
         raise _KernelMemoryError(cell_index) from exc
 
 
-def _chunk(position: int, reps: range) -> list:
-    """In a pool worker, kernel results for replicates ``reps`` of cell
-    ``position``."""
-    return [_replicate(_WORK, position, rep) for rep in reps]
-
-
-def _in_parent(work: tuple, tasks: list[tuple[int, range]], results: list[list],
-               budget: float) -> tuple[int, float, list[tuple[int, range]]]:
-    """Run ``tasks`` in order into ``results`` until ``budget`` seconds have
-    passed since the first replicate ended, while more than one task is
-    left.  Returns the replicates run, the ``time.perf_counter()`` at which
-    the first of them ended, and the tasks left, a task cut short as its
-    remainder."""
-    first_end = deadline = math.inf
-    done = 0
-    for i, (position, reps) in enumerate(tasks):
-        for j, rep in enumerate(reps):
-            if i < len(tasks) - 1 and time.perf_counter() >= deadline:
-                return done, first_end, [(position, reps[j:])] + tasks[i + 1:]
-            results[position].append(_replicate(work, position, rep))
-            done += 1
-            if done == 1:
-                first_end = time.perf_counter()
-                deadline = first_end + budget
-    return done, first_end, []
+def _chunk(lo: int, hi: int, work: tuple = ()) -> list:
+    """Kernel results of the run's replicates ``lo`` to ``hi - 1``; a pool
+    worker passes no ``work`` and reads the one its initializer set."""
+    return [_replicate(work or _WORK, i) for i in range(lo, hi)]
 
 
 def _seconds_left(elapsed: float, cells: list[tuple[int, DegreeSequence]],
-                  tasks: list[tuple[int, range]],
-                  left: list[tuple[int, range]]) -> float:
-    """Seconds the replicates of ``left`` would take in the parent, which has
-    run the rest of ``tasks`` and spent ``elapsed`` seconds on them after its
-    first replicate (that one pays the one-time imports): ``elapsed`` scaled
-    by the core points left over the core points timed, a replicate of a cell
-    counting its sequence's ``n_core_points`` (at least 1: a replicate with
-    no core still costs a call).  Infinite when no replicate was timed."""
-    weight = [max(seq.n_core_points, 1) for _, seq in cells]
+                  replicates: int, done: int) -> float:
+    """Seconds the run's replicates from ``done`` on would take in the
+    parent, which spent ``elapsed`` seconds on replicates 1 to ``done - 1``
+    (replicate 0 pays the one-time imports): ``elapsed`` scaled by the core
+    points left over the core points timed, a replicate of a cell counting
+    its sequence's ``n_core_points`` (at least 1: a replicate with no core
+    still costs a call).  Infinite when no replicate was timed."""
+    def points(lo: int, hi: int) -> int:
+        return sum(max(seq.n_core_points, 1)
+                   * max(0, min(hi, (k + 1) * replicates) - max(lo, k * replicates))
+                   for k, (_, seq) in enumerate(cells))
 
-    def points(tasks: list[tuple[int, range]]) -> int:
-        return sum(len(reps) * weight[position] for position, reps in tasks)
-
-    timed = points(tasks) - points(left) - weight[tasks[0][0]]
-    return elapsed * points(left) / timed if timed else math.inf
+    timed, left = points(1, done), points(done, len(cells) * replicates)
+    return elapsed * left / timed if timed else math.inf
 
 
 def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
                 seed: int, replicates: int, workers: int) -> list[list]:
     """Each cell's ``replicates`` kernel results, in replicate order.
 
-    The work is cut into about four tasks a worker for each
-    ``(cell_index, sequence)`` cell.  The parent runs them itself until
-    ``_POOL_START_S`` has passed since its first replicate ended (that one
-    pays the one-time imports of numpy and the samplers, which the workers
-    then inherit).  If more than one task is left, it estimates the seconds
-    they would still take it (``_seconds_left``), and a pool of at most
-    ``workers`` processes takes them only if it would save more than
-    ``_POOL_START_S``: ``left × (1 − 1/pool workers)``.  Otherwise the parent
-    finishes them.  ``workers`` is first capped at the CPUs this process may
-    run on: a fork pool starts all its processes at once.
+    The ``(cell_index, sequence)`` cells' replicates form one queue, cell by
+    cell.  The parent runs it from the start until ``_POOL_START_S`` has
+    passed since its first replicate ended (that one pays the one-time
+    imports of numpy and the samplers, which the workers then inherit).  If
+    two or more replicates are left, it estimates the seconds they would
+    still take it (``_seconds_left``), and a pool of at most ``workers``
+    processes takes them, in about four ranges a worker, only if it would
+    save more than ``_POOL_START_S``: ``left × (1 − 1/pool workers)``.
+    Otherwise the parent finishes them.  ``workers`` is first capped at the
+    CPUs this process may run on: a fork pool starts all its processes at
+    once.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(workers, cpus)
-    size = math.ceil(replicates / min(replicates, workers * 4))
-    tasks = [(position, range(lo, min(lo + size, replicates)))
-             for position in range(len(cells)) for lo in range(0, replicates, size)]
-    work = (kernel, cells, seed)
-    results: list[list] = [[] for _ in cells]
-    done, first_end, left = _in_parent(work, tasks, results,
-                                       _POOL_START_S if workers > 1 else math.inf)
-    if not left:
+    work = (kernel, cells, seed, replicates)
+    total = len(cells) * replicates
+    budget = _POOL_START_S if workers > 1 else math.inf
+    results: list = []
+    first_end = deadline = math.inf
+    while len(results) < total:
+        if total - len(results) >= 2 and time.perf_counter() >= deadline:
+            break
+        results.append(_replicate(work, len(results)))
+        if len(results) == 1:
+            first_end = time.perf_counter()
+            deadline = first_end + budget
+    done = len(results)
+    if done == total:
         log.info("replicates: %d in the parent, serial", done)
-        return results
-    pool_workers = min(workers, len(left))
-    left_s = _seconds_left(time.perf_counter() - first_end, cells, tasks, left)
-    saving = left_s * (1 - 1 / pool_workers)
-    pooled = saving > _POOL_START_S
-    if pooled:
-        log.info("replicates: %d in the parent, %d tasks to a pool of %d workers",
-                 done, len(left), pool_workers)
     else:
-        log.info("replicates: %d in the parent, serial", replicates * len(cells))
-    log.info("pool: ~%.0f ms left, a pool of %d saves ~%.0f ms, costs %.0f ms",
-             1e3 * left_s, pool_workers, 1e3 * saving, 1e3 * _POOL_START_S)
-    if pooled:
-        _in_pool(work, left, results, pool_workers)
-    else:
-        _in_parent(work, left, results, math.inf)
-    return results
+        pool_workers = min(workers, total - done)
+        left_s = _seconds_left(time.perf_counter() - first_end, cells, replicates,
+                               done)
+        saving = left_s * (1 - 1 / pool_workers)
+        size = math.ceil((total - done) / (4 * pool_workers))
+        ranges = [(lo, min(lo + size, total)) for lo in range(done, total, size)]
+        pooled = saving > _POOL_START_S
+        if pooled:
+            log.info("replicates: %d in the parent, %d tasks to a pool of %d "
+                     "workers", done, len(ranges), pool_workers)
+        else:
+            log.info("replicates: %d in the parent, serial", total)
+        log.info("pool: ~%.0f ms left, a pool of %d saves ~%.0f ms, costs %.0f ms",
+                 1e3 * left_s, pool_workers, 1e3 * saving, 1e3 * _POOL_START_S)
+        results += (_in_pool(work, ranges, pool_workers) if pooled
+                    else _chunk(done, total, work))
+    return [results[lo:lo + replicates] for lo in range(0, total, replicates)]
 
 
-def _in_pool(work: tuple, tasks: list[tuple[int, range]], results: list[list],
-             workers: int) -> None:
-    """Run ``tasks`` on a pool of ``workers`` processes into ``results``."""
+def _in_pool(work: tuple, ranges: list[tuple[int, int]], workers: int) -> list:
+    """Kernel results of the replicates of ``ranges``, in order, from a pool
+    of ``workers`` processes."""
     import multiprocessing  # a serial run never loads it
     from concurrent.futures import ProcessPoolExecutor
 
@@ -442,8 +431,7 @@ def _in_pool(work: tuple, tasks: list[tuple[int, range]], results: list[list],
                if "fork" in multiprocessing.get_all_start_methods() else None)
     with ProcessPoolExecutor(workers, mp_context=context,
                              initializer=_init_worker, initargs=work) as pool:
-        for (position, _), chunk in zip(tasks, pool.map(_chunk, *zip(*tasks))):
-            results[position] += chunk
+        return list(itertools.chain.from_iterable(pool.map(_chunk, *zip(*ranges))))
 
 
 def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, int, int]:
@@ -593,14 +581,24 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
     return rows, cells, verdicts
 
 
+def _tracked_degrees(config: ExperimentConfig, seq: DegreeSequence) -> tuple[int, ...]:
+    """The degrees up to ``trajectory_j_max`` that occur in ``seq``, in
+    order, refused if there is none: with no degree to track, no verdict."""
+    j_max = config.tolerances["trajectory_j_max"]
+    track = tuple(sorted(j for j in seq.histogram if j <= j_max))
+    if not track:
+        raise ConfigError(f"tolerances.trajectory_j_max: no degree <= {j_max} "
+                          "occurs in the sequence, so no degree to track")
+    return track
+
+
 def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     seq = resolve_degrees(config.degrees)
+    track = _tracked_degrees(config, seq)
     dist = empirical_distribution(seq)
     tol = config.tolerances
-    j_max = tol["trajectory_j_max"]
     # the first max-degree vertex: that root stresses the path most
     root = seq.max_degree_vertex
-    track = tuple(sorted(j for j in dist.counts if j <= j_max))
     kernel = partial(_deviations, root=root, dist=dist, track=track)
     (results,) = _replicates(kernel, [(0, seq)], config.seed, config.replicates,
                              config.workers)
@@ -682,15 +680,9 @@ _MODE_RUNNERS = {
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
-    def fmt(x):
-        if isinstance(x, float):
-            return repr(x)
-        return x
-
+    """``rows`` as CSV; ``csv.writer`` writes a float as its ``repr``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def run(config: ExperimentConfig) -> RunSummary:
@@ -740,6 +732,8 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         seq = resolve_degrees(spec)
         if config.mode == "oracle_validation":
             _oracle_pairs(config, seq)
+        elif config.mode == "trajectory":
+            _tracked_degrees(config, seq)
     dist = empirical_distribution(seq)
     nu_value = nu(dist)
     p_simple = predicted_simple_probability(nu_value)
@@ -754,12 +748,14 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "molloy_reed_sum": molloy_reed_sum(dist),
         "predicted_p_simple": p_simple,
         "predicted_attempts": attempts if math.isfinite(attempts) else None,
-        # lower bound: the per-point arrays of one replicate, namely the int32
-        # core labels, the int32 labels gathered through them or placed by slot,
-        # and int64 points: a Pairing's pairs, the permutation of a sequence
-        # with no degree-1 vertex, or the slot range rng.choice shuffles to
-        # place a core of over about 2m/50 points (a smaller core needs
-        # none); ignores other temporaries and objects
+        # the per-point arrays of one replicate that samples a pairing, namely
+        # the int32 core labels, the int32 labels gathered through them or
+        # placed by slot, and int64 points: a Pairing's pairs, the permutation
+        # of a sequence with no degree-1 vertex, or the slot range rng.choice
+        # shuffles to place a core of over about 2m/50 points (a smaller core
+        # needs none); ignores other temporaries and objects, so it is a lower
+        # bound for the modes that sample pairings, but no bound for
+        # trajectory, whose exploration allocates none of these arrays
         "memory_estimate_bytes": seq.two_m * 16,
     }
     if "gamma" in spec:  # a subpower spec or grid cell

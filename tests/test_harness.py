@@ -1003,6 +1003,31 @@ def test_refused_oracle_run_leaves_no_output_dir(tmp_path, capsys, degrees,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("degrees,tolerances", [
+    ({"kind": "regular", "n": 100, "d": 8}, {}),  # over the default 5
+    ({"kind": "explicit", "degrees": [3, 3, 2, 2]}, {"trajectory_j_max": 1}),
+])
+def test_trajectory_with_no_degree_to_track_is_refused(tmp_path, capsys,
+                                                        degrees, tolerances):
+    # with no degree j <= trajectory_j_max there is no verdict, so ``run``
+    # and ``describe`` refuse the config before any replicate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "trajectory", "replicates": 5, "seed": 3,
+        "output_dir": str(tmp_path / "out"), "degrees": degrees,
+        "tolerances": tolerances,
+    }))
+    for command in ("run", "describe"):
+        assert cli_main([command, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: tolerances.trajectory_j_max:")
+    assert not (tmp_path / "out").exists()
+    argvs = [[command, "-c", str(cfg)] for command in ("run", "describe")]
+    codes, mods = _cli_modules(tmp_path, argvs)
+    assert codes == [2, 2]
+    assert "numpy" not in mods  # refused before any replicate
+
+
 # Arbitrary JSON merged into a small valid config must give exit 0, 1 or 2,
 # never a traceback.  Integers stay small so that no draw enumerates or
 # samples a large instance; tolerance values stay at most 6 so that an
@@ -1145,8 +1170,16 @@ def test_artifact_digests_through_pool(tmp_path, monkeypatch):
 @pytest.mark.usefixtures("two_cpus")
 def test_pool_takes_over_partway_through_a_task(tmp_path, monkeypatch, caplog):
     # a clock that ticks once a read: the parent runs 3 replicates, then
-    # hands the rest to the pool; poisson and oracle have 8 tasks of 8 and
-    # 38 replicates, so their first task goes over cut short
+    # hands the rest to the pool in ranges of ceil(left / 8); scaling's 29
+    # left of 4 cells of 8 go in ranges of 4, so some range spans two cells
+    ranges = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables):
+            ranges.append(list(zip(*iterables)))
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     ticks = itertools.count()
     monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
     monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 2.5)
@@ -1155,10 +1188,13 @@ def test_pool_takes_over_partway_through_a_task(tmp_path, monkeypatch, caplog):
     assert [r.getMessage() for r in caplog.records
             if r.getMessage().startswith("replicates:")] == [
         "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
-        "replicates: 3 in the parent, 29 tasks to a pool of 2 workers",
+        "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
         "replicates: 3 in the parent, 3 tasks to a pool of 2 workers",
         "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
     ]
+    scaling = ranges[1]
+    assert scaling[0] == (3, 7) and scaling[-1] == (31, 32)
+    assert any(lo // 8 != (hi - 1) // 8 for lo, hi in scaling)
 
 
 class _NoPool:
@@ -1329,25 +1365,24 @@ def test_saving_above_cost_starts_a_pool(tmp_path, monkeypatch, caplog):
 
 
 def test_seconds_left_scales_with_core_points():
-    # the parent has run the small cell of a two-cell grid; the big cell's
-    # replicates weigh their core points, not a replicate each
+    # the parent has run the small cell of a two-cell grid of 8 replicates a
+    # cell; the big cell's replicates weigh their core points, not a
+    # replicate each
     small, big = (build_subpower_sequence(n, 3.5, 1.0, 0.9)
                   for n in (1_000, 100_000))
     cells = [(0, small), (1, big)]
-    tasks = [(position, range(lo, lo + 4)) for position in (0, 1) for lo in (0, 4)]
     ratio = big.n_core_points / small.n_core_points
     assert ratio > 50
-    left = pairlab.harness._seconds_left(0.007, cells, tasks, tasks[2:])
+    left = pairlab.harness._seconds_left(0.007, cells, 8, 8)
     assert left == pytest.approx(0.007 * 8 * ratio / 7)
-    # a task cut short: 5 small replicates timed, 3 small and 8 big left
-    left = pairlab.harness._seconds_left(
-        0.005, cells, tasks, [(0, range(6, 8))] + tasks[2:])
+    # a window that ends inside a cell: replicates 1-5 timed, 2 small and
+    # 8 big left
+    left = pairlab.harness._seconds_left(0.005, cells, 8, 6)
     assert left == pytest.approx(0.005 * (2 + 8 * ratio) / 5)
     # one cell, with a core or without: replicates left over replicates timed
     for seq in (small, DegreeSequence((1,) * 20_000)):
-        assert pairlab.harness._seconds_left(
-            0.004, [(0, seq)], tasks[:2], [(0, range(5, 8))]
-        ) == pytest.approx(0.004 * 3 / 4)
+        assert pairlab.harness._seconds_left(0.004, [(0, seq)], 8, 5
+                                             ) == pytest.approx(0.004 * 3 / 4)
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -1518,3 +1553,13 @@ def test_readme_names_every_mode_and_degree_kind():
     assert [m for m in MODES if f"- `{m}` — " not in readme] == []
     assert [k for k in pairlab.harness._DEGREE_KINDS
             if f'{{"kind": "{k}", ' not in readme] == []
+
+
+def test_readme_window_is_the_pool_start_cost():
+    # the dispatch paragraph is the Harness + CLI bullet; each window it
+    # states in ms is ``_POOL_START_S``, so a re-measure leaves none stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = readme.split("- **Harness + CLI**", 1)[1].split("\n\n", 1)[0]
+    windows = [float(ms) for ms in re.findall(r"(\d+(?:\.\d+)?) ms\b", bullet)]
+    assert len(windows) >= 2
+    assert windows == [1e3 * pairlab.harness._POOL_START_S] * len(windows)
