@@ -11,12 +11,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .degree_model import EmpiricalDistribution, predicted_simple_probability
 from .exploration import ExplorationTrace, StateSnapshot
-from .pairing import ComponentReport
+
+if TYPE_CHECKING:
+    from .pairing import ComponentReport
 
 
 class HorizonExceededError(ValueError):

@@ -24,11 +24,14 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .degree_model import DegreeSequence
-from .pairing import Pairing
+
+if TYPE_CHECKING:
+    from .pairing import Pairing
 
 
 class ConservationError(AssertionError):
@@ -227,6 +230,8 @@ class ExplorationState:
 
     def finished_pairing(self) -> Pairing:
         """The completed pairing after a full decomposition."""
+        from .pairing import Pairing  # an exploration alone needs no sampler
+
         if self._size:
             raise RuntimeError("pairing incomplete")
         pairs = np.array(sorted(map(sorted, self.pairs)), dtype=np.int64)

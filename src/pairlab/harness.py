@@ -1,8 +1,8 @@
 """Declarative experiment runner with seeded, scheduling-independent output.
 
 A config (JSON file) picks a mode, a degree specification, a replicate count
-and a seed; ``run`` executes the replicates (in the parent, handing the rest
-to a process pool only when the pool would save more than it costs),
+and a seed; ``run`` executes the replicates (in the parent, sharing the rest
+with forked workers only when that would save more than it costs),
 writes a records CSV plus a summary JSON, and returns pass/fail verdicts with
 the tolerances that produced them.  Replicate streams come from
 ``substream(seed, cell_index, replicate_index)``, so artifacts are
@@ -24,11 +24,13 @@ import logging
 import math
 import os
 import statistics
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Collection, Iterator, NamedTuple
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterator, NamedTuple,
+                    NoReturn)
 
 from . import __version__
 from .degree_model import (
@@ -302,26 +304,23 @@ class RunSummary:
 #
 # A kernel ``(seq, rng) -> result`` does one replicate.  The run's replicates
 # form one queue: replicate i is replicate ``i % replicates`` of the cell at
-# position ``i // replicates``.  The parent runs a prefix of the queue, and a
-# pool task is a range of what is left; the kernel, the cells, the seed and
-# the replicate count reach each pool worker once, through its initializer.
+# position ``i // replicates``.  The parent runs a prefix of the queue, and
+# it may share the rest, cut into ranges, with workers it forks; they inherit
+# the kernel, the cells and the seed, so no sequence is pickled.
 
-# What a replicate pool costs, measured on a 2-core VM (Python 3.11, fork;
-# medians of two series of 11 and 21 fresh processes that had imported numpy
-# and the samplers and built scaling's six cells): importing multiprocessing
-# and concurrent.futures, which only the pool path does, 17-21 ms, then
-# starting 2 workers with the cells in their initializer, running 4 trivial
-# tasks and shutting the pool down, 16-18 ms.  Rounded up from those
-# 32-39 ms, because a pool of scaling's real tasks took 77-146 ms (median
-# 121, 8 runs) for tasks the parent alone finished in 30-70 ms (median 48).
+# What sharing the replicates left costs, measured on a 2-core VM (Python
+# 3.11; fresh processes that had imported numpy and the samplers, built
+# scaling's six cells and run a replicate): 2-3 ms from the fork to a worker
+# running, 4-5 ms more when the package's at-fork hook still has a sampling
+# module to import, and 0.3-0.5 ms to join a worker.  Two processes on the 2
+# cores each run a replicate about 30-40% slower than one alone, so a share
+# of 2 saves about a third of the time left, not the half that
+# ``left × (1 − 1/W)`` counts.  The 45 ms measured for the process pool this
+# share replaced is kept as the cost: it shares only work of more than 90 ms
+# at 2 workers, which the slowdown still cuts by about 30 ms, and it keeps
+# scaling's and trajectory's sub-100 ms runs serial, where no lower value
+# was timed to be no slower.
 _POOL_START_S = 0.045
-
-_WORK: tuple = ()  # (kernel, cells, seed, replicates) inside a pool worker
-
-
-def _init_worker(*work) -> None:
-    global _WORK
-    _WORK = work
 
 
 class _KernelMemoryError(Exception):
@@ -340,12 +339,6 @@ def _replicate(work: tuple, i: int) -> Any:
         return kernel(seq, substream(seed, cell_index, rep))
     except MemoryError as exc:
         raise _KernelMemoryError(cell_index) from exc
-
-
-def _chunk(lo: int, hi: int, work: tuple = ()) -> list:
-    """Kernel results of the run's replicates ``lo`` to ``hi - 1``; a pool
-    worker passes no ``work`` and reads the one its initializer set."""
-    return [_replicate(work or _WORK, i) for i in range(lo, hi)]
 
 
 def _seconds_left(elapsed: float, cells: list[tuple[int, DegreeSequence]],
@@ -370,68 +363,149 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
     """Each cell's ``replicates`` kernel results, in replicate order.
 
     The ``(cell_index, sequence)`` cells' replicates form one queue, cell by
-    cell.  The parent runs it from the start until ``_POOL_START_S`` has
-    passed since its first replicate ended (that one pays the one-time
-    imports of numpy and the samplers, which the workers then inherit).  If
-    two or more replicates are left, it estimates the seconds they would
-    still take it (``_seconds_left``), and a pool of at most ``workers``
-    processes takes them, in about four ranges a worker, only if it would
-    save more than ``_POOL_START_S``: ``left × (1 − 1/pool workers)``.
-    Otherwise the parent finishes them.  ``workers`` is first capped at the
-    CPUs this process may run on: a fork pool starts all its processes at
-    once.
+    cell, and the parent runs it from the start.  Its first replicate pays
+    the one-time imports of numpy and the samplers, which forked workers
+    then inherit; the replicates after it are timed.  While two or more
+    replicates are left, the parent estimates the seconds they would still
+    take it (``_seconds_left``) and shares them with forked workers, W
+    processes in all, only if that would save more than ``_POOL_START_S``:
+    ``left × (1 − 1/W)``.  It decides after each replicate from the third
+    on when the replicates timed and left are all of the cell it is running,
+    as in a one-cell run, and otherwise once ``_POOL_START_S`` has passed
+    since its first replicate ended, so that small cells never vouch for
+    large ones.  Once that window has ended without a share, the parent
+    finishes the run.  ``workers`` is first capped at the CPUs this process
+    may run on; without ``os.fork``, or in a process that runs threads (a
+    forked worker would inherit only the thread that forked it), the run is
+    serial.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        cpus = 1
     workers = min(workers, cpus)
     work = (kernel, cells, seed, replicates)
     total = len(cells) * replicates
-    budget = _POOL_START_S if workers > 1 else math.inf
     results: list = []
-    first_end = deadline = math.inf
+    first_end = math.inf  # when replicate 0 ended
     while len(results) < total:
-        if total - len(results) >= 2 and time.perf_counter() >= deadline:
-            break
-        results.append(_replicate(work, len(results)))
-        if len(results) == 1:
+        done = len(results)
+        if workers > 1 and total - done >= 2:
+            now = time.perf_counter()
+            window_over = now - first_end >= _POOL_START_S
+            if window_over or (len(cells) == 1 and done >= 3):
+                processes = min(workers, total - done)
+                left_s = _seconds_left(now - first_end, cells, replicates, done)
+                saving = left_s * (1 - 1 / processes)
+                if saving > _POOL_START_S or window_over:
+                    break
+        results.append(_replicate(work, done))
+        if not done:
             first_end = time.perf_counter()
-            deadline = first_end + budget
     done = len(results)
     if done == total:
         log.info("replicates: %d in the parent, serial", done)
     else:
-        pool_workers = min(workers, total - done)
-        left_s = _seconds_left(time.perf_counter() - first_end, cells, replicates,
-                               done)
-        saving = left_s * (1 - 1 / pool_workers)
-        size = math.ceil((total - done) / (4 * pool_workers))
+        # as many ranges as a one-byte range number can name, so that the
+        # processes of a share finish within one range of each other
+        size = math.ceil((total - done) / 256)
         ranges = [(lo, min(lo + size, total)) for lo in range(done, total, size)]
-        pooled = saving > _POOL_START_S
-        if pooled:
+        shared = saving > _POOL_START_S
+        if shared:
             log.info("replicates: %d in the parent, %d tasks to a pool of %d "
-                     "workers", done, len(ranges), pool_workers)
+                     "workers", done, len(ranges), processes)
         else:
             log.info("replicates: %d in the parent, serial", total)
         log.info("pool: ~%.0f ms left, a pool of %d saves ~%.0f ms, costs %.0f ms",
-                 1e3 * left_s, pool_workers, 1e3 * saving, 1e3 * _POOL_START_S)
-        results += (_in_pool(work, ranges, pool_workers) if pooled
-                    else _chunk(done, total, work))
+                 1e3 * left_s, processes, 1e3 * saving, 1e3 * _POOL_START_S)
+        results += (_share(work, ranges, processes) if shared
+                    else [_replicate(work, i) for i in range(done, total)])
     return [results[lo:lo + replicates] for lo in range(0, total, replicates)]
 
 
-def _in_pool(work: tuple, ranges: list[tuple[int, int]], workers: int) -> list:
-    """Kernel results of the replicates of ``ranges``, in order, from a pool
-    of ``workers`` processes."""
-    import multiprocessing  # a serial run never loads it
-    from concurrent.futures import ProcessPoolExecutor
+def _claim(queue: int, ranges: list[tuple[int, int]], work: tuple
+           ) -> tuple[dict[int, list], float]:
+    """The kernel results of each range this process claims from the pipe
+    ``queue``, by range number, until the pipe is empty, and the seconds
+    spent on them.  Each range number is one byte, and a one-byte read is
+    atomic, so one process claims it."""
+    results: dict[int, list] = {}
+    busy = 0.0
+    while claimed := os.read(queue, 1):
+        start = time.perf_counter()
+        lo, hi = ranges[claimed[0]]
+        results[claimed[0]] = [_replicate(work, i) for i in range(lo, hi)]
+        busy += time.perf_counter() - start
+    return results, busy
 
-    # the start method that ``_POOL_START_S`` was measured with, where the
-    # platform has it
-    context = (multiprocessing.get_context("fork")
-               if "fork" in multiprocessing.get_all_start_methods() else None)
-    with ProcessPoolExecutor(workers, mp_context=context,
-                             initializer=_init_worker, initargs=work) as pool:
-        return list(itertools.chain.from_iterable(pool.map(_chunk, *zip(*ranges))))
+
+def _work_in_child(queue: int, ranges: list[tuple[int, int]], work: tuple,
+                   out: int) -> NoReturn:
+    """A forked worker's life: claim ranges, write a pickle of what
+    ``_claim`` returns, or of the ``Exception`` it raised, to the pipe
+    ``out``, and exit with status 0 only if that pickle was written whole."""
+    import pickle  # loaded by ``_share`` before it forked
+
+    status = 1
+    try:
+        try:
+            result: Any = _claim(queue, ranges, work)
+        except Exception as exc:  # the parent re-raises it
+            result = exc
+        with open(out, "wb") as fh:
+            pickle.dump(result, fh)
+        status = 0
+    finally:  # never return into the parent's code
+        os._exit(status)
+
+
+def _share(work: tuple, ranges: list[tuple[int, int]], processes: int) -> list:
+    """Kernel results of the replicates of ``ranges``, in order, from this
+    process and ``processes - 1`` forked workers, which claim the ranges from
+    one pipe.  A worker's error is re-raised here; on any error, and on an
+    interrupt, the workers still running are killed, and every worker is
+    waited for."""
+    import pickle  # a serial run never loads these
+    import signal
+
+    start = time.perf_counter()
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(ranges))))
+    os.close(fill)
+    workers: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(processes - 1):
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work_in_child(queue, ranges, work, out_w)
+            os.close(out_w)
+            workers[pid] = out_r
+        results, busy = _claim(queue, ranges, work)
+        worker_busy = []
+        for pid, out_r in list(workers.items()):
+            with open(out_r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(workers.pop(pid))
+            if status or not data:
+                raise RuntimeError(f"replicate worker {pid} exited with status "
+                                   f"{status} without a result")
+            result = pickle.loads(data)  # written by a worker forked above
+            if isinstance(result, Exception):
+                raise result
+            results.update(result[0])
+            worker_busy.append(result[1])
+    finally:
+        os.close(queue)
+        for pid, out_r in workers.items():
+            os.close(out_r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    log.info("share: wall %.0f ms; busy %.0f ms in the parent, %s ms in the "
+             "workers", 1e3 * (time.perf_counter() - start), 1e3 * busy,
+             ", ".join(f"{1e3 * b:.0f}" for b in worker_busy))
+    return [r for k in range(len(ranges)) for r in results[k]]
 
 
 def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, int, int]:

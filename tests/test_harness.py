@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -11,13 +10,14 @@ import math
 import os
 import pickle
 import re
+import signal
 import statistics
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from pairlab.harness import (
     MODES,
     ConfigError,
     ExperimentConfig,
+    RunSummary,
     describe,
     resolve_degrees,
     run,
@@ -461,17 +462,16 @@ class TestScalingMode:
 
     @pytest.mark.usefixtures("two_cpus")
     def test_pool_tasks_carry_no_sequence(self, tmp_path, monkeypatch):
-        # the sequences reach each worker once, through the pool's
-        # initializer; a task names a cell and a replicate range only
+        # the worker inherits the sequences through the fork; a task is a
+        # one-byte range number written to the queue pipe, and what comes
+        # back is the pickle of the worker's results
         monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
-        task_bytes = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                task_bytes.append(len(pickle.dumps((fn, args, kwargs))))
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        writes, result_bytes = [], []
+        write, loads = os.write, pickle.loads
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: writes.append(bytes(data)) or write(fd, data))
+        monkeypatch.setattr(pickle, "loads",
+                            lambda data: result_bytes.append(len(data)) or loads(data))
         seq = build_subpower_sequence(100_000, 3.5, 1.0, 0.9)
         assert len(pickle.dumps(seq)) > 100_000
         summary = run(ExperimentConfig.from_dict({
@@ -480,9 +480,10 @@ class TestScalingMode:
             "grid": {"gammas": [3.5], "sizes": [100_000]},
         }))
         assert "error" not in summary.cells[0]
-        # four one-replicate tasks; the parent runs the first
-        assert len(task_bytes) == 3
-        assert max(task_bytes) < 1024
+        # four one-replicate tasks; the parent runs the first, and the queue
+        # holds the other three, each a one-byte range number
+        assert writes == [bytes([0, 1, 2])]
+        assert len(result_bytes) == 1 and max(result_bytes) < 1024
 
 
 class TestDeterminism:
@@ -902,8 +903,9 @@ def test_serial_trajectory_run_loads_no_pool_and_no_numpy_ma(tmp_path):
                      "c": 1.0, "target_nu": 0.9}},
     ])
     assert codes in ([0], [1])  # ran to verdicts
-    assert [m for m in mods if m.split(".")[0] == "multiprocessing"
-            or m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+    # nor the sampler, whose module a process would compile for nothing
+    assert [m for m in mods if m.split(".")[0] in ("multiprocessing", "concurrent")
+            or m in ("numpy.ma", "pairlab.pairing") or m.startswith("numpy.ma.")] == []
 
 
 @given(st.lists(st.floats(0, 1), min_size=1, max_size=40))
@@ -1170,36 +1172,42 @@ def test_artifact_digests_through_pool(tmp_path, monkeypatch):
 @pytest.mark.usefixtures("two_cpus")
 def test_pool_takes_over_partway_through_a_task(tmp_path, monkeypatch, caplog):
     # a clock that ticks once a read: the parent runs 3 replicates, then
-    # hands the rest to the pool in ranges of ceil(left / 8); scaling's 29
-    # left of 4 cells of 8 go in ranges of 4, so some range spans two cells
+    # shares the rest with a forked worker in ranges of ceil(left / 256),
+    # one replicate each but for the oracle's 297 left
     ranges = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def map(self, fn, *iterables):
-            ranges.append(list(zip(*iterables)))
-            return super().map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    share = pairlab.harness._share
+    monkeypatch.setattr(pairlab.harness, "_share", lambda work, cut, processes: (
+        ranges.append(cut) or share(work, cut, processes)))
     ticks = itertools.count()
     monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
-    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 2.5)
+    # trajectory's 3 left would take 4.5 ticks, a share saves 2.25
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 2.2)
     caplog.set_level(logging.INFO, logger="pairlab.harness")
     assert _digests(tmp_path, workers=2) == ARTIFACT_DIGESTS
     assert [r.getMessage() for r in caplog.records
             if r.getMessage().startswith("replicates:")] == [
-        "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
-        "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
+        "replicates: 3 in the parent, 57 tasks to a pool of 2 workers",
+        "replicates: 3 in the parent, 29 tasks to a pool of 2 workers",
         "replicates: 3 in the parent, 3 tasks to a pool of 2 workers",
-        "replicates: 3 in the parent, 8 tasks to a pool of 2 workers",
+        "replicates: 3 in the parent, 149 tasks to a pool of 2 workers",
     ]
-    scaling = ranges[1]
-    assert scaling[0] == (3, 7) and scaling[-1] == (31, 32)
-    assert any(lo // 8 != (hi - 1) // 8 for lo, hi in scaling)
+    _, scaling, _, oracle = ranges
+    # scaling's 29 left of 4 cells of 8, in queue order across the cells
+    assert scaling == [(i, i + 1) for i in range(3, 32)]
+    assert oracle[0] == (3, 5) and oracle[-1] == (299, 300)
+    # past 256 left a range holds more than one replicate, and one may
+    # span two cells: 3 cells of 100, shared after 3 replicates
+    monkeypatch.setattr(pairlab.harness, "_share", lambda work, cut, processes: (
+        ranges.append(cut) or [0] * 297))
+    seq = DegreeSequence.from_runs([(3, 4)])
+    pairlab.harness._replicates(lambda seq, rng: 0, [(k, seq) for k in range(3)],
+                                1, 100, 2)
+    assert ranges[-1][0] == (3, 5) and ranges[-1][-1] == (299, 300)
+    assert any(lo // 100 != (hi - 1) // 100 for lo, hi in ranges[-1])
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a pool was started")
+def _no_fork():
+    raise AssertionError("a worker was forked")
 
 
 _SMALL_POISSON = {"mode": "poisson_check", "replicates": 4, "seed": 5,
@@ -1209,7 +1217,7 @@ _SMALL_POISSON = {"mode": "poisson_check", "replicates": 4, "seed": 5,
 def test_run_within_budget_starts_no_pool(tmp_path, monkeypatch):
     # four replicates of well under a millisecond each fit the pool's
     # start-up cost, so a 2-worker run does them in the parent
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     blobs = []
     for workers in (1, 2):
         summary = run(ExperimentConfig.from_dict(
@@ -1220,7 +1228,7 @@ def test_run_within_budget_starts_no_pool(tmp_path, monkeypatch):
 
 
 def test_one_worker_never_starts_a_pool(tmp_path, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
     run(ExperimentConfig.from_dict(
         {**_SMALL_POISSON, "workers": 1, "output_dir": str(tmp_path)}))
@@ -1230,27 +1238,19 @@ def test_one_worker_never_starts_a_pool(tmp_path, monkeypatch):
                          ids=["sched_getaffinity", "cpu_count"])
 def test_pool_asks_for_no_more_processes_than_cpus(tmp_path, monkeypatch,
                                                    affinity):
-    # a fork pool starts every process it is asked for at once; this
-    # stand-in records the count and runs the tasks in this process
+    # a share forks every worker it is sized for at once; this stand-in
+    # for the share records its size and runs the ranges in this process,
+    # and no worker is forked
     asked = []
 
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            asked.append(max_workers)
-            initializer(*initargs)
+    def in_process(work, ranges, processes):
+        asked.append(processes)
+        return [pairlab.harness._replicate(work, i)
+                for lo, hi in ranges for i in range(lo, hi)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(pairlab.harness, "_share", in_process)
+    monkeypatch.setattr(os, "fork", _no_fork)
     monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
-    monkeypatch.setattr(pairlab.harness, "_WORK", ())  # restored afterwards
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     else:
@@ -1271,31 +1271,37 @@ def test_pool_asks_for_no_more_processes_than_cpus(tmp_path, monkeypatch,
 @pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux's pool")
 @pytest.mark.usefixtures("two_cpus")
 def test_pool_starts_with_fork(tmp_path, monkeypatch):
-    # ``_POOL_START_S`` was measured for a fork pool, so the pool must use
-    # fork whatever the interpreter's default start method is
-    contexts = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, mp_context=None, **kwargs):
-            contexts.append(mp_context)
-            super().__init__(*args, mp_context=mp_context, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # ``_POOL_START_S`` was measured for forked workers, so a share of 2
+    # processes must fork its one worker, whatever the interpreter's default
+    # multiprocessing start method is
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
     monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
     run(ExperimentConfig.from_dict(
         {**_SMALL_POISSON, "workers": 2, "output_dir": str(tmp_path)}))
-    assert [c.get_start_method() for c in contexts] == ["fork"]
+    assert forks == [os.getpid()]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="fork is Linux's pool")
 @pytest.mark.usefixtures("two_cpus")
 def test_fork_pool_pickles_no_sequence(tmp_path, monkeypatch, caplog):
-    # fork workers inherit the cells, point maps included; only the spawn
-    # and forkserver start methods pickle them, through ``__getstate__``
-    pickled = []
+    # forked workers inherit the cells, point maps included; a pickle of a
+    # sequence, in this process or a worker, goes through ``__getstate__``,
+    # which notes it in a file that the workers' notes reach too
+    notes = tmp_path / "pickled"
+    notes.touch()
     getstate = DegreeSequence.__getstate__
-    monkeypatch.setattr(DegreeSequence, "__getstate__",
-                        lambda self: pickled.append(self.n) or getstate(self))
+
+    def noting(self):
+        with open(notes, "a") as fh:
+            fh.write(f"{self.n}\n")
+        return getstate(self)
+
+    def pickled():
+        return [int(line) for line in notes.read_text().split()]
+
+    monkeypatch.setattr(DegreeSequence, "__getstate__", noting)
     monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
     caplog.set_level(logging.INFO, logger="pairlab.harness")
     run(ExperimentConfig.from_dict({
@@ -1304,9 +1310,9 @@ def test_fork_pool_pickles_no_sequence(tmp_path, monkeypatch, caplog):
         "grid": {"gammas": [3.5], "sizes": [1_000, 100_000], "target_nu": 0.9},
     }))
     assert any("tasks to a pool" in r.getMessage() for r in caplog.records)
-    assert pickled == []
+    assert pickled() == []
     pickle.dumps(DegreeSequence((1, 1)))
-    assert pickled == [2]  # the count sees a pickle
+    assert pickled() == [2]  # the count sees a pickle
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -1345,22 +1351,67 @@ def _run_on_ticking_clock(tmp_path, monkeypatch, caplog, cost: float) -> list[st
 
 @pytest.mark.usefixtures("two_cpus")
 def test_saving_below_cost_starts_no_pool(tmp_path, monkeypatch, caplog):
-    # the window ends after 6 replicates and 7 ticks: the 2 left would take
-    # 2.8 ticks, and a pool of 2 saves 1.4 of them, less than its 5.5
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    # the estimates after replicates 3, 4 and 5 save 3.75, 2.67 and 1.88
+    # ticks, less than the share's 5.5; the window ends after 6 replicates
+    # and 6 ticks: the 2 left would take 2.4 ticks, and a share of 2 saves
+    # 1.2 of them
+    monkeypatch.setattr(os, "fork", _no_fork)
     assert _run_on_ticking_clock(tmp_path, monkeypatch, caplog, 5.5) == [
         "replicates: 8 in the parent, serial",
-        "pool: ~2800 ms left, a pool of 2 saves ~1400 ms, costs 5500 ms",
+        "pool: ~2400 ms left, a pool of 2 saves ~1200 ms, costs 5500 ms",
     ]
 
 
 @pytest.mark.usefixtures("two_cpus")
 def test_saving_above_cost_starts_a_pool(tmp_path, monkeypatch, caplog):
-    # the window ends after 3 replicates, 2 of them timed over 4 ticks: the
-    # 5 left would take 10, and a pool of 2 saves 5, more than its 2.5
+    # the window ends after 3 replicates, 2 of them timed over 3 ticks: the
+    # 5 left would take 7.5, and a share of 2 saves 3.75, more than its 2.5
     assert _run_on_ticking_clock(tmp_path, monkeypatch, caplog, 2.5) == [
         "replicates: 3 in the parent, 5 tasks to a pool of 2 workers",
-        "pool: ~10000 ms left, a pool of 2 saves ~5000 ms, costs 2500 ms",
+        "pool: ~7500 ms left, a pool of 2 saves ~3750 ms, costs 2500 ms",
+    ]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_one_cell_run_shares_before_the_window_ends(tmp_path, monkeypatch,
+                                                    caplog):
+    # after 3 replicates only 3 ticks of the 3.5-tick window have passed,
+    # but a one-cell run's timed replicates speak for the 5 left: they
+    # would take 7.5 ticks, and a share of 2 saves 3.75, more than 3.5
+    assert _run_on_ticking_clock(tmp_path, monkeypatch, caplog, 3.5) == [
+        "replicates: 3 in the parent, 5 tasks to a pool of 2 workers",
+        "pool: ~7500 ms left, a pool of 2 saves ~3750 ms, costs 3500 ms",
+    ]
+
+
+@pytest.mark.usefixtures("two_cpus")
+def test_scaling_grid_waits_for_the_window(tmp_path, monkeypatch, caplog):
+    # two cells of 8: after 3 replicates the estimate would already pay,
+    # but small cells do not vouch for large ones, so the parent runs until
+    # the 5.5-tick window ends, after 6 replicates and 6 ticks, and then
+    # shares: 5 timed replicates of the n = 300 cell speak for 2 more and
+    # for 8 of the n = 1000 cell, weighed by their core points
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 5.5)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    grid = {"gammas": [4.5], "sizes": [300, 1000], "target_nu": 0.9}
+    small, big = (build_subpower_sequence(n, 4.5, 1.0, 0.9).n_core_points
+                  for n in grid["sizes"])
+    left = 6 * (2 * small + 8 * big) / (5 * small)
+    blobs = []
+    for workers in (1, 2):
+        caplog.clear()
+        summary = run(ExperimentConfig.from_dict({
+            "mode": "scaling", "replicates": 8, "seed": 9, "workers": workers,
+            "output_dir": str(tmp_path / f"w{workers}"), "grid": grid}))
+        blobs.append([Path(a).read_bytes() for a in summary.artifacts])
+    assert blobs[0] == blobs[1]
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith(("replicates:", "pool:"))] == [
+        "replicates: 6 in the parent, 10 tasks to a pool of 2 workers",
+        f"pool: ~{1e3 * left:.0f} ms left, a pool of 2 saves "
+        f"~{1e3 * left / 2:.0f} ms, costs 5500 ms",
     ]
 
 
@@ -1399,6 +1450,141 @@ def test_zero_cost_pools_though_no_replicate_was_timed(tmp_path, monkeypatch,
         "replicates: 1 in the parent, 3 tasks to a pool of 2 workers",
         "pool: ~inf ms left, a pool of 2 saves ~inf ms, costs 0 ms",
     ]
+
+
+def _scaling_with_kernel(tmp_path, monkeypatch, kernel) -> RunSummary:
+    """A two-cell scaling grid of 8 replicates a cell, run at 2 workers with
+    ``kernel`` for its largest-component kernel; the parent shares the 15
+    replicates after its first, one range each."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
+    monkeypatch.setattr(pairlab.harness, "_largest", kernel)
+    return run(ExperimentConfig.from_dict({
+        "mode": "scaling", "replicates": 8, "seed": 5, "workers": 2,
+        "output_dir": str(tmp_path),
+        "grid": {"gammas": [4.5], "sizes": [300, 1000], "target_nu": 0.9}}))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_worker_memory_error_names_its_cell(tmp_path, monkeypatch):
+    # the worker runs out of memory on the n = 1000 cell; the parent, slow
+    # on each replicate, leaves it the ranges after its first
+    parent = os.getpid()
+
+    def kernel(seq, rng):
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        elif seq.n == 1000:
+            raise MemoryError
+        return 1
+
+    with pytest.raises(ConfigError, match=r"^grid\[gamma=4\.5,n=1000\]: too large"):
+        _scaling_with_kernel(tmp_path, monkeypatch, kernel)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("error, raised", [
+    (MemoryError, ConfigError), (KeyboardInterrupt, KeyboardInterrupt)])
+def test_error_in_the_parents_share_kills_the_workers(tmp_path, monkeypatch,
+                                                      error, raised):
+    # the parent's second replicate, its first in the share, raises while
+    # the worker sleeps in its own; the parent must kill it, not wait
+    parent, calls = os.getpid(), []
+
+    def kernel(seq, rng):
+        if os.getpid() != parent:
+            time.sleep(60)
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return 1
+
+    start = time.monotonic()
+    with pytest.raises(raised):
+        _scaling_with_kernel(tmp_path, monkeypatch, kernel)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("die, status", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+], ids=["exit", "killed"])
+def test_worker_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch,
+                                                       die, status):
+    parent = os.getpid()
+
+    def kernel(seq, rng):
+        if os.getpid() != parent:
+            die()
+        time.sleep(0.05)
+        return 1
+
+    with pytest.raises(RuntimeError,
+                       match=rf"exited with status {status} without a result"):
+        _scaling_with_kernel(tmp_path, monkeypatch, kernel)
+    _assert_no_child_left()
+
+
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("without", ["fork", "threads"])
+def test_run_is_serial_where_it_cannot_fork(tmp_path, monkeypatch, caplog,
+                                            without):
+    # without os.fork, or with a second thread running, which a forked
+    # worker would not inherit, a run that a share would pay for is serial
+    monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if without == "fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        thread.start()
+    try:
+        blobs = []
+        for workers in (1, 2):
+            caplog.clear()
+            summary = run(ExperimentConfig.from_dict(
+                {**_SMALL_POISSON, "workers": workers,
+                 "output_dir": str(tmp_path / f"w{workers}")}))
+            blobs.append([Path(a).read_bytes() for a in summary.artifacts])
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith(("replicates:", "pool:"))] == [
+        "replicates: 4 in the parent, serial"]
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_shared_run_loads_no_multiprocessing(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({**_SMALL_POISSON, "workers": 2}))
+    messages, mods = _fresh(tmp_path, """
+        import logging, os
+        import pairlab.harness
+        from pairlab.cli import main
+        os.sched_getaffinity = lambda pid: {0, 1}
+        pairlab.harness._POOL_START_S = 0
+        messages = []
+        handler = logging.Handler()
+        handler.emit = lambda record: messages.append(record.getMessage())
+        logging.getLogger("pairlab.harness").addHandler(handler)
+        logging.getLogger("pairlab.harness").setLevel(logging.INFO)
+        main(["run", "-c", str(out / "cfg.json"), "-o", str(out)])
+        result = [messages, sorted(sys.modules)]
+    """)
+    assert "replicates: 1 in the parent, 3 tasks to a pool of 2 workers" in messages
+    assert [m for m in mods
+            if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
 
 
 # The import rule: a path that samples nothing loads no numpy.  Config
