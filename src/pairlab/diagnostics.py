@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .degree_model import EmpiricalDistribution, predicted_simple_probability
-from .exploration import ExplorationTrace, StateSnapshot
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # annotations only: a Poisson check loads no exploration
+    from .exploration import ExplorationTrace, StateSnapshot
     from .pairing import ComponentReport
 
 
@@ -106,6 +106,8 @@ def expected_active_change(snapshot: StateSnapshot) -> float:
 def exact_initial_drift(dist: EmpiricalDistribution, d_root: int) -> float:
     """Mean first-step change of A for a fresh exploration rooted at degree
     d_root; approaches nu - 1 as n grows."""
+    from .exploration import StateSnapshot
+
     counts = dict(dist.counts)
     counts[d_root] -= 1  # the root is active, no longer inactive
     return expected_active_change(StateSnapshot(0, d_root, counts, dist.two_m))

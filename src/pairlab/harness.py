@@ -387,7 +387,8 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
     work = (kernel, cells, seed, replicates)
     total = len(cells) * replicates
     results: list = []
-    first_end = math.inf  # when replicate 0 ended
+    # when replicate 0 ended, and the parent's minor page faults then
+    first_end, faults = math.inf, None
     while len(results) < total:
         done = len(results)
         if workers > 1 and total - done >= 2:
@@ -401,42 +402,56 @@ def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
                     break
         results.append(_replicate(work, done))
         if not done:
-            first_end = time.perf_counter()
+            first_end, faults = time.perf_counter(), _minor_faults()
     done = len(results)
-    if done == total:
-        log.info("replicates: %d in the parent, serial", done)
-    else:
+    shared = done < total and saving > _POOL_START_S
+    if shared:
         # as many ranges as a one-byte range number can name, so that the
         # processes of a share finish within one range of each other
         size = math.ceil((total - done) / 256)
         ranges = [(lo, min(lo + size, total)) for lo in range(done, total, size)]
-        shared = saving > _POOL_START_S
-        if shared:
-            log.info("replicates: %d in the parent, %d tasks to a pool of %d "
-                     "workers", done, len(ranges), processes)
-        else:
-            log.info("replicates: %d in the parent, serial", total)
+        log.info("replicates: %d in the parent, %d tasks to a pool of %d "
+                 "workers", done, len(ranges), processes)
+    else:
+        log.info("replicates: %d in the parent, serial", total)
+    if done < total:
         log.info("pool: ~%.0f ms left, a pool of %d saves ~%.0f ms, costs %.0f ms",
                  1e3 * left_s, processes, 1e3 * saving, 1e3 * _POOL_START_S)
-        results += (_share(work, ranges, processes) if shared
-                    else [_replicate(work, i) for i in range(done, total)])
+    if not shared:
+        results += [_replicate(work, i) for i in range(done, total)]
+    if faults is not None:  # over the replicates the parent ran before any fork
+        log.info("faults: %d minor page faults in the parent over %d replicates",
+                 _minor_faults() - faults, len(results) - 1)
+    if shared:
+        results += _share(work, ranges, processes)
     return [results[lo:lo + replicates] for lo in range(0, total, replicates)]
 
 
+def _minor_faults() -> int | None:
+    """This process's minor page faults so far; None without ``resource``."""
+    try:
+        import resource
+    except ImportError:  # not on Windows
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _claim(queue: int, ranges: list[tuple[int, int]], work: tuple
-           ) -> tuple[dict[int, list], float]:
+           ) -> tuple[dict[int, list], float, int]:
     """The kernel results of each range this process claims from the pipe
-    ``queue``, by range number, until the pipe is empty, and the seconds
-    spent on them.  Each range number is one byte, and a one-byte read is
-    atomic, so one process claims it."""
+    ``queue``, by range number, until the pipe is empty, the seconds spent
+    on them and the minor page faults taken meanwhile (a share forks, so
+    ``resource`` is there).  Each range number is one byte, and a one-byte
+    read is atomic, so one process claims it."""
     results: dict[int, list] = {}
     busy = 0.0
+    faults = _minor_faults()
     while claimed := os.read(queue, 1):
         start = time.perf_counter()
         lo, hi = ranges[claimed[0]]
         results[claimed[0]] = [_replicate(work, i) for i in range(lo, hi)]
         busy += time.perf_counter() - start
-    return results, busy
+    return results, busy, _minor_faults() - faults
 
 
 def _work_in_child(queue: int, ranges: list[tuple[int, int]], work: tuple,
@@ -481,8 +496,8 @@ def _share(work: tuple, ranges: list[tuple[int, int]], processes: int) -> list:
                 _work_in_child(queue, ranges, work, out_w)
             os.close(out_w)
             workers[pid] = out_r
-        results, busy = _claim(queue, ranges, work)
-        worker_busy = []
+        results, busy, faults = _claim(queue, ranges, work)
+        worker_busy, worker_faults = [], []
         for pid, out_r in list(workers.items()):
             with open(out_r, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -496,6 +511,7 @@ def _share(work: tuple, ranges: list[tuple[int, int]], processes: int) -> list:
                 raise result
             results.update(result[0])
             worker_busy.append(result[1])
+            worker_faults.append(result[2])
     finally:
         os.close(queue)
         for pid, out_r in workers.items():
@@ -503,26 +519,30 @@ def _share(work: tuple, ranges: list[tuple[int, int]], processes: int) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     log.info("share: wall %.0f ms; busy %.0f ms in the parent, %s ms in the "
-             "workers", 1e3 * (time.perf_counter() - start), 1e3 * busy,
-             ", ".join(f"{1e3 * b:.0f}" for b in worker_busy))
+             "workers; minor page faults %d in the parent, %s in the workers",
+             1e3 * (time.perf_counter() - start), 1e3 * busy,
+             ", ".join(f"{1e3 * b:.0f}" for b in worker_busy), faults,
+             ", ".join(map(str, worker_faults)))
     return [r for k in range(len(ranges)) for r in results[k]]
 
 
-def _project(seq: DegreeSequence, rng: np.random.Generator) -> tuple[int, int, int, int]:
+def _project(seq: DegreeSequence, rng: np.random.Generator,
+             buffers: dict | None = None) -> tuple[int, int, int, int]:
     """Loops, parallel pairs, simple (0 or 1) and largest component of one
     uniform pairing: ``project_components(sample_pairing(seq, rng))``, from
-    the core pairs alone."""
+    the core pairs alone, in the arrays ``buffers`` keeps between calls."""
     from .pairing import core_report, sample_core_pairs
 
-    report = core_report(seq, *sample_core_pairs(seq, rng))
+    report = core_report(seq, *sample_core_pairs(seq, rng, buffers), buffers)
     return report.loops, report.parallel_pairs, int(report.simple), report.largest
 
 
-def _largest(seq: DegreeSequence, rng: np.random.Generator) -> int:
+def _largest(seq: DegreeSequence, rng: np.random.Generator,
+             buffers: dict | None = None) -> int:
     """Largest component of one uniform pairing, from its core pairs alone."""
     from .pairing import core_largest, sample_core_pairs
 
-    return core_largest(seq, *sample_core_pairs(seq, rng))
+    return core_largest(seq, *sample_core_pairs(seq, rng, buffers), buffers)
 
 
 def _deviations(seq: DegreeSequence, rng: np.random.Generator, root: int,
@@ -560,8 +580,8 @@ def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
 
     seq = resolve_degrees(config.degrees)
     nu_value = nu(empirical_distribution(seq))
-    (results,) = _replicates(_project, [(0, seq)], config.seed,
-                             config.replicates, config.workers)
+    (results,) = _replicates(partial(_project, buffers={}), [(0, seq)],
+                             config.seed, config.replicates, config.workers)
     rows = [_PoissonRow(rep, *r) for rep, r in enumerate(results)]
     check = poisson_limit_check(rows, nu_value, min_reports=1)
     tol = config.tolerances
@@ -602,17 +622,25 @@ def _grid_cells(grid: dict[str, Any], order: Callable | None = None
             yield gamma, n, exc
 
 
-def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
-    import numpy as np
+def _quantile(xs: list[float], q: float) -> float:
+    """``np.quantile(xs, q)``, the same float by numpy's linear rule, whose
+    first call imports numpy.ma (~13 ms)."""
+    xs = sorted(xs)
+    at = (len(xs) - 1) * q
+    k = math.floor(at)
+    a, b, t = xs[k], xs[min(k + 1, len(xs) - 1)], at - k
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
+
+def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     tol = config.tolerances
     # a cell that does not build is recorded with its error; the grid goes on
     built = list(_grid_cells(config.grid))
     sampled = [(cell_index, seq) for cell_index, (_, _, seq) in enumerate(built)
                if not isinstance(seq, ValueError)]
     try:
-        results = iter(_replicates(_largest, sampled, config.seed,
-                                   config.replicates, config.workers))
+        results = iter(_replicates(partial(_largest, buffers={}), sampled,
+                                   config.seed, config.replicates, config.workers))
     except _KernelMemoryError as exc:  # the grid's other cells are lost too
         gamma, n, _ = built[exc.args[0]]
         raise ConfigError(f"grid[gamma={gamma},n={n}]: too large to hold in memory")
@@ -634,8 +662,8 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
         cells.append({
             "gamma": gamma, "n": n, "nu": nu_actual,
             "max_degree_ratio": ratio,
-            "q50": float(np.quantile(normalized, 0.5)),
-            "q95": float(np.quantile(normalized, 0.95)),
+            "q50": _quantile(normalized, 0.5),
+            "q95": _quantile(normalized, 0.95),
             "q_max": max(normalized),
         })
         verdicts.append(Verdict(
@@ -822,14 +850,13 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "molloy_reed_sum": molloy_reed_sum(dist),
         "predicted_p_simple": p_simple,
         "predicted_attempts": attempts if math.isfinite(attempts) else None,
-        # the per-point arrays of one replicate that samples a pairing, namely
-        # the int32 core labels, the int32 labels gathered through them or
-        # placed by slot, and int64 points: a Pairing's pairs, the permutation
-        # of a sequence with no degree-1 vertex, or the slot range rng.choice
-        # shuffles to place a core of over about 2m/50 points (a smaller core
-        # needs none); ignores other temporaries and objects, so it is a lower
-        # bound for the modes that sample pairings, but no bound for
-        # trajectory, whose exploration allocates none of these arrays
+        # a lower bound on the per-point arrays of a replicate that samples a
+        # pairing: the kernels' 8-byte slot labels (the oracle's int64 points),
+        # and 8 more for rng.choice's slot range, which places a core of over
+        # about 2m/50 points (a smaller core needs none, the one case below
+        # the bound), or with no degree-1 vertex the count's 20 (each pair's
+        # ends, key and roots); no bound for trajectory, whose exploration
+        # allocates none of these arrays
         "memory_estimate_bytes": seq.two_m * 16,
     }
     if "gamma" in spec:  # a subpower spec or grid cell

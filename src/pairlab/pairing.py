@@ -11,13 +11,22 @@ of two core points, those of vertices of degree >= 2; the degree-1 vertices
 join components by counting.  The sampler places the core points first, so
 ``sample_core_pairs`` draws those pairs alone, with the same random numbers
 that begin ``sample_pairing``'s draw.
+
+A run projects many pairings of one sequence, so the draw of the core pairs,
+the count and the components write their per-point arrays into ``buffers``:
+a dict that the caller keeps from one pairing to the next, where each array
+is made once and reused.  Without it a call makes its arrays afresh.  The
+arrays of a 2m-point draw are large enough that the allocator returns them
+to the system when they are freed, so making them on every call faults
+their pages in again each time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -93,6 +102,22 @@ class ComponentReport:
         return self.loops == 0 and self.parallel_pairs == 0
 
 
+def _buffer(buffers: dict[str, np.ndarray] | None, name: str,
+            shape: tuple[int, ...], dtype: type, make: Callable = np.empty
+            ) -> np.ndarray:
+    """An array of ``shape`` over the start of ``buffers[name]``, which is
+    ``make(size, dtype=dtype)`` made when it is missing or too small; its
+    values are those left by the last call that wrote it.  Without
+    ``buffers``, a fresh array."""
+    size = math.prod(shape)
+    held = None if buffers is None else buffers.get(name)
+    if held is None or held.size < size:
+        held = make(size, dtype=dtype)
+        if buffers is not None:
+            buffers[name] = held
+    return held[:size].reshape(shape)
+
+
 def _core_slots(seq: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
     """The first stage of ``sample_pairing`` on a sequence with a degree-1
     vertex: the slots of the core points, in point order."""
@@ -131,18 +156,25 @@ def sample_pairing(
 
 
 def sample_core_pairs(
-    seq: DegreeSequence, rng: np.random.Generator
+    seq: DegreeSequence, rng: np.random.Generator,
+    buffers: dict[str, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The core pairs (u, v) of ``sample_pairing(seq, rng)``, as
     ``project_components`` reads them, from the sampler's first stage alone.
 
     ``core_report`` or ``core_largest`` project them; the degree-1 points
     are never placed, no ``Pairing`` is built and ``core`` is not read.
+    With no degree-1 vertex, u and v are views of the slot labels kept in
+    ``buffers``, which the next draw into them overwrites.
     """
+    labels = _buffer(buffers, "labels", (seq.two_m,), np.intp)  # slot -> its core label
     if seq.n_core == seq.n:
-        perm = rng.permutation(seq.two_m)
-        return seq.core_labels[perm[0::2]], seq.core_labels[perm[1::2]]
-    labels = np.full(seq.two_m, -1, dtype=np.int32)  # slot -> its core label
+        # shuffling the labels swaps what shuffling arange(2m) would, so
+        # they end in rng.permutation(2m)'s order, from the same draws
+        np.copyto(labels, seq.core_labels)
+        rng.shuffle(labels)
+        return labels[0::2], labels[1::2]
+    labels.fill(-1)
     labels[_core_slots(seq, rng)] = seq.core_labels
     return _both_in_core(labels[0::2], labels[1::2])
 
@@ -183,27 +215,41 @@ def enumerate_pairings(seq: DegreeSequence) -> Iterator[Pairing]:
             yield Pairing(pairs=pairs, seq=seq)
 
 
-def _loops_and_parallel(u: np.ndarray, v: np.ndarray,
-                        n: int) -> tuple[np.ndarray, np.ndarray]:
+def _ends(u: np.ndarray, v: np.ndarray, buffers: dict[str, np.ndarray] | None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger label of each pair (u, v), as int64 (so
+    that n * n can pass 2**31), in ``buffers``."""
+    return (np.minimum(u, v, out=_buffer(buffers, "low", u.shape, np.int64)),
+            np.maximum(u, v, out=_buffer(buffers, "high", u.shape, np.int64)))
+
+
+def _loops_and_parallel(u: np.ndarray, v: np.ndarray, n: int,
+                        buffers: dict[str, np.ndarray] | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Loops, and the sum over distinct non-loop vertex pairs of
     C(multiplicity, 2), of each multigraph whose edges are the core-label
     pairs (u, v) along the last axis, of one pairing or of each row of a
     block; a pair with a degree-1 end (label -1) counts in neither."""
-    low = np.minimum(u, v, dtype=np.int64)  # n * n can pass 2**31
-    skip = (u == v) | (low < 0)
-    keys = low * n + np.maximum(u, v)
+    low, high = _ends(u, v, buffers)
+    skip = np.equal(low, high, out=_buffer(buffers, "skip", low.shape, bool))
+    leaf = np.less(low, 0, out=_buffer(buffers, "leaf", low.shape, bool))
+    np.logical_or(skip, leaf, out=skip)  # a loop, or a degree-1 end
+    loops = np.count_nonzero(skip, axis=-1) - np.count_nonzero(leaf, axis=-1)
+    keys = np.multiply(low, n, out=_buffer(buffers, "keys", low.shape, np.int64))
+    keys += high
     keys[skip] = -1 - np.flatnonzero(skip)  # a key of its own
     keys.sort(axis=-1)
     # a run of r equal keys, one vertex pair of multiplicity r, holds C(r, 2):
     # each repeat adds its distance from the run's first key (a row's first
     # key is no repeat, so in flat order no run spans two rows)
-    repeat = np.zeros(keys.shape, bool)
+    repeat = _buffer(buffers, "repeat", keys.shape, bool)
+    repeat[..., :1] = False
     np.equal(keys[..., 1:], keys[..., :-1], out=repeat[..., 1:])
     at = np.flatnonzero(repeat)
     first = np.maximum.accumulate(np.where(repeat.flat[at - 1], 0, at - 1))
     parallel = np.zeros(keys.shape[:-1], np.int64)
     np.add.at(parallel.reshape(-1), at // keys.shape[-1], at - first)
-    return ((u == v) & (low >= 0)).sum(axis=-1), parallel
+    return loops, parallel
 
 
 def _both_in_core(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +271,9 @@ def _core_pairs(p: Pairing) -> tuple[np.ndarray, np.ndarray]:
     return (u, v) if seq.n_core == seq.n else _both_in_core(u, v)
 
 
-def _core_components(seq: DegreeSequence, u: np.ndarray,
-                     v: np.ndarray) -> tuple[np.ndarray, int]:
+def _core_components(seq: DegreeSequence, u: np.ndarray, v: np.ndarray,
+                     buffers: dict[str, np.ndarray] | None
+                     ) -> tuple[np.ndarray, int]:
     """Core vertex -> size of the component it roots (0 for a non-root), and
     the number of components of two degree-1 vertices, from the core pairs.
 
@@ -235,7 +282,7 @@ def _core_components(seq: DegreeSequence, u: np.ndarray,
     pairs, one pair per such partner, and the pairs of two degree-1 points.
     """
     n_core = seq.n_core
-    roots = _component_roots(u, v, n_core)
+    roots = _component_roots(u, v, n_core, buffers)
     if u.size == seq.two_m // 2:  # every pair is a core pair
         return np.bincount(roots), 0
     vertices = (seq.core_degrees + 1 - np.bincount(u, minlength=n_core)
@@ -251,9 +298,10 @@ def simple_mask(seq: DegreeSequence, block: np.ndarray) -> np.ndarray:
     return (loops == 0) & (parallel == 0)
 
 
-def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+def _component_roots(u: np.ndarray, v: np.ndarray, n: int,
+                     buffers: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Vertex -> root of its component in the multigraph on n vertices with
-    edges (u, v): the component's smallest vertex, as intp.
+    edges (u, v): the component's smallest vertex, as intp, in ``buffers``.
 
     Hook and shortcut: each round hooks the larger root of every pair under
     the smallest root paired with it, pointer-jumps the whole parent array
@@ -262,26 +310,34 @@ def _component_roots(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     roots only decrease, so the rounds end when every pair lies in one tree.
     Hooking under the minimum keeps a star whose centre has the largest
     label to two rounds.  A pair inside one tree hooks its root under
-    itself, a no-op.  The labels are cast to intp once: numpy casts any
-    other index to intp on every gather.
+    itself, a no-op.  Every gather's indices lie in range, which
+    ``mode="clip"`` takes without checking.
     """
-    u, v = u.astype(np.intp, copy=False), v.astype(np.intp, copy=False)
-    parent = np.arange(n, dtype=np.intp)
-    while True:  # u, v hold the current roots of each pair's two ends
-        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
-        while not np.array_equal(grand := parent[parent], parent):
-            parent = grand
-        u, v = parent[u], parent[v]
-        if np.array_equal(u, v):
+    low, high = _ends(u, v, buffers)  # each pair's current roots, in order
+    parent, grand = (_buffer(buffers, name, (n,), np.intp)
+                     for name in ("parent", "grand"))
+    np.copyto(parent, _buffer(buffers, "identity", (n,), np.intp, np.arange))
+    ru, rv = (_buffer(buffers, name, low.shape, np.intp)
+              for name in ("low roots", "high roots"))
+    while True:
+        np.minimum.at(parent, high, low)
+        while not np.array_equal(np.take(parent, parent, out=grand, mode="clip"),
+                                 parent):
+            parent, grand = grand, parent
+        np.take(parent, low, out=ru, mode="clip")
+        np.take(parent, high, out=rv, mode="clip")
+        if np.array_equal(ru, rv):
             return parent
+        np.minimum(ru, rv, out=low)
+        np.maximum(ru, rv, out=high)
 
 
-def core_report(seq: DegreeSequence, u: np.ndarray,
-                v: np.ndarray) -> ComponentReport:
+def core_report(seq: DegreeSequence, u: np.ndarray, v: np.ndarray,
+                buffers: dict[str, np.ndarray] | None = None) -> ComponentReport:
     """Components and loop stats of a pairing of seq, from its core pairs:
     those of ``_core_pairs`` or ``sample_core_pairs``."""
-    loops, parallel = _loops_and_parallel(u, v, seq.n_core)
-    counts, twos = _core_components(seq, u, v)
+    loops, parallel = _loops_and_parallel(u, v, seq.n_core, buffers)
+    counts, twos = _core_components(seq, u, v, buffers)
     if twos:
         counts = np.concatenate((counts, np.full(twos, 2, dtype=counts.dtype)))
     return ComponentReport(
@@ -292,10 +348,11 @@ def core_report(seq: DegreeSequence, u: np.ndarray,
     )
 
 
-def core_largest(seq: DegreeSequence, u: np.ndarray, v: np.ndarray) -> int:
+def core_largest(seq: DegreeSequence, u: np.ndarray, v: np.ndarray,
+                 buffers: dict[str, np.ndarray] | None = None) -> int:
     """``core_report(seq, u, v).largest``, without the loop and parallel-pair
     counts or the sizes of the components of two degree-1 vertices."""
-    counts, twos = _core_components(seq, u, v)
+    counts, twos = _core_components(seq, u, v, buffers)
     largest = int(counts.max(initial=0))
     return max(largest, 2) if twos else largest
 

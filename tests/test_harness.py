@@ -167,7 +167,8 @@ class TestDescribe:
         {"kind": "explicit", "degrees": [3, 1, 1, 1]},
     ])
     def test_memory_estimate_counts_the_projection_arrays(self, tmp_path, degrees):
-        # int64 pairs, int32 core map, int32 gathered labels
+        # the kernels' 8-byte slot labels, and 8 more a point for the slot
+        # range of rng.choice or the count's per-pair arrays
         report = describe(make_config(tmp_path, degrees=degrees))
         assert report["memory_estimate_bytes"] == report["two_m"] * 16
 
@@ -763,7 +764,7 @@ class TestCli:
     def test_scaling_kernel_allocation_failure_names_its_cell(
             self, tmp_path, capsys, monkeypatch, workers):
         # only the cell of n = 600 fails; a pool must carry its name back too
-        def kernel(seq, rng):
+        def kernel(seq, rng, buffers):
             if seq.n == 600:
                 raise MemoryError
             return 1
@@ -913,6 +914,64 @@ def test_trajectory_median_is_numpy_median(column):
     # trajectory takes its medians with statistics.median, which must give
     # the float np.median gave, at odd and even counts alike
     assert statistics.median(column) == float(np.median(column))
+
+
+@given(st.lists(st.floats(0, 10), min_size=1, max_size=60),
+       st.one_of(st.sampled_from([0.5, 0.95]), st.floats(0, 1)))
+def test_scaling_quantile_is_numpy_quantile(column, q):
+    # scaling takes its q50 and q95 by numpy's linear rule without numpy,
+    # which must give the float np.quantile gave
+    assert pairlab.harness._quantile(column, q) == float(np.quantile(column, q))
+
+
+def test_serial_scaling_run_loads_no_numpy_ma(tmp_path):
+    codes, mods = _modules_after(tmp_path, [
+        {"mode": "scaling", "replicates": 3, "seed": 2, "workers": 1,
+         "grid": {"gammas": [3.5, 4.5], "sizes": [400, 800], "target_nu": 0.9}},
+    ])
+    assert codes in ([0], [1])  # ran to verdicts
+    assert [m for m in mods if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+def test_serial_poisson_run_loads_no_exploration(tmp_path):
+    # the Poisson check reads loop and parallel-pair counts; only the
+    # diagnostics' annotations name the exploration
+    codes, mods = _modules_after(tmp_path, [
+        {"mode": "poisson_check", "replicates": 5, "seed": 1, "workers": 1,
+         "degrees": {"kind": "regular", "n": 50, "d": 3}},
+    ])
+    assert codes in ([0], [1])  # ran to verdicts
+    assert "pairlab.exploration" not in mods
+
+
+def test_poisson_replicates_fault_in_no_pages_after_the_first(tmp_path):
+    # the runner's kernel projects each replicate into buffers it made on
+    # its first replicate; arrays made afresh each time go back to the
+    # system when freed and fault their pages in again (80-107 faults a
+    # replicate of 3-regular n = 1e4 did)
+    pytest.importorskip("resource")
+    per_replicate = _fresh(tmp_path, """
+        import resource
+        import pairlab.harness as harness
+        from pairlab.rng import substream
+        kernels = []
+        replicates = harness._replicates
+
+        def keep(kernel, cells, *args):
+            kernels.append((kernel, cells[0][1]))
+            return replicates(kernel, cells, *args)
+
+        harness._replicates = keep
+        harness.run(harness.ExperimentConfig.from_dict({
+            "mode": "poisson_check", "replicates": 5, "seed": 1,
+            "output_dir": str(out), "degrees": {"kind": "regular", "n": 10_000, "d": 3}}))
+        ((kernel, seq),) = kernels
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for rep in range(200):
+            kernel(seq, substream(1, 0, 5 + rep))
+        result = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200
+    """)
+    assert per_replicate <= 2
 
 
 def test_oracle_run_loads_scipy_stats(tmp_path):
@@ -1329,6 +1388,28 @@ def test_dispatch_path_is_logged(tmp_path, monkeypatch, caplog, budget, message)
     assert message in [r.getMessage() for r in caplog.records]
 
 
+@pytest.mark.usefixtures("two_cpus")
+@pytest.mark.parametrize("budget, parent", [(None, 3), (0, 0)])
+def test_page_faults_are_logged(tmp_path, monkeypatch, caplog, budget, parent):
+    # the parent's faults over its replicates after the first, which makes
+    # the buffers, and in a share each process's over the ranges it claimed
+    pytest.importorskip("resource")
+    if budget is not None:
+        monkeypatch.setattr(pairlab.harness, "_POOL_START_S", budget)
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    run(ExperimentConfig.from_dict(
+        {**_SMALL_POISSON, "workers": 2, "output_dir": str(tmp_path)}))
+    messages = [r.getMessage() for r in caplog.records]
+    faults = [m for m in messages if m.startswith("faults:")]
+    assert len(faults) == 1
+    assert re.fullmatch(rf"faults: \d+ minor page faults in the parent over "
+                        rf"{parent} replicates", faults[0])
+    shares = [m for m in messages if m.startswith("share:")]
+    assert len(shares) == (budget is not None)
+    assert all(re.search(r"; minor page faults \d+ in the parent, \d+ in the "
+                         r"workers$", m) for m in shares)
+
+
 def _run_on_ticking_clock(tmp_path, monkeypatch, caplog, cost: float) -> list[str]:
     """Run 8 one-replicate poisson tasks at 2 workers on a clock that ticks
     once a read, with a pool cost of ``cost`` ticks; the log, and artifacts
@@ -1476,7 +1557,7 @@ def test_worker_memory_error_names_its_cell(tmp_path, monkeypatch):
     # on each replicate, leaves it the ranges after its first
     parent = os.getpid()
 
-    def kernel(seq, rng):
+    def kernel(seq, rng, buffers):
         if os.getpid() == parent:
             time.sleep(0.05)
         elif seq.n == 1000:
@@ -1497,7 +1578,7 @@ def test_error_in_the_parents_share_kills_the_workers(tmp_path, monkeypatch,
     # the worker sleeps in its own; the parent must kill it, not wait
     parent, calls = os.getpid(), []
 
-    def kernel(seq, rng):
+    def kernel(seq, rng, buffers):
         if os.getpid() != parent:
             time.sleep(60)
         calls.append(1)
@@ -1521,7 +1602,7 @@ def test_worker_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch,
                                                        die, status):
     parent = os.getpid()
 
-    def kernel(seq, rng):
+    def kernel(seq, rng, buffers):
         if os.getpid() != parent:
             die()
         time.sleep(0.05)

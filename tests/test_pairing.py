@@ -19,11 +19,13 @@ from pairlab.pairing import (
     _core_pairs,
     _loops_and_parallel,
     AttemptsExhaustedError,
+    ComponentReport,
     Pairing,
     PointSpace,
     double_factorial_odd,
     enumerate_pairings,
     core_largest,
+    core_report,
     pairing_blocks,
     project_components,
     sample_core_pairs,
@@ -409,6 +411,89 @@ class TestCoreProjection:
         report = project_components(p)
         assert (report.loops, report.parallel_pairs) == (n - 3, 0)
         assert report.largest == 3
+
+
+def earlier_core_pairs(seq, rng):
+    """The core pairs as drawn before the labels were kept in buffers:
+    ``core_labels`` gathered through ``rng.permutation(2m)``, or placed at
+    the slots of ``rng.choice`` and kept where both ends are in the core."""
+    if seq.n_core == seq.n:
+        perm = rng.permutation(seq.two_m)
+        return seq.core_labels[perm[0::2]], seq.core_labels[perm[1::2]]
+    labels = np.full(seq.two_m, -1)
+    labels[rng.choice(seq.two_m, seq.n_core_points, replace=False)] = seq.core_labels
+    both = np.minimum(labels[0::2], labels[1::2]) >= 0
+    return labels[0::2][both], labels[1::2][both]
+
+
+def assert_same_report(got: ComponentReport, want: ComponentReport):
+    assert (got.loops, got.parallel_pairs, got.largest) == (
+        want.loops, want.parallel_pairs, want.largest)
+    assert np.array_equal(got.counts, want.counts)
+
+
+class TestReusedBuffers:
+    """A run keeps one dict of buffers for all its replicates; every draw
+    and projection into it must give what fresh arrays give."""
+
+    # no degree-1 vertex and degree-1 vertices, loop-heavy small draws, and
+    # sizes that grow and shrink, so that later draws use the start of
+    # arrays made for larger ones
+    SEQUENCES = [
+        DegreeSequence((3,) * 2000),
+        DegreeSequence((4, 4)),
+        build_subpower_sequence(2000, 3.5, 1.0, 0.9),
+        DegreeSequence((2, 2, 2)),
+        DegreeSequence((3, 1, 1, 1)),
+        build_subpower_sequence(10_000, 4.5, 1.0, 0.9),
+        DegreeSequence((5, 3, 2, 1, 1)),
+        DegreeSequence((3,) * 200),
+    ]
+
+    def test_draws_match_the_earlier_draw_and_fresh_projections(self):
+        buffers = {}
+        stats = Counter()
+        for k, seq in enumerate(self.SEQUENCES * 2):
+            for rep in range(20):
+                rng, earlier = substream(9, k, rep), substream(9, k, rep)
+                u, v = sample_core_pairs(seq, rng, buffers)
+                want = earlier_core_pairs(seq, earlier)
+                assert np.array_equal(u, want[0]) and np.array_equal(v, want[1])
+                # the same random numbers, so every later draw is the same too
+                assert rng.bit_generator.state == earlier.bit_generator.state
+                report = core_report(seq, u, v, buffers)
+                fresh = core_report(seq, *want)
+                assert_same_report(report, fresh)
+                again = sample_core_pairs(seq, substream(9, k, rep), buffers)
+                assert core_largest(seq, *again, buffers) == fresh.largest
+                stats.update(loops=report.loops > 0,
+                             parallel=report.parallel_pairs > 0,
+                             leaves=seq.n_core < seq.n)
+        assert min(stats["loops"], stats["parallel"], stats["leaves"]) > 0
+
+    def test_pair_keys_do_not_wrap_past_int32_in_reused_buffers(self):
+        # the pairing of ``test_pair_keys_do_not_wrap_past_int32``, projected
+        # into buffers that a smaller and a larger draw used before it
+        n = 2**17
+        seq = DegreeSequence((2,) * n)
+        pairs = np.arange(2 * n).reshape(-1, 2)
+        pairs[[0, 2**15, 40000]] = [[0, 80000], [1, 2**16], [2**16 + 1, 80001]]
+        u, v = _core_pairs(Pairing(pairs=pairs, seq=seq))
+        buffers = {}
+        for other in (DegreeSequence((2,) * 1000), DegreeSequence((2,) * (2 * n))):
+            core_report(other, *sample_core_pairs(other, substream(4), buffers), buffers)
+            report = core_report(seq, u, v, buffers)
+            assert (report.loops, report.parallel_pairs, report.largest) == (n - 3, 0, 3)
+            assert_same_report(report, core_report(seq, u, v))
+
+    def test_one_off_calls_make_their_own_arrays(self):
+        # without buffers, a draw's pairs are never overwritten by the next
+        seq = DegreeSequence((3,) * 100)
+        first = sample_core_pairs(seq, substream(2, 0))
+        kept = [x.copy() for x in first]
+        sample_core_pairs(seq, substream(2, 1))
+        core_report(seq, *first)
+        assert all(np.array_equal(a, b) for a, b in zip(first, kept))
 
 
 class TestSamplingUniformity:
