@@ -16,6 +16,13 @@ block of exactly that many ``rng.random`` values is used up in full.
 ``Generator.random(k)`` yields the same doubles as k scalar calls, so the
 steps, the uniforms drawn and the generator's final state match a loop of
 ``step`` calls.
+
+The unmatched points form a swap-remove pool, and who owns the state picks
+its container.  A walk (``start_exploration``, ``explore_component``,
+``step``) touches O(t) pool slots, so it keeps two maps of moved entries,
+each at most 2t keys.  A full decomposition matches all m pairs and so
+touches every slot: it keeps two flat 8-byte arrays, 16 bytes a point, whose
+reads are cheaper than a map's.  One transition serves both.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import index as as_index
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,26 +89,37 @@ class ExplorationTrace:
         return self.initial_inactive_counts.get(j, 0) - np.concatenate([[0], drops])
 
 
+class _Moved(dict):
+    """The moved entries of a swap-remove pool that starts as the identity:
+    a key it lacks is its own value.  ``operator.index`` returns an int key
+    as it is without entering a Python frame, which a ``def __missing__``
+    would do on every read of an unmoved slot."""
+
+    __slots__ = ()
+    __missing__ = staticmethod(as_index)
+
+
 class ExplorationState:
     """Mutable chain state; supports one root at a time, reusable for a full
     decomposition that completes a single uniform pairing across roots.
 
     Set-up copies the degree histogram and zero-fills two flag arrays, one
-    byte a point (``is_active``) and one a vertex (``visited``), its only
-    cost in 2m or n: a point's vertex comes from the sequence's ``runs``, by
-    bisecting the runs' first points and one division.  Everything else
-    grows with the pairs matched.  ``pairs`` holds the matched pairs
-    ``(s1, s2)`` in match order.  The unmatched points form a swap-remove
-    pool that starts as the identity on [0, 2m): ``_slot`` (pool index ->
-    point) and ``_index`` (point -> pool index) record only the entries that
-    moved, and ``_size`` is the pool's size, 2m - 2t.
+    byte a point (``is_active``) and one a vertex (``visited``): a point's
+    vertex comes from the sequence's ``runs``, by bisecting the runs' first
+    points and one division.  ``pairs`` holds the matched pairs ``(s1, s2)``
+    in match order.  The unmatched points form a swap-remove pool that
+    starts as the identity on [0, 2m): ``_slot`` (pool index -> point) and
+    ``_index`` (point -> pool index), with ``_size`` = 2m - 2t live slots.
+    A walk's pool is two maps of moved entries, each at most 2t keys; the
+    full decomposition's (``_decomposition_state``) is two flat 8-byte
+    arrays, 16 bytes a point.
     """
 
     def __init__(self, seq: DegreeSequence):
         self.seq = seq
         self.pairs: list[tuple[int, int]] = []
-        self._slot: dict[int, int] = {}
-        self._index: dict[int, int] = {}
+        self._slot: _Moved | memoryview = _Moved()
+        self._index: _Moved | memoryview = _Moved()
         self._size = seq.two_m  # unmatched points left in the pool
         self.is_active = bytearray(seq.two_m)
         self.visited = bytearray(seq.n)
@@ -122,7 +141,20 @@ class ExplorationState:
         return len(self.pairs) - self._t_begin
 
     def begin(self, v: int) -> None:
-        """Activate root vertex v; resets the per-root step counter."""
+        """Activate root vertex v; resets the per-root step counter.  Refuses,
+        before touching the state, a root that is no vertex, one already
+        explored, or any root while the current component has active points."""
+        try:
+            v = as_index(v)
+        except TypeError:
+            raise ValueError(f"root {v!r} is not an integer") from None
+        if not 0 <= v < self.seq.n:
+            raise ValueError(f"root {v} is not a vertex in range({self.seq.n})")
+        if self.active:
+            raise ValueError(
+                f"cannot begin root {v}: the current component has "
+                f"{self.active} active points"
+            )
         if self.visited[v]:
             raise ValueError(f"vertex {v} already explored")
         self.visited[v] = 1
@@ -168,8 +200,10 @@ class ExplorationState:
         active partner.  The caller ensures A > 0 before each step.
 
         Each of ``s1`` and ``s2`` is swap-removed: the last pool slot moves
-        into its slot and the pool shrinks by one.  The counters live in
-        locals, written back after the block or at a conservation failure.
+        into its slot and the pool shrinks by one.  A removed point's slot
+        and index are dead and never read again, so they are left stale.
+        The counters live in locals, written back after the block or at a
+        conservation failure.
         """
         queue, is_active, visited = self.queue, self.is_active, self.visited
         slot, index, pairs = self._slot, self._index, self.pairs
@@ -183,19 +217,14 @@ class ExplorationState:
             while not is_active[s1]:  # lazy deletion: matched as a partner
                 s1 = queue.popleft()  # while it waited
             size -= 1
-            i = index.pop(s1, s1)
-            last = slot.pop(size, size)
-            if i != size:
-                slot[i] = last
-                index[last] = i
+            i = index[s1]
+            last = slot[i] = slot[size]
+            index[last] = i
             j = int(x * size)
-            s2 = slot.get(j, j)
+            s2 = slot[j]
             size -= 1
-            index.pop(s2, None)
-            last = slot.pop(size, size)
-            if j != size:
-                slot[j] = last
-                index[last] = j
+            last = slot[j] = slot[size]
+            index[last] = j
             pairs.append((s1, s2))
             is_active[s1] = 0
 
@@ -236,6 +265,15 @@ class ExplorationState:
             raise RuntimeError("pairing incomplete")
         pairs = np.array(sorted(map(sorted, self.pairs)), dtype=np.int64)
         return Pairing(pairs=pairs.reshape(-1, 2), seq=self.seq)
+
+
+def _decomposition_state(seq: DegreeSequence) -> ExplorationState:
+    """A state whose pool is two flat arrays: a full decomposition touches
+    every slot, so it reads arrays rather than maps of moved entries."""
+    state = ExplorationState(seq)
+    state._slot = memoryview(np.arange(seq.two_m, dtype=np.intp))
+    state._index = memoryview(np.arange(seq.two_m, dtype=np.intp))
+    return state
 
 
 def _walk(state: ExplorationState, rng: np.random.Generator) -> Iterator[list[int]]:
@@ -298,14 +336,14 @@ def largest_component_via_exploration(
 ) -> list[int]:
     """Full decomposition: explore from the lowest unvisited vertex until all
     vertices are placed, completing one uniform pairing; returns the sizes."""
-    state = ExplorationState(seq)
+    state = _decomposition_state(seq)
     sizes: list[int] = []
-    for v in range(seq.n):
-        if state.visited[v]:
-            continue
+    v = state.visited.find(0)
+    while v >= 0:
         state.begin(v)
         for _ in _walk(state, rng):
             pass
         sizes.append(state.cluster_size)
+        v = state.visited.find(0, v + 1)
     return sizes
 

@@ -30,7 +30,7 @@ from pairlab.rng import substream
 
 def _pool(state):
     """The unmatched points in pool order."""
-    return [state._slot.get(i, i) for i in range(state._size)]
+    return [state._slot[i] for i in range(state._size)]
 
 
 def subcritical_states(seq, seeds, max_steps=200):

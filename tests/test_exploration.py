@@ -11,6 +11,7 @@ from pairlab.exploration import (
     CannotStepError,
     ConservationError,
     ExplorationState,
+    _decomposition_state,
     _walk,
     explore_component,
     largest_component_via_exploration,
@@ -25,7 +26,7 @@ D22 = DegreeSequence((2, 2))
 
 def _pool(state):
     """The unmatched points in pool order."""
-    return [state._slot.get(i, i) for i in range(state._size)]
+    return [state._slot[i] for i in range(state._size)]
 
 
 def even_degree_lists(max_n=12, max_d=4):
@@ -62,6 +63,29 @@ class TestStart:
         for v in range(4):
             state = start_exploration(seq, v)
             assert state.active + state.inactive_points == seq.two_m
+
+    def test_root_must_be_a_vertex(self):
+        seq = DegreeSequence((3, 3, 2, 2))
+        for root in (-1, 4, 1.0, "1", None):
+            with pytest.raises(ValueError, match="root"):
+                start_exploration(seq, root)
+        state = start_exploration(seq, np.int64(3))  # numpy integers pass
+        assert (state.active, state.visited, list(state.queue)) == (
+            2, bytearray(b"\0\0\0\1"), [8, 9])
+
+    def test_begin_refuses_while_points_are_active(self):
+        seq = DegreeSequence((3,) * 10)
+        state = start_exploration(seq, 0)
+        state.step(substream(1))
+        assert state.active == 4
+        before = (bytes(state.visited), bytes(state.is_active), list(state.queue),
+                  dict(state.inactive_counts), state.inactive_points, state.t)
+        with pytest.raises(ValueError, match="4 active points"):
+            state.begin(9)
+        assert before == (bytes(state.visited), bytes(state.is_active),
+                          list(state.queue), dict(state.inactive_counts),
+                          state.inactive_points, state.t)
+        state.step(substream(2))  # the state is still whole
 
 
 class TestStep:
@@ -146,32 +170,32 @@ class TestSparsePool:
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_swap_remove(self, degrees, seed):
         # _advance swap-removes inline; check it against a list pool over a
-        # whole decomposition, so every root sees the pool its forerunners left
+        # whole decomposition, so every root sees the pool its forerunners
+        # left, once on a walk's maps and once on the decomposition's arrays
         seq = DegreeSequence(tuple(degrees))
-        state = ExplorationState(seq)
-        dense = list(range(seq.two_m))  # reference: the list swap-remove pool
+        for state in (ExplorationState(seq), _decomposition_state(seq)):
+            dense = list(range(seq.two_m))  # reference: the list swap-remove pool
 
-        def swap_remove(point):
-            dense[dense.index(point)] = dense[-1]
-            dense.pop()
+            def swap_remove(point):
+                dense[dense.index(point)] = dense[-1]
+                dense.pop()
 
-        rng = substream(seed)
-        for v in range(seq.n):
-            if state.visited[v]:
-                continue
-            state.begin(v)
-            while state.active > 0:
-                s1 = next(s for s in state.queue if state.is_active[s])
-                x = rng.random()
-                swap_remove(s1)
-                s2 = dense[int(x * len(dense))]
-                swap_remove(s2)
-                state._advance([x])
-                assert state.pairs[-1] == (s1, s2)
-                assert _pool(state) == dense
-                assert all(state._index.get(s, s) == i for i, s in enumerate(dense))
-                assert len(state._slot) == len(state._index)
-        assert dense == [] and len(state.pairs) == seq.two_m // 2
+            rng = substream(seed)
+            for v in range(seq.n):
+                if state.visited[v]:
+                    continue
+                state.begin(v)
+                while state.active > 0:
+                    s1 = next(s for s in state.queue if state.is_active[s])
+                    x = rng.random()
+                    swap_remove(s1)
+                    s2 = dense[int(x * len(dense))]
+                    swap_remove(s2)
+                    state._advance([x])
+                    assert state.pairs[-1] == (s1, s2)
+                    assert _pool(state) == dense
+                    assert all(state._index[s] == i for i, s in enumerate(dense))
+            assert dense == [] and len(state.pairs) == seq.two_m // 2
 
     @pytest.mark.parametrize("seq,steps", [
         (DegreeSequence((3,) * 100_000), 2000),  # giant component: stop early
@@ -187,7 +211,8 @@ class TestSparsePool:
         t = state.t_global
         assert 0 < 4 * t < seq.two_m // 10
         assert len(state.pairs) == t
-        assert len(state._slot) == len(state._index) <= 2 * t  # <= 4t together
+        # the maps keep the dead entries they no longer read
+        assert len(state._slot) <= 2 * t and len(state._index) <= 2 * t
 
 
 def _component_by_steps(seq, v, rng):
@@ -288,8 +313,9 @@ class TestBlockDraws:
         if (degrees, seed) in (([6, 1, 1], 31), ([8, 1, 1, 2], 10)):
             assert stop_time not in _block_ends(active)
 
-        # a whole decomposition: blocks through ``_walk`` against step calls
-        walked, stepped = ExplorationState(seq), ExplorationState(seq)
+        # a whole decomposition: blocks through ``_walk`` on the array pool
+        # against step calls on the map pool
+        walked, stepped = _decomposition_state(seq), ExplorationState(seq)
         rng, ref_rng = substream(seed, 1), substream(seed, 1)
         sizes = []
         for v in range(seq.n):
@@ -419,21 +445,25 @@ class TestFullDecomposition:
         DegreeSequence((4, 2, 1, 1)),
     ], ids=["regular", "subpower", "mixed"])
     def test_completes_a_uniform_pairing(self, seq):
-        state = ExplorationState(seq)
-        rng = substream(11)
-        sizes = []
-        for v in range(seq.n):
-            if state.visited[v]:
-                continue
-            state.begin(v)
-            while state.active > 0:
-                state.step(rng)
-            sizes.append(state.cluster_size)
-        assert state.t_global == len(state.pairs) == seq.two_m // 2
-        pairing = state.finished_pairing()
-        assert np.array_equal(np.sort(pairing.pairs.ravel()), np.arange(seq.two_m))
-        report = project_components(pairing)
-        assert sorted(report.component_sizes) == sorted(sizes)
+        # on a walk's maps and on the decomposition's arrays, alike
+        matched = []
+        for state in (ExplorationState(seq), _decomposition_state(seq)):
+            rng = substream(11)
+            sizes = []
+            for v in range(seq.n):
+                if state.visited[v]:
+                    continue
+                state.begin(v)
+                while state.active > 0:
+                    state.step(rng)
+                sizes.append(state.cluster_size)
+            assert state.t_global == len(state.pairs) == seq.two_m // 2
+            pairing = state.finished_pairing()
+            assert np.array_equal(np.sort(pairing.pairs.ravel()), np.arange(seq.two_m))
+            report = project_components(pairing)
+            assert sorted(report.component_sizes) == sorted(sizes)
+            matched.append(state.pairs)
+        assert matched[0] == matched[1]
 
     @given(even_degree_lists(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
