@@ -26,20 +26,13 @@ from .degree_model import (
     validate_subpower,
 )
 
-# name -> submodule that defines it, imported on first access (PEP 562)
+# name -> submodule, imported on first access (PEP 562): what perfbench reads
 _LAZY = {
-    "ExplorationState": "exploration",
-    "ExplorationTrace": "exploration",
     "explore_component": "exploration",
     "largest_component_via_exploration": "exploration",
-    "start_exploration": "exploration",
-    "ComponentReport": "pairing",
-    "Pairing": "pairing",
     "PointSpace": "pairing",
-    "enumerate_pairings": "pairing",
     "project_components": "pairing",
     "sample_pairing": "pairing",
-    "sample_simple_graph": "pairing",
     "substream": "rng",
 }
 

@@ -323,25 +323,22 @@ class RunSummary:
 _POOL_START_S = 0.045
 
 
-class _KernelMemoryError(Exception):
-    """A kernel's MemoryError; ``args[0]`` is the index of its cell."""
-
-
 def _replicate(work: tuple, i: int) -> Any:
     """The kernel result of the run's replicate ``i``; replicate r of the
-    cell with index k draws from ``substream(seed, k, r)``."""
+    cell with index k draws from ``substream(seed, k, r)``.  A kernel's
+    MemoryError is a ConfigError naming ``where``, the cell's config name."""
     from .rng import substream
 
     kernel, cells, seed, replicates = work
     position, rep = divmod(i, replicates)
-    cell_index, seq = cells[position]
+    cell_index, where, seq = cells[position]
     try:
         return kernel(seq, substream(seed, cell_index, rep))
     except MemoryError as exc:
-        raise _KernelMemoryError(cell_index) from exc
+        raise ConfigError(f"{where}: too large to hold in memory") from exc
 
 
-def _seconds_left(elapsed: float, cells: list[tuple[int, DegreeSequence]],
+def _seconds_left(elapsed: float, cells: list[tuple[int, str, DegreeSequence]],
                   replicates: int, done: int) -> float:
     """Seconds the run's replicates from ``done`` on would take in the
     parent, which spent ``elapsed`` seconds on replicates 1 to ``done - 1``
@@ -352,18 +349,18 @@ def _seconds_left(elapsed: float, cells: list[tuple[int, DegreeSequence]],
     def points(lo: int, hi: int) -> int:
         return sum(max(seq.n_core_points, 1)
                    * max(0, min(hi, (k + 1) * replicates) - max(lo, k * replicates))
-                   for k, (_, seq) in enumerate(cells))
+                   for k, (_, _, seq) in enumerate(cells))
 
     timed, left = points(1, done), points(done, len(cells) * replicates)
     return elapsed * left / timed if timed else math.inf
 
 
-def _replicates(kernel: Callable, cells: list[tuple[int, DegreeSequence]],
+def _replicates(kernel: Callable, cells: list[tuple[int, str, DegreeSequence]],
                 seed: int, replicates: int, workers: int) -> list[list]:
     """Each cell's ``replicates`` kernel results, in replicate order.
 
-    The ``(cell_index, sequence)`` cells' replicates form one queue, cell by
-    cell, and the parent runs it from the start.  Its first replicate pays
+    The ``(cell_index, where, sequence)`` cells' replicates form one queue,
+    cell by cell, and the parent runs it from the start.  Its first replicate pays
     the one-time imports of numpy and the samplers, which forked workers
     then inherit; the replicates after it are timed.  While two or more
     replicates are left, the parent estimates the seconds they would still
@@ -580,7 +577,7 @@ def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
 
     seq = resolve_degrees(config.degrees)
     nu_value = nu(empirical_distribution(seq))
-    (results,) = _replicates(partial(_project, buffers={}), [(0, seq)],
+    (results,) = _replicates(partial(_project, buffers={}), [(0, "degrees", seq)],
                              config.seed, config.replicates, config.workers)
     rows = [_PoissonRow(rep, *r) for rep, r in enumerate(results)]
     check = poisson_limit_check(rows, nu_value, min_reports=1)
@@ -636,14 +633,12 @@ def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdi
     tol = config.tolerances
     # a cell that does not build is recorded with its error; the grid goes on
     built = list(_grid_cells(config.grid))
-    sampled = [(cell_index, seq) for cell_index, (_, _, seq) in enumerate(built)
+    # a cell that builds but does not fit ends the run, and the grid with it
+    sampled = [(cell_index, f"grid[gamma={gamma},n={n}]", seq)
+               for cell_index, (gamma, n, seq) in enumerate(built)
                if not isinstance(seq, ValueError)]
-    try:
-        results = iter(_replicates(partial(_largest, buffers={}), sampled,
-                                   config.seed, config.replicates, config.workers))
-    except _KernelMemoryError as exc:  # the grid's other cells are lost too
-        gamma, n, _ = built[exc.args[0]]
-        raise ConfigError(f"grid[gamma={gamma},n={n}]: too large to hold in memory")
+    results = iter(_replicates(partial(_largest, buffers={}), sampled,
+                               config.seed, config.replicates, config.workers))
     low, high = tol["max_degree_ratio_low"], tol["max_degree_ratio_high"]
     cells: list[dict] = []
     verdicts: list[Verdict] = []
@@ -702,8 +697,8 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     # the first max-degree vertex: that root stresses the path most
     root = seq.max_degree_vertex
     kernel = partial(_deviations, root=root, dist=dist, track=track)
-    (results,) = _replicates(kernel, [(0, seq)], config.seed, config.replicates,
-                             config.workers)
+    (results,) = _replicates(kernel, [(0, "degrees", seq)], config.seed,
+                             config.replicates, config.workers)
     cells = []
     verdicts = []
     # statistics.median: np.median's first call imports numpy.ma (~12 ms)
@@ -752,7 +747,7 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
         "double_factorial": double_factorial_odd(m),
         "p_simple_exact": simple / count,
     }
-    (drawn,) = _replicates(_pairing_index, [(0, seq)], config.seed,
+    (drawn,) = _replicates(_pairing_index, [(0, "degrees", seq)], config.seed,
                            config.replicates, config.workers)
     counts = np.bincount(drawn, minlength=count)
     chi2_stat, p_value = stats.chisquare(counts)
@@ -788,21 +783,23 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 
 
 def run(config: ExperimentConfig) -> RunSummary:
-    """Execute the configured experiment and write records.csv + summary.json."""
-    t0 = time.monotonic()
-    try:
-        rows, cells, verdicts = _MODE_RUNNERS[config.mode](config)
-    except _KernelMemoryError as exc:  # the one cell of a mode with ``degrees``
-        raise ConfigError("degrees: too large to hold in memory") from exc
-    log.info("mode=%s wall_clock=%.3fs", config.mode, time.monotonic() - t0)
-    # made only now, so that a run its runner refuses leaves no directory
+    """Execute the configured experiment and write records.csv + summary.json.
+    An ``output_dir`` that is a file or lies below one is refused before any
+    replicate runs; an OSError making it or writing into it names it too."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:  # the nearest of ``out`` and its parents that exists
+        held = next((p for p in (out, *out.parents) if p.exists()), None)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: {exc}") from exc
+    if held is not None and not held.is_dir():
+        raise ConfigError(f"output_dir: {held} is not a directory")
+    t0 = time.monotonic()
+    rows, cells, verdicts = _MODE_RUNNERS[config.mode](config)
+    log.info("mode=%s wall_clock=%.3fs", config.mode, time.monotonic() - t0)
 
     tag = f"{config.mode}_{config.hash()}_seed{config.seed}"
     csv_path = out / f"{tag}.csv"
     json_path = out / f"{tag}.json"
-    _write_csv(csv_path, rows)
     summary = RunSummary(
         config=config.echo(),
         config_hash=config.hash(),
@@ -811,10 +808,15 @@ def run(config: ExperimentConfig) -> RunSummary:
         verdicts=verdicts,
         artifacts=[str(csv_path), str(json_path)],
     )
-    json_path.write_text(
-        json.dumps(summary.deterministic_dict(), sort_keys=True, indent=2)
-        + "\n"
-    )
+    try:  # made only now, so that a run its runner refuses leaves no directory
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(csv_path, rows)
+        json_path.write_text(
+            json.dumps(summary.deterministic_dict(), sort_keys=True, indent=2)
+            + "\n"
+        )
+    except OSError as exc:
+        raise ConfigError(f"output_dir: {exc}") from exc
     return summary
 
 

@@ -108,11 +108,14 @@ def _buffer(buffers: dict[str, np.ndarray] | None, name: str,
     """An array of ``shape`` over the start of ``buffers[name]``, which is
     ``make(size, dtype=dtype)`` made when it is missing or too small; its
     values are those left by the last call that wrote it.  Without
-    ``buffers``, a fresh array."""
+    ``buffers``, a fresh array.  A size too large to hold is a MemoryError."""
     size = math.prod(shape)
     held = None if buffers is None else buffers.get(name)
     if held is None or held.size < size:
-        held = make(size, dtype=dtype)
+        try:
+            held = make(size, dtype=dtype)
+        except ValueError as exc:  # "array is too big"
+            raise MemoryError(str(exc)) from exc
         if buffers is not None:
             buffers[name] = held
     return held[:size].reshape(shape)

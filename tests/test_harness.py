@@ -795,6 +795,22 @@ class TestCli:
             cli_main(["run", "-c", str(cfg)])
 
     @pytest.mark.parametrize("degrees", [
+        {"kind": "explicit", "degrees": [2**61, 2**61, 1, 1]},
+        {"kind": "regular", "n": 2, "d": 2**61}])
+    def test_point_count_past_a_buffers_bytes_names_degrees(self, tmp_path, capsys,
+                                                            degrees):
+        # 2m fits int64 but 8 bytes a point does not: numpy refuses the
+        # buffer's size with a ValueError before it allocates anything
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "mode": "poisson_check", "output_dir": str(tmp_path / "out"),
+            "degrees": degrees}))
+        assert cli_main(["run", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: degrees: too large to hold in memory\n"
+        assert not (tmp_path / "out").exists()
+        assert cli_main(["describe", "-c", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("degrees", [
         {"kind": "explicit", "degrees": [2**63, 2]},
         {"kind": "regular", "n": 2, "d": 2**63}])
     def test_point_count_past_int64_names_degrees(self, tmp_path, capsys, degrees):
@@ -958,7 +974,7 @@ def test_poisson_replicates_fault_in_no_pages_after_the_first(tmp_path):
         replicates = harness._replicates
 
         def keep(kernel, cells, *args):
-            kernels.append((kernel, cells[0][1]))
+            kernels.append((kernel, cells[0][2]))
             return replicates(kernel, cells, *args)
 
         harness._replicates = keep
@@ -1259,8 +1275,8 @@ def test_pool_takes_over_partway_through_a_task(tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(pairlab.harness, "_share", lambda work, cut, processes: (
         ranges.append(cut) or [0] * 297))
     seq = DegreeSequence.from_runs([(3, 4)])
-    pairlab.harness._replicates(lambda seq, rng: 0, [(k, seq) for k in range(3)],
-                                1, 100, 2)
+    pairlab.harness._replicates(lambda seq, rng: 0,
+                                [(k, "degrees", seq) for k in range(3)], 1, 100, 2)
     assert ranges[-1][0] == (3, 5) and ranges[-1][-1] == (299, 300)
     assert any(lo // 100 != (hi - 1) // 100 for lo, hi in ranges[-1])
 
@@ -1291,6 +1307,39 @@ def test_one_worker_never_starts_a_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(pairlab.harness, "_POOL_START_S", 0)
     run(ExperimentConfig.from_dict(
         {**_SMALL_POISSON, "workers": 1, "output_dir": str(tmp_path)}))
+
+
+def _no_replicate(*args):
+    raise AssertionError("a replicate ran")
+
+
+@pytest.mark.parametrize("below", ["", "sub/out"])
+def test_output_dir_below_a_file_is_refused_before_any_replicate(
+        tmp_path, capsys, monkeypatch, below):
+    # the output_dir is a file, or lies below one
+    monkeypatch.setattr(pairlab.harness, "_replicates", _no_replicate)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_POISSON,
+                               "output_dir": str(blocker / below)}))
+    assert cli_main(["run", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output_dir: {blocker} is not a directory\n")
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
+def test_output_dir_that_cannot_be_written_names_output_dir(tmp_path, capsys):
+    # the directory exists, but the CSV's name is taken by a directory
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_SMALL_POISSON, "output_dir": str(tmp_path / "out")}))
+    tag = f"poisson_check_{ExperimentConfig.from_file(cfg).hash()}_seed5"
+    csv_path = tmp_path / "out" / f"{tag}.csv"
+    csv_path.mkdir(parents=True)
+    assert cli_main(["run", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output_dir: [Errno 21] Is a directory: '{csv_path}'\n")
 
 
 @pytest.mark.parametrize("affinity", [True, False],
@@ -1410,6 +1459,25 @@ def test_page_faults_are_logged(tmp_path, monkeypatch, caplog, budget, parent):
                          r"workers$", m) for m in shares)
 
 
+def test_serial_run_without_resource_logs_no_faults(tmp_path, monkeypatch, caplog):
+    # where ``resource`` cannot be imported (Windows), the run leaves out its
+    # faults line and writes the same artifacts
+    pytest.importorskip("resource")
+    caplog.set_level(logging.INFO, logger="pairlab.harness")
+    blobs, logged = [], []
+    for name in ("with", "without"):
+        if name == "without":
+            monkeypatch.setitem(sys.modules, "resource", None)
+        caplog.clear()
+        summary = run(ExperimentConfig.from_dict(
+            {**_SMALL_POISSON, "output_dir": str(tmp_path / name)}))
+        blobs.append([Path(a).read_bytes() for a in summary.artifacts])
+        logged.append([r.getMessage().split(":")[0] for r in caplog.records])
+    assert blobs[0] == blobs[1]
+    assert "faults" in logged[0]
+    assert logged[1] == [m for m in logged[0] if m != "faults"]
+
+
 def _run_on_ticking_clock(tmp_path, monkeypatch, caplog, cost: float) -> list[str]:
     """Run 8 one-replicate poisson tasks at 2 workers on a clock that ticks
     once a read, with a pool cost of ``cost`` ticks; the log, and artifacts
@@ -1502,7 +1570,7 @@ def test_seconds_left_scales_with_core_points():
     # replicate each
     small, big = (build_subpower_sequence(n, 3.5, 1.0, 0.9)
                   for n in (1_000, 100_000))
-    cells = [(0, small), (1, big)]
+    cells = [(0, "grid", small), (1, "grid", big)]
     ratio = big.n_core_points / small.n_core_points
     assert ratio > 50
     left = pairlab.harness._seconds_left(0.007, cells, 8, 8)
@@ -1513,7 +1581,7 @@ def test_seconds_left_scales_with_core_points():
     assert left == pytest.approx(0.005 * (2 + 8 * ratio) / 5)
     # one cell, with a core or without: replicates left over replicates timed
     for seq in (small, DegreeSequence((1,) * 20_000)):
-        assert pairlab.harness._seconds_left(0.004, [(0, seq)], 8, 5
+        assert pairlab.harness._seconds_left(0.004, [(0, "degrees", seq)], 8, 5
                                              ) == pytest.approx(0.004 * 3 / 4)
 
 
