@@ -853,11 +853,14 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
         "predicted_p_simple": p_simple,
         "predicted_attempts": attempts if math.isfinite(attempts) else None,
         # a lower bound on the per-point arrays of a replicate that samples a
-        # pairing: the kernels' 8-byte slot labels (the oracle's int64 points),
-        # and 8 more for rng.choice's slot range, which places a core of over
-        # about 2m/50 points (a smaller core needs none, the one case below
-        # the bound), or with no degree-1 vertex the count's 20 (each pair's
-        # ends, key and roots); no bound for trajectory, whose exploration
+        # pairing.  With a degree-1 vertex: the kernels' 8-byte slot labels
+        # (the oracle's int64 points), and 8 more for rng.choice's slot range,
+        # which places a core of over about 2m/50 points (a smaller core needs
+        # none, the one case below the bound).  With none: rng.choice's 8-byte
+        # range (at most 10,000 points: a hash set of over 4.8), the drawn
+        # half (4), the mask of the rest (1), and the two halves' labels (4)
+        # with the count's 20 (each pair's ends, key and roots), or the
+        # oracle's pairs (8).  No bound for trajectory, whose exploration
         # allocates none of these arrays
         "memory_estimate_bytes": seq.two_m * 16,
     }

@@ -10,7 +10,9 @@ and rejection sampling of simple graphs.  The projector reads only the pairs
 of two core points, those of vertices of degree >= 2; the degree-1 vertices
 join components by counting.  The sampler places the core points first, so
 ``sample_core_pairs`` draws those pairs alone, with the same random numbers
-that begin ``sample_pairing``'s draw.
+that begin ``sample_pairing``'s draw.  With no degree-1 vertex both draw the
+whole pairing as m distinct points in order, the k-th matched with the k-th
+smallest point not drawn.
 
 A run projects many pairings of one sequence, so the draw of the core pairs,
 the count and the components write their per-point arrays into ``buffers``:
@@ -121,6 +123,25 @@ def _buffer(buffers: dict[str, np.ndarray] | None, name: str,
     return held[:size].reshape(shape)
 
 
+def _first_ends(two_m: int, rng: np.random.Generator,
+                buffers: dict[str, np.ndarray] | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform pairing of 2m points: the first ends of its pairs in pair
+    order, ``rng.choice(2m, m, replace=False)``, and the mask of the second
+    ends, in ``buffers``; the k-th first end is matched with the k-th
+    smallest second end.  Above 10,000 points the choice takes m bounded
+    draws, against 2m - 1 for a permutation.  Each pairing is drawn from 2^m
+    of the (2m)!/m! ordered m-subsets, one for each choice of an end of each
+    pair, taken in the order of their partners, so all (2m-1)!! are equally
+    likely."""
+    # made before the draw, so that a 2m too large to hold is a MemoryError
+    second = _buffer(buffers, "second ends", (two_m,), bool)
+    first = rng.choice(two_m, two_m // 2, replace=False)
+    second.fill(True)
+    second[first] = False
+    return first, second
+
+
 def _core_slots(seq: DegreeSequence, rng: np.random.Generator) -> np.ndarray:
     """The first stage of ``sample_pairing`` on a sequence with a degree-1
     vertex: the slots of the core points, in point order."""
@@ -132,20 +153,25 @@ def sample_pairing(
 ) -> Pairing:
     """Draw a uniform pairing: all (2m-1)!! matchings are equally likely.
 
-    The points are laid out over 2m slots, and slots 2k and 2k + 1 hold pair
-    k; a uniform layout induces the uniform matching.  With no degree-1
-    vertex the layout is one ``rng.permutation(2m)``.  Otherwise it takes two
-    stages: ``rng.choice(2m, P, replace=False)``, a uniform ordered draw of
-    distinct slots, places the P core points in point order, and a uniform
+    With no degree-1 vertex, ``rng.choice(2m, m, replace=False)`` draws the
+    first point of each pair k, and the points it leaves out, in ascending
+    order, are the second (``_first_ends``).  Otherwise the points are laid
+    out over 2m slots, slots 2k and 2k + 1 holding pair k, in two stages:
+    ``rng.choice(2m, P, replace=False)``, a uniform ordered draw of distinct
+    slots, places the P core points in point order, and a uniform
     permutation of the 2m - P degree-1 points fills the free slots in
-    ascending order.  The first stage alone fixes every pair of two core
-    points, which is all that ``sample_core_pairs`` draws.  Deterministic
-    given the rng state.
+    ascending order; a uniform layout induces the uniform matching.  The
+    first stage alone fixes every pair of two core points, which is all that
+    ``sample_core_pairs`` draws.  Deterministic given the rng state.
     """
     if isinstance(seq, PointSpace):
         seq = seq.seq
     if seq.n_core == seq.n:
-        return Pairing(pairs=rng.permutation(seq.two_m).reshape(-1, 2), seq=seq)
+        first, second = _first_ends(seq.two_m, rng, None)
+        pairs = np.empty((first.size, 2), dtype=np.int64)
+        pairs[:, 0] = first
+        pairs[:, 1] = second.nonzero()[0]
+        return Pairing(pairs=pairs, seq=seq)
     slots = _core_slots(seq, rng)
     in_core = seq.core >= 0  # the core that projecting the pairing reads
     points = np.empty(seq.two_m, dtype=np.int64)
@@ -167,16 +193,19 @@ def sample_core_pairs(
 
     ``core_report`` or ``core_largest`` project them; the degree-1 points
     are never placed, no ``Pairing`` is built and ``core`` is not read.
-    With no degree-1 vertex, u and v are views of the slot labels kept in
-    ``buffers``, which the next draw into them overwrites.
+    With no degree-1 vertex, u and v are the ``core_labels`` of the first
+    and the second ends, gathered into ``buffers``, which the next draw into
+    them overwrites.
     """
-    labels = _buffer(buffers, "labels", (seq.two_m,), np.intp)  # slot -> its core label
     if seq.n_core == seq.n:
-        # shuffling the labels swaps what shuffling arange(2m) would, so
-        # they end in rng.permutation(2m)'s order, from the same draws
-        np.copyto(labels, seq.core_labels)
-        rng.shuffle(labels)
-        return labels[0::2], labels[1::2]
+        first, second = _first_ends(seq.two_m, rng, buffers)
+        labels, half = seq.core_labels, first.shape
+        # every drawn point is in range, which mode="clip" takes unchecked
+        return (np.take(labels, first, mode="clip",
+                        out=_buffer(buffers, "first labels", half, labels.dtype)),
+                np.compress(second, labels,
+                            out=_buffer(buffers, "second labels", half, labels.dtype)))
+    labels = _buffer(buffers, "labels", (seq.two_m,), np.intp)  # slot -> its core label
     labels.fill(-1)
     labels[_core_slots(seq, rng)] = seq.core_labels
     return _both_in_core(labels[0::2], labels[1::2])

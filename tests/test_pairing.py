@@ -414,12 +414,14 @@ class TestCoreProjection:
 
 
 def earlier_core_pairs(seq, rng):
-    """The core pairs as drawn before the labels were kept in buffers:
-    ``core_labels`` gathered through ``rng.permutation(2m)``, or placed at
-    the slots of ``rng.choice`` and kept where both ends are in the core."""
+    """The core pairs drawn with fresh arrays: the ``core_labels`` of the m
+    points of ``rng.choice(2m, m)`` and of the others in ascending order, or
+    placed at the slots of ``rng.choice`` and kept where both ends are in
+    the core."""
     if seq.n_core == seq.n:
-        perm = rng.permutation(seq.two_m)
-        return seq.core_labels[perm[0::2]], seq.core_labels[perm[1::2]]
+        first = rng.choice(seq.two_m, seq.two_m // 2, replace=False)
+        second = np.setdiff1d(np.arange(seq.two_m), first)
+        return seq.core_labels[first], seq.core_labels[second]
     labels = np.full(seq.two_m, -1)
     labels[rng.choice(seq.two_m, seq.n_core_points, replace=False)] = seq.core_labels
     both = np.minimum(labels[0::2], labels[1::2]) >= 0
@@ -526,11 +528,13 @@ class _ScriptedRng:
     ``permutation(x)`` orders x by the given order, as a Generator's
     ``permutation(x)`` orders it by ``permutation(len(x))``."""
 
-    def __init__(self, seq, slots, order):
+    def __init__(self, seq, slots, order=()):
         self.seq, self.slots, self.order = seq, slots, order
 
     def choice(self, a, size, replace):
-        assert (a, size, replace) == (self.seq.two_m, self.seq.n_core_points, False)
+        seq = self.seq  # the core points, or with no degree-1 vertex m points
+        drawn = seq.n_core_points if seq.n_core < seq.n else seq.two_m // 2
+        assert (a, size, replace) == (seq.two_m, drawn, False)
         return np.array(self.slots, dtype=np.int64)
 
     def permutation(self, x):
@@ -576,7 +580,9 @@ class TestTwoStageSampler:
     def test_no_degree_one_vertex_keeps_one_permutation(self):
         seq = DegreeSequence((3, 2, 3, 2, 2))
         got = sample_pairing(seq, substream(41)).pairs
-        assert np.array_equal(got, substream(41).permutation(12).reshape(-1, 2))
+        first = substream(41).choice(12, 6, replace=False)
+        second = np.setdiff1d(np.arange(12), first)
+        assert np.array_equal(got, np.column_stack((first, second)))
 
     @given(even_degree_lists(max_n=12), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100, deadline=None)
@@ -586,6 +592,34 @@ class TestTwoStageSampler:
         assert np.array_equal(np.sort(p.pairs.ravel()), np.arange(seq.two_m))
         for got, want in zip(sample_core_pairs(seq, substream(seed)), _core_pairs(p)):
             assert np.array_equal(got, want)
+
+
+class TestNoDegreeOneSampler:
+    """With no degree-1 vertex, m ordered draws pick the first end of each
+    pair, and the points left over, in ascending order, are the second."""
+
+    @pytest.mark.parametrize("degrees", [(2, 2), (2, 2, 2), (3, 3), (4, 2, 2),
+                                         (2, 2, 2, 2)])
+    def test_exact_law_over_ordered_halves(self, degrees):
+        # every ordered m-subset of the points once, as a uniform draw gives
+        # them: each pairing takes one end of each pair in 2^m ways
+        seq = DegreeSequence(degrees)
+        m = seq.two_m // 2
+        weights = Counter(
+            sample_pairing(seq, _ScriptedRng(seq, first)).index()
+            for first in itertools.permutations(range(seq.two_m), m)
+        )
+        assert sorted(weights) == list(range(double_factorial_odd(m)))
+        assert set(weights.values()) == {2**m}
+
+    def test_chi_square_without_degree_one_vertices(self):
+        seq = DegreeSequence((2, 2, 2))
+        rng = substream(20_261_020)
+        counts = np.bincount([sample_pairing(seq, rng).index()
+                              for _ in range(30_000)], minlength=15)
+        assert counts.size == 15
+        _, p_value = stats.chisquare(counts)
+        assert p_value >= 1e-3
 
 
 class TestSimpleGraphSampling:
