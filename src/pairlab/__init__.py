@@ -3,9 +3,12 @@ degree sequence: pairing-model sampling, component exploration, and the
 statistical diagnostics that go with them.
 
 The degree-model names load with the package.  The exploration, pairing and
-rng names load their module, and numpy with it, on first access, so a dry
-run that only reads degrees never imports numpy.  A process that forks loads
-them first, so forked pool workers inherit one import instead of each
+rng names load their module on first access.  Of those, only the pairing
+module imports numpy as it loads; the others import it inside the functions
+that make arrays.  So a dry run that only reads degrees never imports numpy,
+and a trajectory run of short walks, which draws and takes its deviations in
+Python, does not either.  A process that forks loads all three first, numpy
+with them, so forked pool workers inherit one import instead of each
 repeating it.
 """
 

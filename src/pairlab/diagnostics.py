@@ -13,11 +13,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import rng
 from .degree_model import EmpiricalDistribution, predicted_simple_probability
 
 if TYPE_CHECKING:  # annotations only: a Poisson check loads no exploration
+    import numpy as np
+
     from .exploration import ExplorationTrace, StateSnapshot
     from .pairing import ComponentReport
 
@@ -30,16 +31,24 @@ class InsufficientSamplesError(ValueError):
     """Too few reports for a meaningful statistical check."""
 
 
+def _check_horizon(t_max: int, total_points: int) -> None:
+    """Refuse a step t_max past m, where the running product's last
+    denominator 2m - 2(t_max - 1) - 1 would fall below 1."""
+    if 2 * (t_max - 1) >= total_points - 1:
+        raise HorizonExceededError(
+            f"t = {t_max} beyond horizon m = {total_points // 2}"
+        )
+
+
 def depletion_products(j: int, t_max: int, total_points: int) -> np.ndarray:
     """Running products of (1 - j/(2m - 2*tau - 1)) over tau < t, for
     t = 0 .. t_max; entry 0 is the empty product 1.
 
     Defined up to t = m, where the last denominator reaches 1.
     """
-    if 2 * (t_max - 1) >= total_points - 1:
-        raise HorizonExceededError(
-            f"t = {t_max} beyond horizon m = {total_points // 2}"
-        )
+    import numpy as np
+
+    _check_horizon(t_max, total_points)
     denom = total_points - 2 * np.arange(t_max, dtype=np.float64) - 1
     return np.concatenate([[1.0], np.cumprod(1.0 - j / denom)])
 
@@ -87,10 +96,43 @@ def predicted_path(
 def trajectory_deviation(
     trace: ExplorationTrace, dist: EmpiricalDistribution, j: int
 ) -> float:
-    """max over recorded t of |I_j(t) - predicted path| / n."""
+    """max over recorded t of |I_j(t) - predicted path| / n.
+
+    While numpy is unloaded (``rng.numpy_loaded``), one Python pass
+    computes the same float (``_deviation_in_python``); otherwise numpy's
+    array form, which is faster past a few dozen steps, does.
+    """
+    if not rng.numpy_loaded():
+        return _deviation_in_python(trace, dist, j)
+    import numpy as np
+
     series = trace.inactive_series(j)
     preds = predicted_path(dist, trace.root_degree, j, len(series) - 1)
     return float(np.max(np.abs(series - preds)) / trace.n)
+
+
+def _deviation_in_python(
+    trace: ExplorationTrace, dist: EmpiricalDistribution, j: int
+) -> float:
+    """``trajectory_deviation`` in one pass over the steps, keeping the
+    running product, I_j and the running max of |I_j - path|.  Each float
+    operation is the one numpy applies to that element, in the same order
+    (``cumprod`` multiplies left to right), so the result is the same float.
+    """
+    _check_horizon(len(trace.steps), dist.two_m)
+    start = dist.counts.get(j, 0) - (1 if j == trace.root_degree else 0)
+    i_j = trace.initial_inactive_counts.get(j, 0)
+    product, denom = 1.0, float(dist.two_m - 1)
+    worst = abs(i_j - start * product)
+    for degree in trace.steps:
+        product *= 1.0 - j / denom
+        denom -= 2.0
+        if degree == j:
+            i_j -= 1
+        gap = abs(i_j - start * product)
+        if gap > worst:
+            worst = gap
+    return worst / trace.n
 
 
 def expected_active_change(snapshot: StateSnapshot) -> float:
@@ -124,6 +166,8 @@ class DriftEstimate:
 
 def drift_estimate(traces: list[ExplorationTrace], window: int) -> DriftEstimate:
     """Mean observed delta-A over steps t <= window, pooled across traces."""
+    import numpy as np
+
     first = max(window, 0)
     arr = np.concatenate(
         [np.empty(0)] + [np.diff(trace.active_series())[:first] for trace in traces]
@@ -161,6 +205,8 @@ def poisson_limit_check(
         raise InsufficientSamplesError(
             f"{len(reports)} reports < floor {min_reports}"
         )
+    import numpy as np
+
     x = np.array([r.loops for r in reports], dtype=np.float64)
     y = np.array([r.parallel_pairs for r in reports], dtype=np.float64)
     simple = np.array([r.simple for r in reports], dtype=np.float64)

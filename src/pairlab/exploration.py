@@ -15,7 +15,11 @@ most 2, so with A active points at least ceil(A/2) more steps follow, and a
 block of exactly that many ``rng.random`` values is used up in full.
 ``Generator.random(k)`` yields the same doubles as k scalar calls, so the
 steps, the uniforms drawn and the generator's final state match a loop of
-``step`` calls.
+``step`` calls.  A stream may also be ``rng._PureSubstream``, numpy's PCG64
+stream drawn in Python: its ``random(k)`` is an ``array('d')`` of the same
+doubles, and ``_walk`` reads either kind through ``tolist``.  numpy is
+imported only inside the functions that make arrays: a trace's series, the
+decomposition's pool and ``finished_pairing``.
 
 The unmatched points form a swap-remove pool, and who owns the state picks
 its container.  A walk (``start_exploration``, ``explore_component``,
@@ -34,11 +38,11 @@ from dataclasses import dataclass
 from operator import index as as_index
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .degree_model import DegreeSequence
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .pairing import Pairing
 
 
@@ -78,6 +82,8 @@ class ExplorationTrace:
     def active_series(self) -> np.ndarray:
         """A(t) for t = 0 .. number of recorded steps: a partner of degree d
         adds d - 2 active points, an active partner (d = 0) removes 2."""
+        import numpy as np
+
         degrees = np.array(self.steps, dtype=np.int64)
         delta = np.where(degrees == 0, -2, degrees - 2)
         return self.root_degree + np.concatenate([[0], np.cumsum(delta)])
@@ -85,6 +91,8 @@ class ExplorationTrace:
     def inactive_series(self, j: int) -> np.ndarray:
         """I_j(t) for t = 0 .. number of recorded steps: each partner of
         degree j removes one inactive vertex of degree j."""
+        import numpy as np
+
         drops = np.cumsum(np.array(self.steps, dtype=np.int64) == j)
         return self.initial_inactive_counts.get(j, 0) - np.concatenate([[0], drops])
 
@@ -259,6 +267,8 @@ class ExplorationState:
 
     def finished_pairing(self) -> Pairing:
         """The completed pairing after a full decomposition."""
+        import numpy as np
+
         from .pairing import Pairing  # an exploration alone needs no sampler
 
         if self._size:
@@ -270,6 +280,8 @@ class ExplorationState:
 def _decomposition_state(seq: DegreeSequence) -> ExplorationState:
     """A state whose pool is two flat arrays: a full decomposition touches
     every slot, so it reads arrays rather than maps of moved entries."""
+    import numpy as np
+
     state = ExplorationState(seq)
     state._slot = memoryview(np.arange(seq.two_m, dtype=np.intp))
     state._index = memoryview(np.arange(seq.two_m, dtype=np.intp))

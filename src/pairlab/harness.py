@@ -10,8 +10,12 @@ byte-identical at any worker count.  Wall-clock time is only logged, never
 kept on the summary or written to the artifacts.
 
 Config parsing, ``describe`` and ``validate_degree_file`` need only the
-degree model.  The samplers, the exploration, the diagnostics and numpy load
-inside the code that runs replicates, so a dry run never imports them.
+degree model.  The samplers, the exploration and the diagnostics load inside
+the code that runs replicates, so a dry run never imports them.  numpy loads
+with the samplers.  A trajectory run draws from ``rng._PureSubstream``, the
+same stream in Python, and takes its deviations in Python too, so it imports
+numpy only once its walks have drawn ``rng._PURE_DRAWS`` doubles, or before
+it forks (see ``_replicates``).
 """
 
 from __future__ import annotations
@@ -325,15 +329,14 @@ _POOL_START_S = 0.045
 
 def _replicate(work: tuple, i: int) -> Any:
     """The kernel result of the run's replicate ``i``; replicate r of the
-    cell with index k draws from ``substream(seed, k, r)``.  A kernel's
-    MemoryError is a ConfigError naming ``where``, the cell's config name."""
-    from .rng import substream
-
-    kernel, cells, seed, replicates = work
+    cell with index k draws from ``stream(seed, k, r)``, ``substream`` or
+    another factory of its stream.  A kernel's MemoryError is a ConfigError
+    naming ``where``, the cell's config name."""
+    kernel, cells, seed, replicates, stream = work
     position, rep = divmod(i, replicates)
     cell_index, where, seq = cells[position]
     try:
-        return kernel(seq, substream(seed, cell_index, rep))
+        return kernel(seq, stream(seed, cell_index, rep))
     except MemoryError as exc:
         raise ConfigError(f"{where}: too large to hold in memory") from exc
 
@@ -356,13 +359,17 @@ def _seconds_left(elapsed: float, cells: list[tuple[int, str, DegreeSequence]],
 
 
 def _replicates(kernel: Callable, cells: list[tuple[int, str, DegreeSequence]],
-                seed: int, replicates: int, workers: int) -> list[list]:
-    """Each cell's ``replicates`` kernel results, in replicate order.
+                seed: int, replicates: int, workers: int,
+                stream: Callable | None = None) -> list[list]:
+    """Each cell's ``replicates`` kernel results, in replicate order; a
+    replicate draws from ``stream``, by default ``substream`` (see
+    ``_replicate``).
 
     The ``(cell_index, where, sequence)`` cells' replicates form one queue,
-    cell by cell, and the parent runs it from the start.  Its first replicate pays
-    the one-time imports of numpy and the samplers, which forked workers
-    then inherit; the replicates after it are timed.  While two or more
+    cell by cell, and the parent runs it from the start.  Its first
+    replicate pays the one-time imports of its kernel's modules, and of
+    numpy unless the kernel draws from ``_PureSubstream``; forked workers
+    then inherit them.  The replicates after it are timed.  While two or more
     replicates are left, the parent estimates the seconds they would still
     take it (``_seconds_left``) and shares them with forked workers, W
     processes in all, only if that would save more than ``_POOL_START_S``:
@@ -375,13 +382,21 @@ def _replicates(kernel: Callable, cells: list[tuple[int, str, DegreeSequence]],
     may run on; without ``os.fork``, or in a process that runs threads (a
     forked worker would inherit only the thread that forked it), the run is
     serial.
+
+    Before a share forks, the package's at-fork hook imports its sampling
+    modules, and numpy with them.  A trajectory share's parent and workers
+    then draw from ``substream``'s numpy stream, which ``_PureSubstream``
+    becomes once numpy is loaded, and take their deviations through numpy:
+    the same floats, so the artifacts match a serial run.
     """
+    if stream is None:
+        from .rng import substream as stream
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         cpus = 1
     workers = min(workers, cpus)
-    work = (kernel, cells, seed, replicates)
+    work = (kernel, cells, seed, replicates, stream)
     total = len(cells) * replicates
     results: list = []
     # when replicate 0 ended, and the parent's minor page faults then
@@ -690,6 +705,8 @@ def _tracked_degrees(config: ExperimentConfig, seq: DegreeSequence) -> tuple[int
 
 
 def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
+    from .rng import _PureSubstream
+
     seq = resolve_degrees(config.degrees)
     track = _tracked_degrees(config, seq)
     dist = empirical_distribution(seq)
@@ -697,8 +714,10 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     # the first max-degree vertex: that root stresses the path most
     root = seq.max_degree_vertex
     kernel = partial(_deviations, root=root, dist=dist, track=track)
+    # a short walk's doubles are drawn in Python, sparing the run numpy's
+    # import; a long one hands over to numpy (``rng._PURE_DRAWS``)
     (results,) = _replicates(kernel, [(0, "degrees", seq)], config.seed,
-                             config.replicates, config.workers)
+                             config.replicates, config.workers, _PureSubstream)
     cells = []
     verdicts = []
     # statistics.median: np.median's first call imports numpy.ma (~12 ms)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import pairlab.diagnostics
+import pairlab.rng
 from pairlab.degree_model import (
     DegreeSequence,
     build_subpower_sequence,
@@ -11,6 +13,7 @@ from pairlab.degree_model import (
 )
 from pairlab.diagnostics import (
     HorizonExceededError,
+    _deviation_in_python,
     InsufficientSamplesError,
     depletion_product,
     depletion_products,
@@ -23,7 +26,7 @@ from pairlab.diagnostics import (
     predicted_path,
     trajectory_deviation,
 )
-from pairlab.exploration import explore_component, start_exploration
+from pairlab.exploration import ExplorationTrace, explore_component, start_exploration
 from pairlab.pairing import enumerate_pairings, project_components
 from pairlab.rng import substream
 
@@ -135,6 +138,74 @@ class TestTrajectory:
         prods = depletion_products(3, 10, 1000)
         assert prods[0] == 1.0
         assert prods[7] == pytest.approx(depletion_product(3, 7, 1000), rel=1e-15)
+
+
+class TestDeviationInPython:
+    """A process without numpy takes ``trajectory_deviation`` in one Python
+    pass; it must give numpy's float, bit for bit."""
+
+    @staticmethod
+    def _both(trace, dist, j) -> tuple[str, str]:
+        return (_deviation_in_python(trace, dist, j).hex(),
+                trajectory_deviation(trace, dist, j).hex())
+
+    def test_subpower_walks_match_numpy(self):
+        seq = build_subpower_sequence(100_000, 3.5, 1.0, 0.9)
+        dist = empirical_distribution(seq)
+        traces = [explore_component(seq, seq.max_degree_vertex, substream(31, 0, rep),
+                                    record_trace=True) for rep in range(8)]
+        assert sum(len(trace.steps) for trace in traces) > 300
+        for trace in traces:
+            for j in range(1, 6):
+                python, numpy = self._both(trace, dist, j)
+                assert python == numpy
+
+    def test_long_three_regular_walks_match_numpy(self):
+        seq = DegreeSequence.from_runs([(3, 3000)])
+        dist = empirical_distribution(seq)
+        for rep in range(3):
+            trace = explore_component(seq, 0, substream(32, 0, rep), record_trace=True)
+            assert len(trace.steps) > 1000  # the giant component
+            for j in (1, 3, 4):  # absent degrees too: a path of zeros
+                python, numpy = self._both(trace, dist, j)
+                assert python == numpy
+
+    def test_empty_trace_matches_numpy(self):
+        seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
+        dist = empirical_distribution(seq)
+        counts = dict(dist.counts)
+        counts[2] -= 1
+        trace = ExplorationTrace(root_degree=2, n=seq.n, initial_inactive_counts=counts,
+                                 steps=(), stop_time=0, component_size=1)
+        for j in (1, 2, 3):
+            python, numpy = self._both(trace, dist, j)
+            assert python == numpy == 0.0.hex()
+
+    def test_horizon_is_refused_alike(self):
+        # a trace of more steps than the distribution's m = 2 pairs
+        dist = empirical_distribution(DegreeSequence((1, 1, 1, 1)))
+        trace = ExplorationTrace(root_degree=1, n=4, initial_inactive_counts={1: 3},
+                                 steps=(1, 0, 1), stop_time=3, component_size=2)
+        messages = []
+        for deviation in (_deviation_in_python, trajectory_deviation):
+            with pytest.raises(HorizonExceededError) as info:
+                deviation(trace, dist, 1)
+            messages.append(str(info.value))
+        assert messages == ["t = 3 beyond horizon m = 2"] * 2
+
+    def test_dispatch_asks_rng_whether_numpy_is_loaded(self, monkeypatch):
+        seq = build_subpower_sequence(2000, 3.5, 1.0, 0.9)
+        trace = explore_component(seq, 0, substream(33), record_trace=True)
+        calls = []
+        python = pairlab.diagnostics._deviation_in_python
+        monkeypatch.setattr(pairlab.diagnostics, "_deviation_in_python",
+                            lambda *args: calls.append(args) or python(*args))
+        dist = empirical_distribution(seq)
+        numpy_form = trajectory_deviation(trace, dist, 1)
+        assert calls == []
+        monkeypatch.setattr(pairlab.rng, "numpy_loaded", lambda: False)
+        assert trajectory_deviation(trace, dist, 1) == numpy_form
+        assert len(calls) == 1
 
 
 class TestDrift:

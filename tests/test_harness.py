@@ -1244,6 +1244,59 @@ def test_artifact_digests_through_pool(tmp_path, monkeypatch):
     assert _digests(tmp_path, workers=2) == ARTIFACT_DIGESTS
 
 
+def _fresh_trajectory_run(tmp_path, workers: int) -> dict:
+    """The trajectory entry of ``DIGEST_CONFIGS`` run in a fresh interpreter
+    with 2 CPUs and a zero pool cost, so that 2 workers share at once: its
+    artifacts' digests, its dispatch log lines and whether numpy loaded."""
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {**next(c for c in DIGEST_CONFIGS if c["mode"] == "trajectory"),
+         "workers": workers, "output_dir": str(tmp_path / "out")}))
+    return _fresh(tmp_path, """
+        import hashlib, logging, os
+        import pairlab.harness as harness
+        os.sched_getaffinity = lambda pid: {0, 1}
+        harness._POOL_START_S = 0
+        messages = []
+        handler = logging.Handler()
+        handler.emit = lambda record: messages.append(record.getMessage())
+        logging.getLogger("pairlab.harness").addHandler(handler)
+        logging.getLogger("pairlab.harness").setLevel(logging.INFO)
+        summary = harness.run(harness.ExperimentConfig.from_file(out / "cfg.json"))
+        result = {
+            "digests": {Path(a).name: hashlib.sha256(Path(a).read_bytes()).hexdigest()
+                        for a in summary.artifacts},
+            "dispatch": [m for m in messages if m.startswith("replicates:")],
+            "numpy": "numpy" in sys.modules,
+        }
+    """)
+
+
+def _trajectory_digests() -> dict[str, str]:
+    return {name: digest for name, digest in ARTIFACT_DIGESTS.items()
+            if name.startswith("trajectory_")}
+
+
+def test_artifact_digests_without_numpy(tmp_path):
+    # numpy is loaded in this process, so the digest tests above take the
+    # numpy forms; a fresh trajectory run draws and deviates in Python
+    got = _fresh_trajectory_run(tmp_path, workers=1)
+    assert got["digests"] == _trajectory_digests()
+    assert got["dispatch"] == ["replicates: 6 in the parent, serial"]
+    assert got["numpy"] is False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_shared_trajectory_run_draws_through_numpy_alike(tmp_path):
+    # the package's at-fork hook loads the sampling layers, numpy with them,
+    # before the share forks; the parent and the worker then hand their
+    # streams over to numpy and deviate through numpy, to the same bytes
+    got = _fresh_trajectory_run(tmp_path, workers=2)
+    assert got["digests"] == _trajectory_digests()
+    assert got["dispatch"] == [
+        "replicates: 1 in the parent, 5 tasks to a pool of 2 workers"]
+    assert got["numpy"] is True
+
+
 @pytest.mark.usefixtures("two_cpus")
 def test_pool_takes_over_partway_through_a_task(tmp_path, monkeypatch, caplog):
     # a clock that ticks once a read: the parent runs 3 replicates, then
@@ -1754,6 +1807,15 @@ def test_describe_loads_no_numpy(tmp_path, config):
     codes, mods = _cli_modules(tmp_path,
                                [["describe", "-c", str(tmp_path / "cfg.json")]])
     assert codes == [0]
+    assert "numpy" not in mods
+
+
+def test_trajectory_run_loads_no_numpy(tmp_path):
+    # its short walks draw from numpy's stream in Python and take their
+    # deviations in Python
+    (config,) = [c for c in DIGEST_CONFIGS if c["mode"] == "trajectory"]
+    codes, mods = _modules_after(tmp_path, [{**config, "workers": 1}])
+    assert codes in ([0], [1])  # ran to verdicts
     assert "numpy" not in mods
 
 
