@@ -5,17 +5,17 @@ and a seed; ``run`` executes the replicates (in the parent, sharing the rest
 with forked workers only when that would save more than it costs),
 writes a records CSV plus a summary JSON, and returns pass/fail verdicts with
 the tolerances that produced them.  Replicate streams come from
-``substream(seed, cell_index, replicate_index)``, so artifacts are
-byte-identical at any worker count.  Wall-clock time is only logged, never
-kept on the summary or written to the artifacts.
+``rng._PureSubstream(seed, cell_index, replicate_index)``, ``substream``'s
+stream, so artifacts are byte-identical at any worker count.  Wall-clock time
+is only logged, never kept on the summary or written to the artifacts.
 
 Config parsing, ``describe`` and ``validate_degree_file`` need only the
 degree model.  The samplers, the exploration and the diagnostics load inside
 the code that runs replicates, so a dry run never imports them.  numpy loads
-with the samplers.  A trajectory run draws from ``rng._PureSubstream``, the
-same stream in Python, and takes its deviations in Python too, so it imports
-numpy only once its walks have drawn ``rng._PURE_DRAWS`` doubles, or before
-it forks (see ``_replicates``).
+with the samplers, and a stream hands their first ``choice`` over to numpy.
+A trajectory run's walks draw only doubles, in Python, and take their
+deviations in Python too, so it imports numpy only once they have drawn
+``rng._PURE_DRAWS`` doubles, or before it forks (see ``_replicates``).
 """
 
 from __future__ import annotations
@@ -329,14 +329,16 @@ _POOL_START_S = 0.045
 
 def _replicate(work: tuple, i: int) -> Any:
     """The kernel result of the run's replicate ``i``; replicate r of the
-    cell with index k draws from ``stream(seed, k, r)``, ``substream`` or
-    another factory of its stream.  A kernel's MemoryError is a ConfigError
+    cell with index k draws from ``_PureSubstream(seed, k, r)``, the stream
+    of ``substream(seed, k, r)``.  A kernel's MemoryError is a ConfigError
     naming ``where``, the cell's config name."""
-    kernel, cells, seed, replicates, stream = work
+    from .rng import _PureSubstream
+
+    kernel, cells, seed, replicates = work
     position, rep = divmod(i, replicates)
     cell_index, where, seq = cells[position]
     try:
-        return kernel(seq, stream(seed, cell_index, rep))
+        return kernel(seq, _PureSubstream(seed, cell_index, rep))
     except MemoryError as exc:
         raise ConfigError(f"{where}: too large to hold in memory") from exc
 
@@ -359,19 +361,17 @@ def _seconds_left(elapsed: float, cells: list[tuple[int, str, DegreeSequence]],
 
 
 def _replicates(kernel: Callable, cells: list[tuple[int, str, DegreeSequence]],
-                seed: int, replicates: int, workers: int,
-                stream: Callable | None = None) -> list[list]:
-    """Each cell's ``replicates`` kernel results, in replicate order; a
-    replicate draws from ``stream``, by default ``substream`` (see
-    ``_replicate``).
+                seed: int, replicates: int, workers: int) -> list[list]:
+    """Each cell's ``replicates`` kernel results, in replicate order, each
+    drawn from its own stream (see ``_replicate``).
 
     The ``(cell_index, where, sequence)`` cells' replicates form one queue,
     cell by cell, and the parent runs it from the start.  Its first
     replicate pays the one-time imports of its kernel's modules, and of
-    numpy unless the kernel draws from ``_PureSubstream``; forked workers
-    then inherit them.  The replicates after it are timed.  While two or more
-    replicates are left, the parent estimates the seconds they would still
-    take it (``_seconds_left``) and shares them with forked workers, W
+    numpy unless the kernel draws only the doubles of short walks; forked
+    workers then inherit them.  The replicates after it are timed.  While two
+    or more replicates are left, the parent estimates the seconds they would
+    still take it (``_seconds_left``) and shares them with forked workers, W
     processes in all, only if that would save more than ``_POOL_START_S``:
     ``left × (1 − 1/W)``.  It decides after each replicate from the third
     on when the replicates timed and left are all of the cell it is running,
@@ -385,18 +385,16 @@ def _replicates(kernel: Callable, cells: list[tuple[int, str, DegreeSequence]],
 
     Before a share forks, the package's at-fork hook imports its sampling
     modules, and numpy with them.  A trajectory share's parent and workers
-    then draw from ``substream``'s numpy stream, which ``_PureSubstream``
-    becomes once numpy is loaded, and take their deviations through numpy:
-    the same floats, so the artifacts match a serial run.
+    then draw through numpy, as ``_PureSubstream`` does once numpy is
+    loaded, and take their deviations through numpy: the same floats, so the
+    artifacts match a serial run.
     """
-    if stream is None:
-        from .rng import substream as stream
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         cpus = 1
     workers = min(workers, cpus)
-    work = (kernel, cells, seed, replicates, stream)
+    work = (kernel, cells, seed, replicates)
     total = len(cells) * replicates
     results: list = []
     # when replicate 0 ended, and the parent's minor page faults then
@@ -590,7 +588,7 @@ class _PoissonRow(NamedTuple):
 def _run_poisson(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     from .diagnostics import poisson_limit_check
 
-    seq = resolve_degrees(config.degrees)
+    seq = _prepared(config)
     nu_value = nu(empirical_distribution(seq))
     (results,) = _replicates(partial(_project, buffers={}), [(0, "degrees", seq)],
                              config.seed, config.replicates, config.workers)
@@ -647,7 +645,7 @@ def _quantile(xs: list[float], q: float) -> float:
 def _run_scaling(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
     tol = config.tolerances
     # a cell that does not build is recorded with its error; the grid goes on
-    built = list(_grid_cells(config.grid))
+    built = list(_prepared(config))
     # a cell that builds but does not fit ends the run, and the grid with it
     sampled = [(cell_index, f"grid[gamma={gamma},n={n}]", seq)
                for cell_index, (gamma, n, seq) in enumerate(built)
@@ -705,19 +703,15 @@ def _tracked_degrees(config: ExperimentConfig, seq: DegreeSequence) -> tuple[int
 
 
 def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
-    from .rng import _PureSubstream
-
-    seq = resolve_degrees(config.degrees)
+    seq = _prepared(config)
     track = _tracked_degrees(config, seq)
     dist = empirical_distribution(seq)
     tol = config.tolerances
     # the first max-degree vertex: that root stresses the path most
     root = seq.max_degree_vertex
     kernel = partial(_deviations, root=root, dist=dist, track=track)
-    # a short walk's doubles are drawn in Python, sparing the run numpy's
-    # import; a long one hands over to numpy (``rng._PURE_DRAWS``)
     (results,) = _replicates(kernel, [(0, "degrees", seq)], config.seed,
-                             config.replicates, config.workers, _PureSubstream)
+                             config.replicates, config.workers)
     cells = []
     verdicts = []
     # statistics.median: np.median's first call imports numpy.ma (~12 ms)
@@ -735,15 +729,14 @@ def _run_trajectory(config: ExperimentConfig) -> tuple[list, list[dict], list[Ve
     return [["replicate", "j", "deviation"]] + rows, cells, verdicts
 
 
-def _oracle_pairs(config: ExperimentConfig, seq: DegreeSequence) -> int:
-    """The m pairs of an oracle instance, refused unless 2 <= m <= its cap."""
+def _oracle_pairs(config: ExperimentConfig, seq: DegreeSequence) -> None:
+    """Refuse an oracle instance unless its m pairs are 2 <= m <= its cap."""
     m, cap = seq.two_m // 2, config.tolerances["enumeration_cap"]
     if m < 2:  # one pairing: the chi-square has no degree of freedom
         raise ConfigError(f"degrees: {config.mode} needs m >= 2 pairs, got m = {m}")
     if m > cap:
         raise ConfigError(f"tolerances.enumeration_cap: m = {m} exceeds "
                           f"enumeration cap {cap}")
-    return m
 
 
 def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdict]]:
@@ -752,8 +745,8 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
 
     from .pairing import double_factorial_odd, pairing_blocks, simple_mask
 
-    seq = resolve_degrees(config.degrees)
-    tol, m = config.tolerances, _oracle_pairs(config, seq)
+    seq = _prepared(config)
+    tol, m = config.tolerances, seq.two_m // 2
     count = simple = 0
     points = np.arange(seq.two_m)
     for block in pairing_blocks(seq):  # no block outlives its simplicity mask
@@ -787,12 +780,24 @@ def _run_oracle(config: ExperimentConfig) -> tuple[list, list[dict], list[Verdic
     return out_rows, cells, verdicts
 
 
-_MODE_RUNNERS = {
-    "poisson_check": _run_poisson,
-    "scaling": _run_scaling,
-    "trajectory": _run_trajectory,
-    "oracle_validation": _run_oracle,
+# each mode's runner, and the check of its degrees that ``_prepared`` makes
+_MODE_RUNNERS: dict[str, tuple[Callable, Callable | None]] = {
+    "poisson_check": (_run_poisson, None),
+    "scaling": (_run_scaling, None),
+    "trajectory": (_run_trajectory, _tracked_degrees),
+    "oracle_validation": (_run_oracle, _oracle_pairs),
 }
+
+
+def _prepared(config: ExperimentConfig, order: Callable | None = None) -> Any:
+    """A mode's input, read by its runner and by ``describe``: the grid's
+    cells, built when reached (``_grid_cells``), or its checked ``degrees``."""
+    if config.mode == "scaling":
+        return _grid_cells(config.grid, order)
+    seq = resolve_degrees(config.degrees)
+    if check := _MODE_RUNNERS[config.mode][1]:
+        check(config, seq)
+    return seq
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
@@ -813,7 +818,7 @@ def run(config: ExperimentConfig) -> RunSummary:
     if held is not None and not held.is_dir():
         raise ConfigError(f"output_dir: {held} is not a directory")
     t0 = time.monotonic()
-    rows, cells, verdicts = _MODE_RUNNERS[config.mode](config)
+    rows, cells, verdicts = _MODE_RUNNERS[config.mode][0](config)
     log.info("mode=%s wall_clock=%.3fs", config.mode, time.monotonic() - t0)
 
     tag = f"{config.mode}_{config.hash()}_seed{config.seed}"
@@ -843,7 +848,7 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
     """Dry-run report: scalar functionals and predictions, no sampling."""
     if config.mode == "scaling":  # first cell that builds: largest n, smallest gamma
         refused = None
-        for gamma, _, seq in _grid_cells(config.grid, lambda cell: (-cell[1], cell[0])):
+        for gamma, _, seq in _prepared(config, lambda cell: (-cell[1], cell[0])):
             if not isinstance(seq, ValueError):
                 break
             refused = refused or seq
@@ -851,12 +856,7 @@ def describe(config: ExperimentConfig) -> dict[str, Any]:
             raise ConfigError(f"grid: {refused}")
         spec = {**config.grid, "gamma": gamma}
     else:
-        spec = config.degrees
-        seq = resolve_degrees(spec)
-        if config.mode == "oracle_validation":
-            _oracle_pairs(config, seq)
-        elif config.mode == "trajectory":
-            _tracked_degrees(config, seq)
+        spec, seq = config.degrees, _prepared(config)
     dist = empirical_distribution(seq)
     nu_value = nu(dist)
     p_simple = predicted_simple_probability(nu_value)

@@ -1,20 +1,20 @@
 """Counter-based derivation of independent random substreams.
 
-Every replicate draws from ``substream(seed, cell_index, replicate_index)``,
-so results do not depend on scheduling: serial and parallel runs of the same
-config and seed produce identical streams.
+Every replicate draws from ``substream(seed, cell_index, replicate_index)``'s
+stream, so results do not depend on scheduling: serial and parallel runs of
+the same config and seed produce identical streams.
 
-``_PureSubstream(seed, *key)`` is the same stream without numpy.  It derives
+The harness draws it through ``_PureSubstream(seed, *key)``, which derives
 numpy's ``SeedSequence`` pool, ``generate_state(4, uint64)`` and the PCG64
 seeding in Python ints, and draws each double as ``Generator.random`` does:
 one step of the 128-bit LCG, the XSL-RR output word w, then
 ``(w >> 11) * 2**-53``.  A double costs 0.6-1.0 µs there against 50-60 ns
-through numpy, so it serves short runs, which it spares numpy's 70-120 ms
-import.  Once the process has drawn ``_PURE_DRAWS`` doubles in Python, or
-whenever numpy is loaded, the stream imports numpy, sets a ``PCG64`` to its
-own state and increment, and continues through numpy's ``Generator``; a
-stream made while numpy is loaded draws through numpy from the start.  The
-doubles are the same either way.
+through numpy, so a run of short walks drawn there skips numpy's 70-120 ms
+import.  Once the process has drawn ``_PURE_DRAWS`` doubles in Python, once
+numpy is loaded, or at the first ``Generator`` method the class lacks
+(``choice``), the stream imports numpy, sets a ``PCG64`` to its own state
+and increment, and goes on through numpy's ``Generator``; a stream made
+while numpy is loaded is numpy's from the start.  The draws are the same.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def _seed_state(seed: int, key: tuple[int, ...]) -> tuple[int, int]:
 
 
 class _PureSubstream:
-    """``substream(seed, *key)``'s doubles, drawn in Python until numpy
-    takes over (see the module docstring).  ``random()`` returns a float and
-    ``random(k)`` an ``array('d')`` of k doubles, or numpy's array once the
-    stream has handed over; both have ``tolist``."""
+    """``substream(seed, *key)``'s stream, its doubles drawn in Python until
+    numpy takes over (see the module docstring).  ``random()`` returns a float
+    and ``random(k)`` an ``array('d')`` of k doubles, or numpy's array once
+    the stream has handed over; both have ``tolist``."""
 
     __slots__ = ("_state", "_inc", "_numpy")
 
@@ -144,6 +144,12 @@ class _PureSubstream:
         if n < k:  # the rest of the block, through numpy from this state
             block.frombytes(self._hand_over().random(k - n).tobytes())
         return block[0] if size is None else block
+
+    def __getattr__(self, name: str):
+        """Another ``Generator`` attribute: numpy's, from this state."""
+        if name.startswith("_"):  # an unset slot, or a special method
+            raise AttributeError(name)
+        return getattr(self._numpy or self._hand_over(), name)
 
     def _doubles(self, n: int) -> list[float]:
         """The next ``n`` doubles: per LCG step, the top 53 bits of the

@@ -1244,6 +1244,57 @@ def test_artifact_digests_through_pool(tmp_path, monkeypatch):
     assert _digests(tmp_path, workers=2) == ARTIFACT_DIGESTS
 
 
+# every field of ``describe``'s report on each of ``DIGEST_CONFIGS``; scaling
+# reports its first cell that builds, n = 1000 at gamma 4.5
+DESCRIBE_REPORTS = {
+    "poisson_check": {
+        "n": 300, "two_m": 900, "d_bar": 3.0, "max_degree": 3, "nu": 2.0,
+        "molloy_reed_sum": 3.0, "predicted_p_simple": 0.1353352832366127,
+        "predicted_attempts": 7.3890560989306495,
+        "memory_estimate_bytes": 14400},
+    "scaling": {
+        "n": 1000, "two_m": 1062, "d_bar": 1.062, "max_degree": 4,
+        "nu": 0.13559322033898305, "molloy_reed_sum": -0.918,
+        "predicted_p_simple": 0.9301652778375212,
+        "predicted_attempts": 1.0750777564228509,
+        "memory_estimate_bytes": 16992, "degree_cap": 4},
+    "trajectory": {
+        "n": 2000, "two_m": 2368, "d_bar": 1.184, "max_degree": 8,
+        "nu": 0.48817567567567566, "molloy_reed_sum": -0.606,
+        "predicted_p_simple": 0.7381068287762691,
+        "predicted_attempts": 1.3548174342973252,
+        "memory_estimate_bytes": 37888, "degree_cap": 8},
+    "oracle_validation": {
+        "n": 4, "two_m": 6, "d_bar": 1.5, "max_degree": 2,
+        "nu": 0.6666666666666666, "molloy_reed_sum": -0.5,
+        "predicted_p_simple": 0.6411803884299546,
+        "predicted_attempts": 1.5596234976067807,
+        "memory_estimate_bytes": 96},
+}
+
+
+@pytest.mark.parametrize("config", DIGEST_CONFIGS, ids=lambda c: c["mode"])
+def test_describe_reports(config):
+    report = describe(ExperimentConfig.from_dict(config))
+    assert report == DESCRIBE_REPORTS[config["mode"]]
+
+
+def test_describe_builds_no_grid_cell_after_the_first_that_builds(monkeypatch):
+    # largest n first, smallest gamma first: n = 1000 fails at gamma 3.5 and
+    # builds at 4.5, and the cells of n = 300 and 100 are never built
+    built = []
+    build = pairlab.harness.build_subpower_sequence
+
+    def counted(n, gamma, *args):
+        built.append((n, gamma))
+        return build(n, gamma, *args)
+
+    monkeypatch.setattr(pairlab.harness, "build_subpower_sequence", counted)
+    (scaling,) = [c for c in DIGEST_CONFIGS if c["mode"] == "scaling"]
+    assert describe(ExperimentConfig.from_dict(scaling))["n"] == 1000
+    assert built == [(1000, 3.5), (1000, 4.5)]
+
+
 def _fresh_trajectory_run(tmp_path, workers: int) -> dict:
     """The trajectory entry of ``DIGEST_CONFIGS`` run in a fresh interpreter
     with 2 CPUs and a zero pool cost, so that 2 workers share at once: its

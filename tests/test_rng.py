@@ -35,18 +35,28 @@ def python_draws(monkeypatch):
     monkeypatch.setattr(rng, "_pure_drawn", 0)
 
 
+# Generator methods the stream lacks, which it hands over to numpy for
+HANDED_OVER = [
+    lambda stream: stream.choice(600, 300, replace=False).tolist(),
+    lambda stream: stream.permutation(50).tolist(),
+]
+
+
 @pytest.mark.usefixtures("python_draws")
 @pytest.mark.parametrize("key", KEYS, ids=repr)
 def test_python_draws_equal_substream(key):
-    stream = _PureSubstream(*key)
-    drawn = _mixed(stream)
-    assert stream._numpy is None  # none of them went through numpy
-    assert rng._pure_drawn == len(drawn)
-    assert drawn == _mixed(substream(*key))
-    # and the stream's state is the generator's after the same draws
-    reference = substream(*key)
-    _mixed(reference)
-    assert stream._hand_over().bit_generator.state == reference.bit_generator.state
+    for then in [lambda stream: [], *HANDED_OVER]:
+        before = rng._pure_drawn
+        stream = _PureSubstream(*key)
+        drawn = _mixed(stream)
+        assert stream._numpy is None  # none of them went through numpy
+        assert rng._pure_drawn - before == len(drawn)
+        reference = substream(*key)
+        assert drawn == _mixed(reference)
+        # then numpy's method from the stream's state, and doubles after it
+        assert then(stream) + _mixed(stream) == then(reference) + _mixed(reference)
+        # and the stream's state is the generator's after the same draws
+        assert stream.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.usefixtures("python_draws")
